@@ -5,7 +5,6 @@ from .model import (
     ConfigError,
     LevelSpec,
     SystemConfig,
-    Subsystem,
     ValidationWarning,
     config_from_dict,
     config_from_json,
@@ -15,7 +14,7 @@ from .model import (
     make_config,
     validate,
 )
-from .rate import lfu_rate, single_access_rate, single_level_rate, small_k_rate
+from .rate import coded_load, lfu_rate, single_level_rate, small_k_rate
 from .pama import (
     Allocation,
     Partition,

@@ -253,12 +253,17 @@ def _any_instance(rng: np.random.Generator) -> SystemConfig:
 
 
 def criterion_5_soundness() -> tuple[bool, str]:
-    """Lower bound never exceeds the achievable rate (500 fuzzed pairs)."""
+    """Lower bound never exceeds the achievable rate (500 fuzzed pairs,
+    plus 100 at tiny memory, log-uniform in [1e-15, 1e-6] of full storage)."""
     rng = np.random.default_rng(SEED + 5)
+    cfgs = [_any_instance(rng) for _ in range(500)]
+    tiny_rng = np.random.default_rng(SEED + 500)
+    for _ in range(100):
+        cfg = _any_instance(tiny_rng)
+        cfgs.append(cfg.with_memory(cfg.full_memory * 10.0 ** tiny_rng.uniform(-15, -6)))
     violations = 0
     worst_margin = -math.inf
-    for _ in range(500):
-        cfg = _any_instance(rng)
+    for cfg in cfgs:
         achievable = _quiet_pama(cfg).exact.total
         lb = best_lower_bound(cfg).value
         margin = lb - achievable
@@ -266,7 +271,7 @@ def criterion_5_soundness() -> tuple[bool, str]:
         if margin > 1e-9:
             violations += 1
     return violations == 0, (
-        f"{violations} violations in 500 pairs, worst LB - R = {worst_margin:.2e}"
+        f"{violations} violations in {len(cfgs)} pairs, worst LB - R = {worst_margin:.2e}"
     )
 
 

@@ -147,6 +147,13 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pama_header(lcount: int) -> str:
+    """CSV header of the rows :func:`_pama_row` writes."""
+    shares = ",".join(f"share_{i + 1}" for i in range(lcount))
+    rates = ",".join(f"rate_{i + 1}" for i in range(lcount))
+    return f"M,R_exact,R_closed,partition,{shares},{rates}"
+
+
 def _pama_row(config: SystemConfig, table, memory: float) -> tuple[str, dict]:
     res = pama_rate(config.with_memory(memory), table)
     closed = res.closed.value
@@ -171,13 +178,7 @@ def _pama_row(config: SystemConfig, table, memory: float) -> tuple[str, dict]:
 def _cmd_pama(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = build_threshold_table(config)
-    lcount = config.num_levels
-    header = (
-        "M,R_exact,R_closed,partition,"
-        + ",".join(f"share_{i + 1}" for i in range(lcount))
-        + ","
-        + ",".join(f"rate_{i + 1}" for i in range(lcount))
-    )
+    header = _pama_header(config.num_levels)
     line, summary = _pama_row(config, table, config.memory)
     lines = [f"# pama allocation for {args.config}", header, line]
     if args.grid_step is not None:
@@ -193,14 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = build_threshold_table(config)
     grid = _parse_mspec(args.m, config.full_memory)
-    lcount = config.num_levels
-    header = (
-        "M,R_exact,R_closed,partition,"
-        + ",".join(f"share_{i + 1}" for i in range(lcount))
-        + ","
-        + ",".join(f"rate_{i + 1}" for i in range(lcount))
-    )
-    lines = [f"# sweep over {len(grid)} memory points", header]
+    lines = [f"# sweep over {len(grid)} memory points", _pama_header(config.num_levels)]
     last = None
     for m in grid:
         line, last = _pama_row(config, table, float(m))
@@ -292,14 +286,10 @@ def _cmd_access_opt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _level_map_for(config: SystemConfig, dist: EmpiricalDistribution) -> np.ndarray:
-    return level_map_for_config(config, dist.n_files)
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     dist = _load_distribution(args)
-    level_map = _level_map_for(config, dist)
+    level_map = level_map_for_config(config, dist.n_files)
     grid = _parse_mspec(args.m, config.full_memory) if args.m else [config.memory]
     lines = [
         f"# stochastic simulation seed={args.seed} trials={args.trials} users={args.users}",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -27,6 +28,18 @@ class ConfigError(ValueError):
 
 class ValidationWarning(UserWarning):
     """Non-fatal irregularity in a problem instance."""
+
+
+def _is_count(value: Any) -> bool:
+    """A positive int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _real(value: Any, name: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are fatal."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +55,7 @@ class LevelSpec:
     def __post_init__(self) -> None:
         for name in ("n_files", "users_per_cache", "access_degree"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _is_count(value):
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
     @property
@@ -115,43 +128,22 @@ class SystemConfig:
         return replace(self, levels=new_levels)
 
 
-@dataclass(frozen=True)
-class Subsystem:
-    """A single-color slice of a single level: K/d caches serving N
-    subfiles, each cached at fraction d*M/N (clamped at 1)."""
-
-    num_caches: float
-    n_files: int
-    memory: float
-    subfile_fraction: float
-
-    @classmethod
-    def for_level(cls, config: SystemConfig, level_index: int, share: float) -> "Subsystem":
-        lv = config.levels[level_index]
-        d = lv.access_degree
-        fraction = min(1.0, d * share / lv.n_files)
-        return cls(
-            num_caches=config.num_caches / d,
-            n_files=lv.n_files,
-            memory=share,
-            subfile_fraction=fraction,
-        )
-
-
 def validate(config: SystemConfig) -> SystemConfig:
     """Check an instance against the model's regularity rules.
 
     Returns the config with levels re-sorted into decreasing popularity
-    if needed.  Fatal problems (negative memory, more users than files,
+    if needed.  Fatal problems (a non-integer or boolean count, negative
+    or non-finite memory, q not finite above 1, more users than files,
     degree exceeding K) raise :class:`ConfigError`; soft irregularities
     (weak popularity separation, degree not dividing K) only emit a
     :class:`ValidationWarning`.
 
     Idempotent: validating a validated config returns an equal config.
     """
-    if not isinstance(config.num_caches, int) or config.num_caches < 1:
+    if not _is_count(config.num_caches):
         raise ConfigError(f"num_caches must be a positive integer, got {config.num_caches!r}")
-    if not math.isfinite(config.memory) or config.memory < 0:
+    memory = _real(config.memory, "memory")
+    if not math.isfinite(memory) or memory < 0:
         raise ConfigError(f"memory must be a finite non-negative real, got {config.memory!r}")
     if not config.levels:
         raise ConfigError("at least one popularity level is required")
@@ -179,9 +171,9 @@ def validate(config: SystemConfig) -> SystemConfig:
     ordered = tuple(sorted(config.levels, key=lambda lv: lv.popularity, reverse=True))
 
     if config.separation_ratio is not None:
-        q = config.separation_ratio
-        if q <= 1:
-            raise ConfigError(f"separation_ratio must exceed 1, got {q!r}")
+        q = _real(config.separation_ratio, "separation_ratio")
+        if not math.isfinite(q) or q <= 1:
+            raise ConfigError(f"separation_ratio must be finite and exceed 1, got {q!r}")
         for i in range(len(ordered) - 1):
             ratio = ordered[i].popularity / ordered[i + 1].popularity
             if ratio < q:
@@ -198,6 +190,9 @@ def validate(config: SystemConfig) -> SystemConfig:
 def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     """Build a validated config from the JSON instance schema
     ``{"K": int, "M": float, "levels": [{"N", "U", "d"}, ...], "q": float?}``.
+
+    Nothing is coerced: K, N, U and d must be integers, M and q numbers
+    (bools are neither), and any other value raises :class:`ConfigError`.
     """
     if not isinstance(data, dict):
         raise ConfigError("instance must be a JSON object")
@@ -215,22 +210,18 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
         raise ConfigError('"levels" must be a non-empty list')
     levels = []
     for idx, entry in enumerate(raw_levels):
+        if not isinstance(entry, dict) or not {"N", "U", "d"} <= entry.keys():
+            raise ConfigError(f"levels[{idx}]: expected an object with fields N, U, d")
         try:
-            levels.append(
-                LevelSpec(
-                    n_files=int(entry["N"]),
-                    users_per_cache=int(entry["U"]),
-                    access_degree=int(entry["d"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"levels[{idx}]: expected fields N, U, d ({exc})") from None
+            levels.append(LevelSpec(entry["N"], entry["U"], entry["d"]))
+        except ConfigError as exc:
+            raise ConfigError(f"levels[{idx}]: {exc}") from None
     q = data.get("q")
     config = SystemConfig(
-        num_caches=int(k),
-        memory=float(m),
+        num_caches=k,
+        memory=_real(m, "M"),
         levels=tuple(levels),
-        separation_ratio=float(q) if q is not None else None,
+        separation_ratio=_real(q, "q") if q is not None else None,
     )
     return validate(config)
 
@@ -278,7 +269,7 @@ def make_config(
     return validate(
         SystemConfig(
             num_caches=num_caches,
-            memory=float(memory),
+            memory=_real(memory, "memory"),
             levels=specs,
             separation_ratio=separation_ratio,
         )

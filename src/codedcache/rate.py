@@ -10,6 +10,11 @@ The core expression is the single-level multi-access rate
 for memory M in [0, N/d], which degrades gracefully to K*U at M = 0 and
 to 0 at M = N/d.  K/d is evaluated as a real exponent; divisibility of K
 by d only matters to the bit-exact simulator.
+
+With mu = d*M/N this is d*U times the random-placement coded load
+(1/mu - 1)(1 - (1 - mu)^k) of k = K/d users (Maddah-Ali & Niesen,
+decentralized coded caching).  :func:`coded_load` is the one place that
+evaluates it, in a form that stays accurate at tiny mu.
 """
 
 from __future__ import annotations
@@ -17,11 +22,29 @@ from __future__ import annotations
 import math
 import warnings
 
-from .model import SystemConfig, Subsystem
+from .model import SystemConfig
 
 
 class RateWarning(UserWarning):
     """Out-of-range memory argument handled by clamping."""
+
+
+def coded_load(mu: float, k: float) -> float:
+    """Expected coded load (1/mu - 1)(1 - (1 - mu)^k), in subfile units,
+    of k users whose caches each hold a random fraction mu of every file.
+
+    Evaluated as (1 - mu)/mu * -expm1(k * log1p(-mu)), which does not
+    cancel at small mu, and clamped to [0, k].  Exactly k at mu <= 0 and
+    exactly 0 at mu >= 1 or k <= 0.
+    """
+    if k <= 0 or mu >= 1.0:
+        return 0.0
+    if mu <= 0.0:
+        return float(k)
+    value = (1.0 - mu) / mu * -math.expm1(k * math.log1p(-mu))
+    # Both factors are >= 0, so only the upper clamp can bite: rounding,
+    # or NaN from overflow at subnormal mu, where the limit is k.
+    return value if value < k else float(k)
 
 
 def single_level_rate(
@@ -60,31 +83,7 @@ def single_level_rate(
     if memory == 0:
         return float(num_caches * users_per_cache)
     mu = degree * memory / n_files
-    value = (
-        degree
-        * users_per_cache
-        * (1.0 / mu - 1.0)
-        * (1.0 - (1.0 - mu) ** (num_caches / degree))
-    )
-    return max(0.0, value)
-
-
-def single_access_rate(memory: float, num_caches: int, n_files: int) -> float:
-    """Rate for the single-user single-access special case:
-    (N/M - 1) * (1 - (1 - M/N)^K), clamped at 0."""
-    return single_level_rate(memory, num_caches, n_files, users_per_cache=1, degree=1)
-
-
-def subsystem_rate(sub: Subsystem) -> float:
-    """Expected per-color load of one delivery subsystem, in subfile units:
-    (1/mu - 1) * (1 - (1 - mu)^k) with mu the cached fraction."""
-    mu = sub.subfile_fraction
-    k = sub.num_caches
-    if mu >= 1.0:
-        return 0.0
-    if mu <= 0.0:
-        return float(k)
-    return (1.0 / mu - 1.0) * (1.0 - (1.0 - mu) ** k)
+    return degree * users_per_cache * coded_load(mu, num_caches / degree)
 
 
 def lfu_rate(config: SystemConfig) -> float:

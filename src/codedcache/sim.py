@@ -42,6 +42,7 @@ import numpy as np
 from .model import SystemConfig, ValidationWarning
 from .pama import Allocation, build_threshold_table, pama_rate
 from .popularity import EmpiricalDistribution
+from .rate import coded_load
 
 
 class DecodeError(AssertionError):
@@ -53,35 +54,24 @@ Demand = tuple[int, int, int]  # (cache, level, file-within-level)
 
 @dataclass(frozen=True)
 class Coloring:
-    """Cache coloring and user grouping for one access degree."""
+    """Cache coloring for one access degree: colors and the edge caches
+    whose users are served uncoded."""
 
     num_caches: int
-    users_per_cache: int
     degree: int
     cache_colors: tuple[int, ...]
     edge_caches: frozenset[int]
-
-    def group_of(self, cache: int, slot: int) -> int | None:
-        """Group index for the user at (cache, slot); None for users on
-        edge caches, which are served uncoded."""
-        if cache in self.edge_caches:
-            return None
-        return (cache % self.degree) * self.users_per_cache + slot
 
     def color_cache(self, cache: int, color: int) -> int:
         """The unique accessible cache of the given color for a
         non-edge user attached at ``cache``."""
         return (cache + (color - cache) % self.degree) % self.num_caches
 
-    @property
-    def num_groups(self) -> int:
-        return self.degree * self.users_per_cache
 
-
-def build_coloring(num_caches: int, users_per_cache: int, degree: int) -> Coloring:
-    """Color caches by index mod d and group users by (color residue,
-    slot).  When d does not divide K, the trailing caches whose access
-    windows wrap are flagged as edge caches."""
+def build_coloring(num_caches: int, degree: int) -> Coloring:
+    """Color caches by index mod d.  When d does not divide K, the
+    trailing caches whose access windows wrap are flagged as edge
+    caches."""
     if degree > num_caches:
         raise ValueError(f"degree {degree} exceeds the cache count {num_caches}")
     colors = tuple(c % degree for c in range(num_caches))
@@ -91,7 +81,6 @@ def build_coloring(num_caches: int, users_per_cache: int, degree: int) -> Colori
         edge = frozenset(range(num_caches - degree + 1, num_caches))
     return Coloring(
         num_caches=num_caches,
-        users_per_cache=users_per_cache,
         degree=degree,
         cache_colors=colors,
         edge_caches=edge,
@@ -271,7 +260,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     for lvl_idx, level_users in sorted(by_level.items()):
         lv = config.levels[lvl_idx]
         d = lv.access_degree
-        coloring = build_coloring(k, lv.users_per_cache, d)
+        coloring = build_coloring(k, d)
         for uid, cache, _, file, slot in level_users:
             spans = [_subfile_span(f_bits, d, c)[1] for c in range(d)]
             recovered[uid] = [np.zeros(n, dtype=bool) for n in spans]
@@ -358,7 +347,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     for uid, cache, lvl_idx, file, slot in users:
         lv = config.levels[lvl_idx]
         d = lv.access_degree
-        coloring = build_coloring(k, lv.users_per_cache, d)
+        coloring = build_coloring(k, d)
         truth = placement.content(lvl_idx, file)
         rebuilt = np.full(placement.file_size_bits, 2, dtype=np.uint8)
         for color in range(d):
@@ -385,16 +374,6 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
         uncoded_bits=uncoded_bits,
         decode_ok=True,
     )
-
-
-def _coded_load(mu: float, active: int) -> float:
-    """Expected per-group load (1/mu - 1)(1 - (1-mu)^active), with its
-    continuous limits at mu = 0 and mu = 1."""
-    if active <= 0 or mu >= 1.0:
-        return 0.0
-    if mu <= 0.0:
-        return float(active)
-    return (1.0 / mu - 1.0) * (1.0 - (1.0 - mu) ** active)
 
 
 def expected_profile_rate(
@@ -426,7 +405,7 @@ def expected_profile_rate(
 
     load = 0.0
     for (lvl_idx, _, _), files in group_files.items():
-        load += _coded_load(mus[lvl_idx], len(files))
+        load += coded_load(mus[lvl_idx], len(files))
     for cache, lvl_idx, _ in edge_seen:
         lv = config.levels[lvl_idx]
         d = lv.access_degree
@@ -447,9 +426,6 @@ class SimulationResult:
     @property
     def mean(self) -> float:
         return float(np.mean(self.rates))
-
-    def percentile(self, q: float) -> float:
-        return float(np.percentile(self.rates, q))
 
 
 def simulate_stochastic(

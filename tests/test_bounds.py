@@ -15,7 +15,7 @@ from codedcache.bounds import (
 )
 from codedcache.model import make_config
 from codedcache.pama import pama_rate
-from codedcache.rate import single_access_rate
+from codedcache.rate import single_level_rate
 
 EX1 = make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)])
 
@@ -144,7 +144,7 @@ def test_cutset_sound_against_classic_single_access():
             best = max(
                 cutset_bound(cfg_m, 0, v).value for v in range(1, min(k, n) + 1)
             )
-            assert best <= single_access_rate(float(m), k, n) + 1e-9
+            assert best <= single_level_rate(float(m), k, n, 1, 1) + 1e-9
 
 
 def test_gap_profile_reports_unity_when_nothing_sent():

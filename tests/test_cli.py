@@ -35,6 +35,13 @@ def test_invalid_instance_is_validation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_integral_instance_is_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"K": 8.7, "M": 1, "levels": [{"N": 100, "U": 1, "d": 1}]}')
+    assert run(["rate", "--config", str(bad)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_pama_summary_reproduces_reference_point(ex1_path, tmp_path):
     summary_path = tmp_path / "summary.json"
     out_path = tmp_path / "pama.csv"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,6 +127,66 @@ def test_json_unknown_field_warns():
         config_from_dict(
             {"K": 4, "M": 1, "levels": [{"N": 100, "U": 1, "d": 1}], "extra": 5}
         )
+
+
+LEVEL = {"N": 100, "U": 1, "d": 1}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"K": 8.7, "M": 1, "levels": [LEVEL]},
+        {"K": True, "M": 1, "levels": [LEVEL]},
+        {"K": "4", "M": 1, "levels": [LEVEL]},
+        {"K": 4, "M": 1, "levels": [{"N": 100.9, "U": 1, "d": 1}]},
+        {"K": 4, "M": 1, "levels": [{"N": 100.0, "U": 1, "d": 1}]},
+        {"K": 4, "M": 1, "levels": [{"N": 100, "U": True, "d": 1}]},
+        {"K": 4, "M": 1, "levels": [{"N": 100, "U": 1, "d": 1.5}]},
+        {"K": 4, "M": 1, "levels": [{"N": 100, "U": 1, "d": False}]},
+        {"K": 4, "M": 1, "levels": [[100, 1, 1]]},
+        {"K": 4, "M": True, "levels": [LEVEL]},
+        {"K": 4, "M": "1", "levels": [LEVEL]},
+        {"K": 4, "M": math.nan, "levels": [LEVEL]},
+        {"K": 4, "M": math.inf, "levels": [LEVEL]},
+        {"K": 4, "M": 1, "levels": [LEVEL], "q": math.nan},
+        {"K": 4, "M": 1, "levels": [LEVEL], "q": math.inf},
+        {"K": 4, "M": 1, "levels": [LEVEL], "q": True},
+        {"K": 4, "M": 1, "levels": [LEVEL], "q": "2"},
+        {"K": 4, "M": 1, "levels": [LEVEL], "q": 1},
+    ],
+)
+def test_json_fields_are_not_coerced(data):
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("m", [1, 2.5, 0])
+def test_json_integer_and_float_memory_load(m):
+    cfg = config_from_dict({"K": 4, "M": m, "levels": [LEVEL], "q": 2})
+    assert cfg.memory == float(m) and isinstance(cfg.memory, float)
+    assert cfg.separation_ratio == 2.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"num_caches": True},
+        {"num_caches": 4.0},
+        {"memory": True},
+        {"memory": math.nan},
+        {"separation_ratio": math.nan},
+        {"separation_ratio": math.inf},
+    ],
+)
+def test_validate_rejects_bool_and_nonfinite_fields(fields):
+    base = {"num_caches": 4, "memory": 1.0, "levels": (LevelSpec(100, 1, 1),)}
+    with pytest.raises(ConfigError):
+        validate(SystemConfig(**{**base, **fields}))
+
+
+def test_make_config_rejects_bool_memory():
+    with pytest.raises(ConfigError):
+        make_config(4, True, [(100, 1, 1)])
 
 
 def test_invalid_json_text():

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codedcache.model import Subsystem, ValidationWarning, make_config
+from codedcache.bounds import best_lower_bound
+from codedcache.model import ValidationWarning, make_config
+from codedcache.pama import pama_rate
 from codedcache.rate import (
     RateWarning,
+    coded_load,
     lfu_rate,
-    single_access_rate,
     single_level_rate,
     small_k_rate,
-    subsystem_rate,
 )
 
 
@@ -47,14 +48,23 @@ def test_oversized_memory_clamps_with_warning():
 
 
 def test_single_access_examples():
-    assert single_access_rate(50, 2, 100) == pytest.approx(0.75, abs=1e-12)
-    assert single_access_rate(100, 5, 100) == 0.0
-    assert single_access_rate(0, 5, 100) == 5.0
+    assert single_level_rate(50, 2, 100, 1, 1) == pytest.approx(0.75, abs=1e-12)
+    assert single_level_rate(100, 5, 100, 1, 1) == 0.0
+    assert single_level_rate(0, 5, 100, 1, 1) == 5.0
 
 
-def test_single_access_equals_single_level_special_case():
-    for m in np.linspace(0, 80, 17):
-        assert single_access_rate(m, 7, 80) == single_level_rate(m, 7, 80, 1, 1)
+def test_single_access_special_case():
+    # U = d = 1 gives the classic (N/M - 1) * (1 - (1 - M/N)^K).
+    for m in np.linspace(5, 75, 15):
+        classic = (80 / m - 1) * (1 - (1 - m / 80) ** 7)
+        assert single_level_rate(float(m), 7, 80, 1, 1) == pytest.approx(classic, rel=1e-12)
+
+
+@pytest.mark.parametrize("memory", [1e-15, 1e-12, 1e-9, 1e-6])
+def test_tiny_memory_rate_tends_to_uncached_and_stays_above_bound(memory):
+    assert single_level_rate(memory, 10, 10**6, 5, 1) == pytest.approx(50.0, rel=1e-9)
+    cfg = make_config(10, memory, [(10**6, 5, 1), (10**7, 1, 1)])
+    assert pama_rate(cfg).exact.total >= best_lower_bound(cfg).value - 1e-9
 
 
 @pytest.mark.parametrize("k,n,u,d", [(8, 100, 9, 1), (6, 100, 2, 2), (9, 270, 3, 3)])
@@ -103,21 +113,22 @@ def test_rate_never_exceeds_uncached_cost():
         assert 0.0 <= single_level_rate(m, k, n, u, d) <= k * u + 1e-9
 
 
-def test_subsystem_slice_reproduces_level_rate():
-    cfg = make_config(6, 3.0, [(12, 2, 2)])
-    sub = Subsystem.for_level(cfg, 0, 3.0)
-    assert sub.num_caches == 3.0
-    assert sub.subfile_fraction == pytest.approx(0.5)
-    # d*U groups, d colors, each color load is subsystem_rate subfiles of
-    # size 1/d files.
-    lv = cfg.levels[0]
-    total = lv.access_degree * lv.users_per_cache * subsystem_rate(sub)
-    assert total == pytest.approx(single_level_rate(3.0, 6, 12, 2, 2), rel=1e-12)
+def test_color_slice_reproduces_level_rate():
+    # d*U groups, d colors, each color load is coded_load subfiles of
+    # size 1/d files, with K/d caches each holding fraction d*M/N.
+    k, n, u, d, m = 6, 12, 2, 2, 3.0
+    assert d * u * coded_load(d * m / n, k / d) == pytest.approx(
+        single_level_rate(m, k, n, u, d), rel=1e-12
+    )
 
 
-def test_subsystem_fraction_clamps_at_one():
-    cfg = make_config(6, 3.0, [(12, 2, 2)])
-    assert Subsystem.for_level(cfg, 0, 100.0).subfile_fraction == 1.0
+def test_coded_load_endpoints():
+    assert coded_load(0.0, 3.5) == 3.5
+    assert coded_load(-0.1, 3) == 3.0
+    assert coded_load(1.0, 3) == 0.0
+    assert coded_load(100.0 / 6, 3) == 0.0
+    assert coded_load(0.5, 0) == 0.0
+    assert coded_load(1e-300, 7) == 7.0
 
 
 def test_lfu_example1_full_first_level():

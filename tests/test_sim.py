@@ -24,9 +24,8 @@ from codedcache.sim import (
 
 
 def test_coloring_six_caches_two_colors():
-    col = build_coloring(6, 2, 2)
+    col = build_coloring(6, 2)
     assert col.cache_colors == (0, 1, 0, 1, 0, 1)
-    assert col.num_groups == 4
     assert col.edge_caches == frozenset()
     # every user sees one cache of each color, distinct within a group
     for slot in range(2):
@@ -41,21 +40,20 @@ def test_coloring_six_caches_two_colors():
 
 
 def test_coloring_single_color():
-    col = build_coloring(5, 3, 1)
-    assert col.num_groups == 3
+    col = build_coloring(5, 1)
+    assert col.cache_colors == (0, 0, 0, 0, 0)
     assert col.edge_caches == frozenset()
 
 
 def test_coloring_edge_cache_flagged():
-    col = build_coloring(5, 1, 2)
+    col = build_coloring(5, 2)
     assert col.edge_caches == frozenset({4})
-    assert col.group_of(4, 0) is None
-    assert col.group_of(3, 0) is not None
+    assert 3 not in col.edge_caches
 
 
 def test_coloring_degree_exceeding_caches():
     with pytest.raises(ValueError):
-        build_coloring(3, 1, 4)
+        build_coloring(3, 4)
 
 
 def test_worst_case_demands_distinct_within_groups():
