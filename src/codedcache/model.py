@@ -42,6 +42,14 @@ def _real(value: Any, name: str) -> float:
     return float(value)
 
 
+def _memory(value: Any) -> float:
+    """A cache size as a float; it must be a finite, non-negative real."""
+    memory = _real(value, "memory")
+    if not math.isfinite(memory) or memory < 0:
+        raise ConfigError(f"memory must be a finite non-negative real, got {value!r}")
+    return memory
+
+
 @dataclass(frozen=True)
 class LevelSpec:
     """One popularity level: ``n_files`` files, ``users_per_cache`` users
@@ -115,8 +123,10 @@ class SystemConfig:
         return sum(lv.full_memory for lv in self.levels)
 
     def with_memory(self, memory: float) -> "SystemConfig":
-        """Copy of this instance with a different cache size (for sweeps)."""
-        return replace(self, memory=float(memory))
+        """Copy of this instance with a different cache size (for sweeps);
+        a bool, non-real, non-finite or negative memory raises
+        :class:`ConfigError`."""
+        return replace(self, memory=_memory(memory))
 
     def with_degrees(self, degrees: Sequence[int]) -> "SystemConfig":
         """Copy of this instance with per-level access degrees replaced."""
@@ -142,9 +152,7 @@ def validate(config: SystemConfig) -> SystemConfig:
     """
     if not _is_count(config.num_caches):
         raise ConfigError(f"num_caches must be a positive integer, got {config.num_caches!r}")
-    memory = _real(config.memory, "memory")
-    if not math.isfinite(memory) or memory < 0:
-        raise ConfigError(f"memory must be a finite non-negative real, got {config.memory!r}")
+    _memory(config.memory)
     if not config.levels:
         raise ConfigError("at least one popularity level is required")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -25,32 +25,42 @@ class CountsError(ValueError):
     """Malformed request-count input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Per-file request probabilities, sorted non-increasing, summing to 1."""
+    """Per-file request probabilities, sorted non-increasing, summing to 1.
 
-    probabilities: tuple[float, ...]
+    Any sequence of floats is accepted; it is held as a read-only
+    float64 array, with its cumulative sum computed once.
+    """
+
+    probabilities: np.ndarray
+    _cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.size == 0:
-            raise CountsError("distribution must not be empty")
+        p = np.array(self.probabilities, dtype=np.float64)
+        if p.ndim != 1 or p.size == 0:
+            raise CountsError("distribution must be a non-empty 1-D sequence")
         if np.any(p < 0):
             raise CountsError("probabilities must be non-negative")
         if np.any(np.diff(p) > 1e-12):
             raise CountsError("probabilities must be sorted non-increasing")
         if abs(float(p.sum()) - 1.0) > 1e-9:
             raise CountsError(f"probabilities must sum to 1, got {float(p.sum())!r}")
+        cum = np.cumsum(p)
+        p.flags.writeable = False
+        cum.flags.writeable = False
+        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "_cumulative", cum)
 
     @property
     def n_files(self) -> int:
-        return len(self.probabilities)
+        return self.probabilities.size
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.probabilities, dtype=np.float64)
+        return self.probabilities
 
     def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.as_array())
+        return self._cumulative
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,7 @@ def zipf_distribution(exponent: float, n_files: int) -> EmpiricalDistribution:
     ranks = np.arange(1, n_files + 1, dtype=np.float64)
     weights = ranks**-float(exponent)
     probs = weights / weights.sum()
-    return EmpiricalDistribution(probabilities=tuple(probs.tolist()))
+    return EmpiricalDistribution(probabilities=probs)
 
 
 def load_counts(source: str | IO[str] | IO[bytes]) -> EmpiricalDistribution:
@@ -117,9 +127,9 @@ def load_counts(source: str | IO[str] | IO[bytes]) -> EmpiricalDistribution:
         line = line.strip()
         if not line:
             continue
-        field = line.split(",")[-1] if "," in line else line
+        cell = line.split(",")[-1] if "," in line else line
         try:
-            value = int(field.strip())
+            value = int(cell.strip())
         except ValueError:
             raise CountsError(f"line {lineno}: expected an integer count, got {line!r}") from None
         if value < 0:
@@ -137,7 +147,7 @@ def load_counts(source: str | IO[str] | IO[bytes]) -> EmpiricalDistribution:
         raise CountsError("all counts are zero")
     arr = np.sort(arr)[::-1]
     probs = arr / arr.sum()
-    return EmpiricalDistribution(probabilities=tuple(probs.tolist()))
+    return EmpiricalDistribution(probabilities=probs)
 
 
 def fit_zipf(dist: EmpiricalDistribution) -> float:

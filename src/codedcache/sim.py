@@ -5,7 +5,7 @@ Two simulation modes:
 * bit-exact: every cache samples actual bit indices of every subfile of
   its color, delivery broadcasts XOR-coded segments per (user group,
   color) subsystem, and every user's reconstruction is verified
-  bit-for-bit.  Intended for small instances (K*U <= 64).
+  bit-for-bit.  A delivery group holds at most 64 users.
 
 * expected-size: per-trial stochastic user profiles are mapped onto the
   same subsystem structure, but each subsystem contributes its expected
@@ -34,7 +34,6 @@ import math
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,41 +198,37 @@ class DeliveryLog:
     decode_ok: bool
 
 
-class _SegmentIndex:
-    """Positions of one demanded subfile grouped by which participant
-    caches store each bit (signature bitmask over the subsystem)."""
-
-    def __init__(self, masks: Sequence[np.ndarray]):
-        length = len(masks[0]) if masks else 0
-        sig = np.zeros(length, dtype=np.uint64)
-        for bit, mask in enumerate(masks):
-            sig |= mask.astype(np.uint64) << np.uint64(bit)
-        self._order = np.argsort(sig, kind="stable")
-        self._sorted = sig[self._order]
-
-    def positions(self, signature: int) -> np.ndarray:
-        lo = int(np.searchsorted(self._sorted, signature, side="left"))
-        hi = int(np.searchsorted(self._sorted, signature, side="right"))
-        return self._order[lo:hi]
+MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
 
 
 def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> DeliveryLog:
     """Run coded delivery for the given demand profile and verify that
     every user can reassemble its file bit-for-bit.
 
-    Per (group, color) subsystem, each non-empty subset S of active
-    users contributes the XOR of the segments "wanted by u, cached by
-    exactly the caches of S minus u", padded to the longest segment.
-    Segments cached nowhere (signature 0) are sent in clear once per
-    distinct demanded file.  Returns the broadcast size normalized by
-    the file size.
+    Per (group, color) subsystem, every bit of a demanded subfile gets a
+    signature: the set of participant caches that store it.  Bits cached
+    nowhere (signature 0) are sent in clear once per distinct demanded
+    file.  A bit that participant p wants and that exactly the caches in
+    s hold (s non-empty, p not in s) rides in the XOR for s | {p}, which
+    is as long as its longest segment.  So one pass over the signatures
+    that occur prices every transmission.  Groups of more than 64
+    members raise ``ValueError``.  Returns the broadcast size
+    normalized by the file size.
     """
     config = placement.config
     k = config.num_caches
     f_bits = placement.file_size_bits
 
+    colorings = [build_coloring(k, lv.access_degree) for lv in config.levels]
     slots: Counter = Counter()
     users = []
+    # Coded users by (level, residue, slot); edge users by level.
+    groups: dict[tuple[int, int, int], list] = defaultdict(list)
+    edge_by_level: dict[int, list] = defaultdict(list)
+    # recovered[uid][color]: positions of the wanted subfile obtainable
+    # from the broadcast.
+    recovered: dict[int, list[np.ndarray]] = {}
+    own_cover: dict[int, list[np.ndarray]] = {}
     for cache, lvl_idx, file in demands:
         if not 0 <= cache < k:
             raise ValueError(f"cache index {cache} out of range")
@@ -243,85 +238,64 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
         slot = slots[(cache, lvl_idx)]
         slots[(cache, lvl_idx)] += 1
-        users.append((len(users), cache, lvl_idx, file, slot))
+        u = (len(users), cache, lvl_idx, file, slot)
+        users.append(u)
+        coloring = colorings[lvl_idx]
+        if cache in coloring.edge_caches:
+            edge_by_level[lvl_idx].append(u)
+        else:
+            groups[(lvl_idx, cache % coloring.degree, slot)].append(u)
+        spans = [_subfile_span(f_bits, coloring.degree, c)[1] for c in range(coloring.degree)]
+        recovered[u[0]] = [np.zeros(n, dtype=bool) for n in spans]
+        own_cover[u[0]] = [np.zeros(n, dtype=bool) for n in spans]
+
+    largest = max(map(len, groups.values()), default=0)
+    if largest > MAX_GROUP:
+        raise ValueError(
+            f"a delivery group has {largest} members; at most {MAX_GROUP} fit a signature"
+        )
 
     total_bits = 0
     uncoded_bits = 0
     pair_bits: dict[tuple[int, tuple[int, int], int], int] = {}
-    # recovered[uid][color]: positions of the wanted subfile obtainable
-    # from the broadcast.
-    recovered: dict[int, list[np.ndarray]] = {}
-    own_cover: dict[int, list[np.ndarray]] = {}
 
-    by_level: dict[int, list] = defaultdict(list)
-    for u in users:
-        by_level[u[2]].append(u)
+    for (lvl_idx, residue, slot), members in sorted(groups.items()):
+        coloring = colorings[lvl_idx]
+        for color in range(coloring.degree):
+            caches_used = [coloring.color_cache(u[1], color) for u in members]
+            if len(set(caches_used)) != len(caches_used):
+                raise DecodeError("group members mapped to a shared cache")
+            length = _subfile_span(f_bits, coloring.degree, color)[1]
 
-    for lvl_idx, level_users in sorted(by_level.items()):
-        lv = config.levels[lvl_idx]
-        d = lv.access_degree
-        coloring = build_coloring(k, d)
-        for uid, cache, _, file, slot in level_users:
-            spans = [_subfile_span(f_bits, d, c)[1] for c in range(d)]
-            recovered[uid] = [np.zeros(n, dtype=bool) for n in spans]
-            own_cover[uid] = [np.zeros(n, dtype=bool) for n in spans]
+            # sig bit j set: the j-th member's cache stores the bit.
+            sigs: dict[int, np.ndarray] = {}
+            for f in {u[3] for u in members}:
+                sig = np.zeros(length, dtype=np.uint64)
+                for bit, vc in enumerate(caches_used):
+                    sig |= placement.stored[(vc, lvl_idx, f)].astype(np.uint64) << np.uint64(bit)
+                sigs[f] = sig
+            bits_here = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
 
-        coded: dict[tuple[int, int], list] = defaultdict(list)
-        edge_users = []
-        for u in level_users:
-            _, cache, _, _, slot = u
-            if cache in coloring.edge_caches:
-                edge_users.append(u)
-            else:
-                coded[(cache % d, slot)].append(u)
+            # Segment lengths keyed by the XOR's member set sig | {bit}.
+            keys, counts = [], []
+            for bit, u in enumerate(members):
+                sig = sigs[u[3]]
+                lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
+                recovered[u[0]][color] = lacking
+                key, count = np.unique(
+                    sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
+                )
+                keys.append(key)
+                counts.append(count)
+            xor_sets, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+            longest = np.zeros(xor_sets.size, dtype=np.int64)
+            np.maximum.at(longest, inverse, np.concatenate(counts))
+            bits_here += int(longest.sum())
+            pair_bits[(lvl_idx, (residue, slot), color)] = bits_here
+            total_bits += bits_here
 
-        for group_key in sorted(coded):
-            members = coded[group_key]
-            for color in range(d):
-                participants = [
-                    (u, coloring.color_cache(u[1], color)) for u in members
-                ]
-                caches_used = [vc for _, vc in participants]
-                if len(set(caches_used)) != len(caches_used):
-                    raise DecodeError("group members mapped to a shared cache")
-                bits_here = 0
-
-                index: dict[int, _SegmentIndex] = {}
-                for f in sorted({u[3] for u, _ in participants}):
-                    index[f] = _SegmentIndex(
-                        [placement.stored[(vc, lvl_idx, f)] for _, vc in participants]
-                    )
-                # Uncached segments, once per distinct demanded file.
-                for f in sorted(index):
-                    pos = index[f].positions(0)
-                    if pos.size:
-                        bits_here += int(pos.size)
-                        for u, _ in participants:
-                            if u[3] == f:
-                                recovered[u[0]][color][pos] = True
-                # XOR-coded segments for every subset of two or more.
-                for r in range(2, len(participants) + 1):
-                    for subset in combinations(range(len(participants)), r):
-                        max_len = 0
-                        seg_positions = []
-                        for pos_in_subset in subset:
-                            u, _ = participants[pos_in_subset]
-                            signature = 0
-                            for other in subset:
-                                if other != pos_in_subset:
-                                    signature |= 1 << other
-                            pos = index[u[3]].positions(signature)
-                            seg_positions.append((u, pos))
-                            max_len = max(max_len, int(pos.size))
-                        if max_len == 0:
-                            continue
-                        bits_here += max_len
-                        for u, pos in seg_positions:
-                            if pos.size:
-                                recovered[u[0]][color][pos] = True
-                pair_bits[(lvl_idx, group_key, color)] = bits_here
-                total_bits += bits_here
-
+    for lvl_idx, edge_users in sorted(edge_by_level.items()):
+        d = config.levels[lvl_idx].access_degree
         # Edge users: send whatever no accessible cache holds, in clear.
         # Identical (cache, file) requests share the transmission.
         served_clear: set[tuple[int, int, int]] = set()

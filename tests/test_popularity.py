@@ -68,6 +68,18 @@ def test_distribution_invariants():
         EmpiricalDistribution(probabilities=(0.7, 0.2))  # does not sum to 1
 
 
+def test_distribution_is_a_read_only_array():
+    dist = EmpiricalDistribution(probabilities=(0.5, 0.375, 0.125))
+    assert isinstance(dist.as_array(), np.ndarray)
+    assert not dist.as_array().flags.writeable
+    assert not dist.cumulative().flags.writeable
+    assert dist.cumulative() is dist.cumulative()
+    assert dist.cumulative().tolist() == [0.5, 0.875, 1.0]
+    zipf = zipf_distribution(0.8, 1000)
+    weights = np.arange(1, 1001, dtype=np.float64) ** -0.8
+    assert np.array_equal(zipf.as_array(), weights / weights.sum())
+
+
 @pytest.mark.parametrize("exponent", [0.6, 1.5])
 def test_fit_zipf_roundtrip(exponent):
     dist = zipf_distribution(exponent, 10_000)
