@@ -85,10 +85,6 @@ class ThresholdTable:
     config: SystemConfig
     breakpoints: tuple[Breakpoint, ...]
 
-    @property
-    def memories(self) -> tuple[float, ...]:
-        return tuple(bp.memory for bp in self.breakpoints)
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -119,7 +115,6 @@ class PamaResult:
     allocation: Allocation
     exact: ExactRate
     closed: ClosedFormRate
-    literal_partition: Partition
 
 
 def _sqrt_nu(config: SystemConfig, idx: int) -> float:
@@ -184,17 +179,14 @@ def get_partition(table: ThresholdTable, memory: float) -> Partition:
     Y_t <= memory (all-H below the first breakpoint)."""
     if memory < 0:
         raise ValueError("memory must be non-negative")
-    chosen = Partition.all_h(table.config.num_levels)
-    for bp in table.breakpoints:
-        if bp.memory <= memory:
-            chosen = bp.partition
-    return chosen
+    return candidate_partitions(table, memory)[-1]
 
 
 def pama_allocate(config: SystemConfig, partition: Partition) -> Allocation:
     """Memory shares for a partition: zero for H, N_j/d_j for J, and the
-    remaining memory split within I proportionally to sqrt(N_i*U_i).
-    With I empty any leftover memory stays unallocated."""
+    remaining memory split within I proportionally to sqrt(N_i*U_i),
+    each I share capped at N_i/d_i.  With I empty, and above a cap, the
+    leftover memory stays unallocated."""
     s_i, t_j = _group_sums(config, partition)
     leftover = max(0.0, config.memory - t_j)
     shares = []
@@ -202,7 +194,8 @@ def pama_allocate(config: SystemConfig, partition: Partition) -> Allocation:
         if idx in partition.j_set:
             shares.append(config.levels[idx].full_memory)
         elif idx in partition.i_set and s_i > 0:
-            shares.append(_sqrt_nu(config, idx) / s_i * leftover)
+            share = _sqrt_nu(config, idx) / s_i * leftover
+            shares.append(min(share, config.levels[idx].full_memory))
         else:
             shares.append(0.0)
     return Allocation(shares=tuple(shares), partition=partition)
@@ -303,7 +296,6 @@ def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> Pama
     """
     if table is None:
         table = build_threshold_table(config)
-    literal = get_partition(table, config.memory)
     best: tuple[float, Partition, Allocation, ExactRate] | None = None
     for part in candidate_partitions(table, config.memory):
         alloc = pama_allocate(config, part)
@@ -316,13 +308,7 @@ def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> Pama
         closed = total_rate_closed_form(config, part)
     except ValueError:
         closed = ClosedFormRate(value=math.inf, in_validity=False)
-    return PamaResult(
-        partition=part,
-        allocation=alloc,
-        exact=exact,
-        closed=closed,
-        literal_partition=literal,
-    )
+    return PamaResult(partition=part, allocation=alloc, exact=exact, closed=closed)
 
 
 def grid_search_alpha(

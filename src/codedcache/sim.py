@@ -4,8 +4,9 @@ Two simulation modes:
 
 * bit-exact: every cache samples actual bit indices of every subfile of
   its color, delivery broadcasts XOR-coded segments per (user group,
-  color) subsystem, and every user's reconstruction is verified
-  bit-for-bit.  A delivery group holds at most 64 users.
+  color) subsystem, and a counting check per subsystem confirms that the
+  broadcast carries at least the bits any member lacks and at most the
+  bits all members lack.  A delivery group holds at most 64 users.
 
 * expected-size: per-trial stochastic user profiles are mapped onto the
   same subsystem structure, but each subsystem contributes its expected
@@ -22,10 +23,9 @@ users are served uncoded (only the bits missing from every accessible
 cache are sent in clear).
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
-``numpy.random.SeedSequence`` spawn keys — (0, level, file) for file
-contents, (1, cache, level, file) for placement sampling, (2, trial) for
-stochastic user profiles.  Identical seeds reproduce every artifact
-bit-for-bit.
+``numpy.random.SeedSequence`` spawn keys — (1, cache, level, file) for
+placement sampling, (2, trial) for stochastic user profiles.  Identical
+seeds reproduce every artifact bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,7 +45,9 @@ from .rate import coded_load
 
 
 class DecodeError(AssertionError):
-    """A user failed to reconstruct its requested file (scheme bug)."""
+    """A subsystem's broadcast cannot serve its members: it carries fewer
+    bits than some member lacks, or more than unicasting every lacked bit
+    would cost (scheme bug)."""
 
 
 Demand = tuple[int, int, int]  # (cache, level, file-within-level)
@@ -86,15 +88,11 @@ def build_coloring(num_caches: int, degree: int) -> Coloring:
     )
 
 
-def _subfile_span(file_size: int, degree: int, color: int) -> tuple[int, int]:
-    """(offset, length) of one color's subfile within a file of
-    ``file_size`` bits; the first file_size % degree subfiles are one
-    bit longer so the split is exact."""
-    base = file_size // degree
-    rem = file_size % degree
-    offset = color * base + min(color, rem)
-    length = base + (1 if color < rem else 0)
-    return offset, length
+def _subfile_length(file_size: int, degree: int, color: int) -> int:
+    """Length of one color's subfile within a file of ``file_size`` bits;
+    the first file_size % degree subfiles are one bit longer so the
+    split is exact."""
+    return file_size // degree + (1 if color < file_size % degree else 0)
 
 
 @dataclass
@@ -102,22 +100,8 @@ class PlacementState:
     """Bit-exact cache contents for one instance and seed."""
 
     config: SystemConfig
-    shares: tuple[float, ...]
     file_size_bits: int
-    seed: int
-    fractions: tuple[float, ...]
     stored: dict[tuple[int, int, int], np.ndarray]  # (cache, level, file) -> bool mask
-    _content: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def content(self, level: int, file: int) -> np.ndarray:
-        """Ground-truth bits of a file (lazily generated, deterministic)."""
-        key = (level, file)
-        if key not in self._content:
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(0, level, file)))
-            )
-            self._content[key] = rng.integers(0, 2, self.file_size_bits, dtype=np.uint8)
-        return self._content[key]
 
 
 def place(
@@ -147,7 +131,7 @@ def place(
         actual_bits = 0
         for lvl_idx, lv in enumerate(config.levels):
             color = cache % lv.access_degree
-            _, length = _subfile_span(file_size_bits, lv.access_degree, color)
+            length = _subfile_length(file_size_bits, lv.access_degree, color)
             mu = fractions[lvl_idx]
             for f in range(lv.n_files):
                 rng = np.random.Generator(
@@ -167,14 +151,7 @@ def place(
                     f"{expected_bits:.0f}",
                     ValidationWarning,
                 )
-    return PlacementState(
-        config=config,
-        shares=tuple(allocation.shares),
-        file_size_bits=file_size_bits,
-        seed=seed,
-        fractions=tuple(fractions),
-        stored=stored,
-    )
+    return PlacementState(config=config, file_size_bits=file_size_bits, stored=stored)
 
 
 def worst_case_demands(config: SystemConfig) -> list[Demand]:
@@ -202,8 +179,8 @@ MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
 
 
 def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> DeliveryLog:
-    """Run coded delivery for the given demand profile and verify that
-    every user can reassemble its file bit-for-bit.
+    """Run coded delivery for the given demand profile and check, per
+    subsystem, that the broadcast can serve every member.
 
     Per (group, color) subsystem, every bit of a demanded subfile gets a
     signature: the set of participant caches that store it.  Bits cached
@@ -211,9 +188,12 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     file.  A bit that participant p wants and that exactly the caches in
     s hold (s non-empty, p not in s) rides in the XOR for s | {p}, which
     is as long as its longest segment.  So one pass over the signatures
-    that occur prices every transmission.  Groups of more than 64
-    members raise ``ValueError``.  Returns the broadcast size
-    normalized by the file size.
+    that occur prices every transmission.  A member can decode only if
+    the subsystem's broadcast is at least as long as the bits it lacks,
+    and no broadcast needs more than the sum of the members' lacked bits
+    (unicasting everything); either violation raises ``DecodeError``.
+    Groups of more than 64 members raise ``ValueError``.  Returns the
+    broadcast size normalized by the file size.
     """
     config = placement.config
     k = config.num_caches
@@ -221,14 +201,10 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
 
     colorings = [build_coloring(k, lv.access_degree) for lv in config.levels]
     slots: Counter = Counter()
-    users = []
-    # Coded users by (level, residue, slot); edge users by level.
-    groups: dict[tuple[int, int, int], list] = defaultdict(list)
-    edge_by_level: dict[int, list] = defaultdict(list)
-    # recovered[uid][color]: positions of the wanted subfile obtainable
-    # from the broadcast.
-    recovered: dict[int, list[np.ndarray]] = {}
-    own_cover: dict[int, list[np.ndarray]] = {}
+    # (cache, file) of coded users by (level, residue, slot) and of edge
+    # users by level.
+    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
+    edge_by_level: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for cache, lvl_idx, file in demands:
         if not 0 <= cache < k:
             raise ValueError(f"cache index {cache} out of range")
@@ -238,16 +214,11 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
         slot = slots[(cache, lvl_idx)]
         slots[(cache, lvl_idx)] += 1
-        u = (len(users), cache, lvl_idx, file, slot)
-        users.append(u)
         coloring = colorings[lvl_idx]
         if cache in coloring.edge_caches:
-            edge_by_level[lvl_idx].append(u)
+            edge_by_level[lvl_idx].append((cache, file))
         else:
-            groups[(lvl_idx, cache % coloring.degree, slot)].append(u)
-        spans = [_subfile_span(f_bits, coloring.degree, c)[1] for c in range(coloring.degree)]
-        recovered[u[0]] = [np.zeros(n, dtype=bool) for n in spans]
-        own_cover[u[0]] = [np.zeros(n, dtype=bool) for n in spans]
+            groups[(lvl_idx, cache % coloring.degree, slot)].append((cache, file))
 
     largest = max(map(len, groups.values()), default=0)
     if largest > MAX_GROUP:
@@ -262,14 +233,14 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     for (lvl_idx, residue, slot), members in sorted(groups.items()):
         coloring = colorings[lvl_idx]
         for color in range(coloring.degree):
-            caches_used = [coloring.color_cache(u[1], color) for u in members]
+            caches_used = [coloring.color_cache(cache, color) for cache, _ in members]
             if len(set(caches_used)) != len(caches_used):
                 raise DecodeError("group members mapped to a shared cache")
-            length = _subfile_span(f_bits, coloring.degree, color)[1]
+            length = _subfile_length(f_bits, coloring.degree, color)
 
             # sig bit j set: the j-th member's cache stores the bit.
             sigs: dict[int, np.ndarray] = {}
-            for f in {u[3] for u in members}:
+            for f in {file for _, file in members}:
                 sig = np.zeros(length, dtype=np.uint64)
                 for bit, vc in enumerate(caches_used):
                     sig |= placement.stored[(vc, lvl_idx, f)].astype(np.uint64) << np.uint64(bit)
@@ -277,11 +248,11 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             bits_here = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
 
             # Segment lengths keyed by the XOR's member set sig | {bit}.
-            keys, counts = [], []
-            for bit, u in enumerate(members):
-                sig = sigs[u[3]]
+            keys, counts, lacked = [], [], []
+            for bit, (_, file) in enumerate(members):
+                sig = sigs[file]
                 lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
-                recovered[u[0]][color] = lacking
+                lacked.append(int(np.count_nonzero(lacking)))
                 key, count = np.unique(
                     sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
                 )
@@ -291,6 +262,16 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             longest = np.zeros(xor_sets.size, dtype=np.int64)
             np.maximum.at(longest, inverse, np.concatenate(counts))
             bits_here += int(longest.sum())
+            if bits_here < max(lacked):
+                raise DecodeError(
+                    f"{bits_here} broadcast bits cannot carry the {max(lacked)} bits "
+                    "a member lacks"
+                )
+            if bits_here > sum(lacked):
+                raise DecodeError(
+                    f"{bits_here} broadcast bits exceed the {sum(lacked)} bits "
+                    "the members lack"
+                )
             pair_bits[(lvl_idx, (residue, slot), color)] = bits_here
             total_bits += bits_here
 
@@ -299,47 +280,21 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
         # Edge users: send whatever no accessible cache holds, in clear.
         # Identical (cache, file) requests share the transmission.
         served_clear: set[tuple[int, int, int]] = set()
-        for uid, cache, _, file, _ in edge_users:
+        for cache, file in edge_users:
             window = [(cache + o) % k for o in range(d)]
             for color in range(d):
-                holders = [c for c in window if c % d == color]
-                _, length = _subfile_span(f_bits, d, color)
-                cov = np.zeros(length, dtype=bool)
-                for c in holders:
-                    cov |= placement.stored[(c, lvl_idx, file)]
-                own_cover[uid][color] |= cov
-                missing = np.flatnonzero(~cov)
                 key = (cache, file, color)
-                if key not in served_clear:
-                    served_clear.add(key)
-                    total_bits += int(missing.size)
-                    uncoded_bits += int(missing.size)
-                recovered[uid][color][missing] = True
-
-    # Decode verification: every wanted bit must be cached at an
-    # accessible cache or recovered from the broadcast.
-    for uid, cache, lvl_idx, file, slot in users:
-        lv = config.levels[lvl_idx]
-        d = lv.access_degree
-        coloring = build_coloring(k, d)
-        truth = placement.content(lvl_idx, file)
-        rebuilt = np.full(placement.file_size_bits, 2, dtype=np.uint8)
-        for color in range(d):
-            offset, length = _subfile_span(f_bits, d, color)
-            if cache in coloring.edge_caches:
-                cached = own_cover[uid][color]
-            else:
-                cached = placement.stored[(coloring.color_cache(cache, color), lvl_idx, file)]
-            known = cached | recovered[uid][color]
-            if not bool(known.all()):
-                raise DecodeError(
-                    f"user {uid} (cache {cache}, level {lvl_idx + 1}) cannot recover "
-                    f"{int((~known).sum())} bits of color {color}"
-                )
-            pos = np.arange(length)
-            rebuilt[offset + pos] = truth[offset + pos]
-        if not bool((rebuilt == truth).all()):
-            raise DecodeError(f"user {uid}: reassembled file differs from the original")
+                if key in served_clear:
+                    continue
+                served_clear.add(key)
+                length = _subfile_length(f_bits, d, color)
+                cov = np.zeros(length, dtype=bool)
+                for c in window:
+                    if c % d == color:
+                        cov |= placement.stored[(c, lvl_idx, file)]
+                missing = int(np.count_nonzero(~cov))
+                total_bits += missing
+                uncoded_bits += missing
 
     return DeliveryLog(
         total_bits=total_bits,

@@ -17,6 +17,7 @@ from codedcache.pama import (
     total_rate_closed_form,
     total_rate_exact,
 )
+from codedcache.sim import place
 
 EX1 = make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)])
 EX1_TABLE = build_threshold_table(EX1)
@@ -126,6 +127,16 @@ def test_shares_sum_to_memory_when_feasible():
             assert sum(shares) == pytest.approx(m, rel=1e-9, abs=1e-9)
 
 
+def test_shared_level_share_capped_at_full_storage():
+    # Level 1 alone holds sqrt(N*U) of I, so its proportional share of
+    # M = 4.165 would exceed its full-storage point N/d = 4.
+    cfg = make_config(12, 4.165392342509941, [(12, 1, 3), (72, 1, 3)])
+    res = pama_rate(cfg)
+    for share, lv in zip(res.allocation.shares, cfg.levels):
+        assert share <= lv.full_memory
+    place(cfg, res.allocation, 64, seed=1)
+
+
 def test_total_rate_exact_examples():
     assert total_rate_exact(EX1, Allocation(shares=(100.0, 0.0))).total == 8.0
     res = total_rate_exact(EX1, Allocation(shares=(75.0, 25.0)))
@@ -229,9 +240,10 @@ def test_literal_partition_flagged_out_of_validity_in_degenerate_zone():
 def test_pama_rate_picks_cheaper_split_in_degenerate_zone():
     res = pama_rate(EX1.with_memory(40.0), EX1_TABLE)
     assert res.partition.label() == "H=2;I=1;J="
-    assert res.literal_partition.label() == "H=;I=1,2;J="
+    literal = get_partition(EX1_TABLE, 40.0)
+    assert literal.label() == "H=;I=1,2;J="
     literal_rate = total_rate_exact(
-        EX1.with_memory(40.0), pama_allocate(EX1.with_memory(40.0), res.literal_partition)
+        EX1.with_memory(40.0), pama_allocate(EX1.with_memory(40.0), literal)
     ).total
     assert res.exact.total < literal_rate
 

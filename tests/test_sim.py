@@ -15,6 +15,7 @@ from codedcache.popularity import (
 )
 from codedcache.rate import single_level_rate
 from codedcache.sim import (
+    DecodeError,
     build_coloring,
     deliver_bit_exact,
     expected_profile_rate,
@@ -364,4 +365,21 @@ def test_group_over_64_members_is_an_error():
     cfg = make_config(65, 16.0, [(65, 1, 1)])
     pl = place(cfg, pama_rate(cfg).allocation, 64, seed=1)
     with pytest.raises(ValueError, match="65 members"):
+        deliver_bit_exact(pl, worst_case_demands(cfg))
+
+
+def test_dropped_coded_part_is_a_decode_error(monkeypatch):
+    # A delivery that prices no XOR segment sends only the bits cached
+    # nowhere, fewer than a member lacks, so the decode check must fail.
+    cfg = make_config(8, 4.0, [(8, 1, 1)])
+    pl = place(cfg, pama_rate(cfg).allocation, 4096, seed=1)
+    unique = np.unique
+
+    def no_segments(values, *args, **kwargs):
+        if kwargs.get("return_counts"):
+            return np.array([], dtype=np.uint64), np.array([], dtype=np.int64)
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", no_segments)
+    with pytest.raises(DecodeError, match="bits a member lacks"):
         deliver_bit_exact(pl, worst_case_demands(cfg))
