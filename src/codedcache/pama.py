@@ -375,8 +375,6 @@ def optimize_access_structure(
     scored = []
     for degrees in candidates:
         rate = pama_rate(config.with_degrees(degrees)).exact.total
-        scored.append((round(rate, 9), sum(degrees), degrees))
-    scored.sort()
-    _, _, best = scored[0]
-    best_rate = pama_rate(config.with_degrees(best)).exact.total
+        scored.append((round(rate, 9), sum(degrees), degrees, rate))
+    _, _, best, best_rate = min(scored)
     return best, best_rate

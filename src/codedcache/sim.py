@@ -10,8 +10,11 @@ Two simulation modes:
 
 * expected-size: per-trial stochastic user profiles are mapped onto the
   same subsystem structure, but each subsystem contributes its expected
-  coded load instead of sampled bits.  This scales to catalogue-sized
-  popularity distributions.
+  coded load (Maddah-Ali & Niesen, decentralized coded caching) instead
+  of sampled bits.  A profile is priced with array operations: slots
+  from one sort, groups and their distinct files from sorted keys, and
+  one scalar ``coded_load`` call per distinct (level, file count).  This
+  scales to catalogue-sized popularity distributions.
 
 Coding structure: level-i users are split into groups keyed by (cache
 index mod d_i, arrival slot), so that no two users of a group share any
@@ -34,7 +37,7 @@ import math
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,6 +178,17 @@ class DeliveryLog:
     decode_ok: bool
 
 
+def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> None:
+    """Raise ``ValueError`` unless the demand names a cache, a level and a
+    file of that level that exist in ``config``."""
+    if not 0 <= cache < config.num_caches:
+        raise ValueError(f"cache index {cache} out of range")
+    if not 0 <= lvl_idx < config.num_levels:
+        raise ValueError(f"level index {lvl_idx} out of range")
+    if not 0 <= file < config.levels[lvl_idx].n_files:
+        raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
+
+
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
 
 
@@ -206,12 +220,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     groups: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
     edge_by_level: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for cache, lvl_idx, file in demands:
-        if not 0 <= cache < k:
-            raise ValueError(f"cache index {cache} out of range")
-        if not 0 <= lvl_idx < config.num_levels:
-            raise ValueError(f"level index {lvl_idx} out of range")
-        if not 0 <= file < config.levels[lvl_idx].n_files:
-            raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
+        _check_demand(config, cache, lvl_idx, file)
         slot = slots[(cache, lvl_idx)]
         slots[(cache, lvl_idx)] += 1
         coloring = colorings[lvl_idx]
@@ -306,43 +315,88 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
 
 
 def expected_profile_rate(
-    config: SystemConfig, shares: Sequence[float], demands: Iterable[Demand]
+    config: SystemConfig, shares: Sequence[float], demands: Sequence[Demand] | np.ndarray
 ) -> float:
     """Expected-size rate of one demand profile under the coded scheme.
 
+    ``demands`` is a sequence of (cache, level, file-within-level)
+    integer triples or an equivalent ``(n, 3)`` integer array; a demand
+    naming a cache, level or file the config lacks raises ``ValueError``.
     Demands repeated inside a subsystem count once (the coded broadcast
-    serves identical requests simultaneously).  Edge users contribute
-    the expected uncovered fraction of each of their subfiles.
+    serves identical requests simultaneously), so each delivery group
+    costs ``coded_load`` of its level's cached fraction and its number
+    of distinct files.  Group loads are summed left to right in the
+    order the groups first appear among the demands.  Edge users then
+    add the expected uncovered fraction of each of their subfiles.
     """
-    k = config.num_caches
-    mus = []
-    for idx, lv in enumerate(config.levels):
-        mus.append(min(1.0, lv.access_degree * shares[idx] / lv.n_files))
+    table = np.asarray(demands)
+    if table.size == 0:
+        return 0.0
+    if table.ndim != 2 or table.shape[1] != 3 or table.dtype.kind not in "iu":
+        raise ValueError("demands must be (cache, level, file) integer triples")
+    table = table.astype(np.int64, copy=False)
+    caches, levels, files = table.T
+    n = len(table)
+    k, num_levels = config.num_caches, config.num_levels
+    n_files = np.array([lv.n_files for lv in config.levels])
+    level_ok = (levels >= 0) & (levels < num_levels)
+    bad = (
+        ~level_ok
+        | (caches < 0)
+        | (caches >= k)
+        | (files < 0)
+        | (files >= n_files[np.where(level_ok, levels, 0)])
+    )
+    if bad.any():
+        _check_demand(config, *table[bad.argmax()].tolist())
 
-    group_files: dict[tuple[int, int, int], set[int]] = defaultdict(set)
-    edge_seen: set[tuple[int, int, int]] = set()
-    slots: Counter = Counter()
-    for cache, lvl_idx, file in demands:
-        d = config.levels[lvl_idx].access_degree
-        slot = slots[(cache, lvl_idx)]
-        slots[(cache, lvl_idx)] += 1
-        wraps = k % d != 0 and cache > k - d
-        if wraps:
-            edge_seen.add((cache, lvl_idx, file))
-        else:
-            group_files[(lvl_idx, cache % d, slot)].add(file)
+    mus = [
+        min(1.0, lv.access_degree * shares[idx] / lv.n_files)
+        for idx, lv in enumerate(config.levels)
+    ]
+    degrees = np.array([lv.access_degree for lv in config.levels])[levels]
+    wraps = (k % degrees != 0) & (caches > k - degrees)
 
-    load = 0.0
-    for (lvl_idx, _, _), files in group_files.items():
-        load += coded_load(mus[lvl_idx], len(files))
-    for cache, lvl_idx, _ in edge_seen:
-        lv = config.levels[lvl_idx]
-        d = lv.access_degree
-        mu = mus[lvl_idx]
-        window = [(cache + o) % k for o in range(d)]
-        for color in range(d):
-            holders = sum(1 for c in window if c % d == color)
-            load += (1.0 - mu) ** holders / d
+    # Slot: how many earlier demands share this demand's (cache, level).
+    # Sorting (cell, index) pairs packed in one int64 is a stable sort by
+    # cell, and much faster than a stable argsort.
+    index = np.arange(n)
+    by_cell = np.sort((caches * num_levels + levels) * n + index)
+    run_head = np.diff(by_cell // n, prepend=-1) != 0
+    slots = np.empty(n, dtype=np.int64)
+    slots[by_cell % n] = index - np.flatnonzero(run_head)[np.cumsum(run_head) - 1]
+
+    coded = ~wraps
+    group_key = ((levels * k + caches % degrees) * n + slots)[coded]
+    _, first_seen, group = np.unique(group_key, return_index=True, return_inverse=True)
+    file_span = int(n_files.max())
+    pairs = np.sort(group * file_span + files[coded])
+    distinct = np.bincount(
+        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first_seen.size
+    )
+    # Price each (level, distinct-file count) once, then gather.
+    priced, price_of = np.unique(
+        levels[coded][first_seen] * (n + 1) + distinct, return_inverse=True
+    )
+    values = np.array(
+        [coded_load(mus[key // (n + 1)], key % (n + 1)) for key in priced.tolist()]
+    )
+    group_loads = values[price_of][np.argsort(first_seen)]
+    load = float(np.cumsum(group_loads)[-1]) if group_loads.size else 0.0
+
+    # Edge users, in the iteration order of the set of distinct edge
+    # demands; each (cache, level) adds the same per-color terms.
+    edge_terms: dict[tuple[int, int], list[float]] = {}
+    for cache, lvl_idx, _ in set(map(tuple, table[wraps].tolist())):
+        if (cache, lvl_idx) not in edge_terms:
+            d = config.levels[lvl_idx].access_degree
+            window = [(cache + o) % k for o in range(d)]
+            edge_terms[cache, lvl_idx] = [
+                (1.0 - mus[lvl_idx]) ** sum(1 for c in window if c % d == color) / d
+                for color in range(d)
+            ]
+        for term in edge_terms[cache, lvl_idx]:
+            load += term
     return load
 
 
@@ -369,9 +423,11 @@ def simulate_stochastic(
 
     Each of ``total_users`` users attaches to a uniformly random cache
     and requests a file drawn from ``popularity``; ``level_map`` sends
-    every global rank to its level index.  Per trial the realized
-    profile is priced with :func:`expected_profile_rate` under the
-    allocation chosen for ``config.memory``.
+    every global rank to its level index, and a rank's file index within
+    its level is its position among that level's ranks.  A level sent
+    more ranks than it has files raises ``ValueError``.  Per trial the
+    realized profile is priced with :func:`expected_profile_rate` under
+    the allocation chosen for ``config.memory``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -380,6 +436,15 @@ def simulate_stochastic(
         raise ValueError("level_map must assign a level to every file rank")
     if level_map.size and (level_map.min() < 0 or level_map.max() >= config.num_levels):
         raise ValueError("level_map references levels missing from the config")
+    per_level = np.bincount(level_map, minlength=config.num_levels)
+    if np.any(per_level > [lv.n_files for lv in config.levels]):
+        raise ValueError("level_map sends a level more ranks than it has files")
+    # A rank's file index within its level: its position among that
+    # level's ranks, in rank order.
+    file_of_rank = np.empty_like(level_map)
+    file_of_rank[np.argsort(level_map, kind="stable")] = np.arange(
+        level_map.size
+    ) - np.repeat(np.cumsum(per_level) - per_level, per_level)
 
     result = pama_rate(config, build_threshold_table(config))
     shares = result.allocation.shares
@@ -391,9 +456,7 @@ def simulate_stochastic(
         )
         caches = rng.integers(0, config.num_caches, total_users)
         ranks = rng.choice(popularity.n_files, size=total_users, p=probs)
-        demands = [
-            (int(c), int(level_map[r]), int(r)) for c, r in zip(caches, ranks)
-        ]
+        demands = np.column_stack([caches, level_map[ranks], file_of_rank[ranks]])
         rates.append(expected_profile_rate(config, shares, demands))
     return SimulationResult(
         rates=tuple(rates), theoretical=result.exact.total, seed=seed

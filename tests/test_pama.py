@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import codedcache.pama
 from codedcache.model import ConfigError, ValidationWarning, make_config
 from codedcache.pama import (
     Allocation,
@@ -299,6 +300,20 @@ def test_access_opt_single_candidate():
     degrees, rate = optimize_access_structure(cfg, 1, 2.0)
     assert degrees == (1, 1)
     assert rate == pytest.approx(pama_rate(cfg).exact.total, rel=1e-12)
+
+
+def test_access_opt_scores_each_candidate_once(monkeypatch):
+    cfg = make_config(8, 60.0, [(160, 2, 1), (320, 1, 1)])
+    scored = []
+
+    def counting_pama_rate(config, *args):
+        scored.append(tuple(lv.access_degree for lv in config.levels))
+        return pama_rate(config, *args)
+
+    monkeypatch.setattr(codedcache.pama, "pama_rate", counting_pama_rate)
+    degrees, rate = optimize_access_structure(cfg, 2, 2.0)
+    assert sorted(scored) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert rate == pama_rate(cfg.with_degrees(degrees)).exact.total
 
 
 def test_access_opt_infeasible_constraint():

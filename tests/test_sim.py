@@ -13,7 +13,7 @@ from codedcache.popularity import (
     zipf_distribution,
     zipf_split_heuristic,
 )
-from codedcache.rate import single_level_rate
+from codedcache.rate import coded_load, single_level_rate
 from codedcache.sim import (
     DecodeError,
     build_coloring,
@@ -226,6 +226,111 @@ def test_expected_profile_matches_closed_form_exactly():
     assert abs(rate - res.exact.total) <= 1e-12
 
 
+def _per_demand_rate(config, shares, demands):
+    """Reference expected-size pricing, one demand at a time: groups keyed
+    by (level, cache mod d, slot) in first-appearance order, then the
+    set of distinct edge demands."""
+    k = config.num_caches
+    mus = [
+        min(1.0, lv.access_degree * shares[i] / lv.n_files)
+        for i, lv in enumerate(config.levels)
+    ]
+    group_files, edge_seen, slots = defaultdict(set), set(), Counter()
+    for cache, lvl, file in demands:
+        d = config.levels[lvl].access_degree
+        slot = slots[(cache, lvl)]
+        slots[(cache, lvl)] += 1
+        if k % d != 0 and cache > k - d:
+            edge_seen.add((cache, lvl, file))
+        else:
+            group_files[(lvl, cache % d, slot)].add(file)
+    load = 0.0
+    for (lvl, _, _), files in group_files.items():
+        load += coded_load(mus[lvl], len(files))
+    for cache, lvl, _ in edge_seen:
+        d = config.levels[lvl].access_degree
+        window = [(cache + o) % k for o in range(d)]
+        for color in range(d):
+            load += (1.0 - mus[lvl]) ** sum(1 for c in window if c % d == color) / d
+    return load
+
+
+def test_expected_profile_matches_per_demand_reference():
+    rng = np.random.default_rng(606)
+    edge_instances = repeated_instances = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(240):
+            k = int(rng.integers(2, 10))
+            levels = []
+            for _ in range(int(rng.integers(1, 4))):
+                u, d = int(rng.integers(1, 4)), int(rng.integers(1, min(5, k) + 1))
+                levels.append((k * u + int(rng.integers(0, 6)), u, d))
+            cfg = make_config(k, 0.0, levels)
+            # Cached fractions from 0 through past 1 (clipped to 1).
+            shares = [
+                float(rng.choice([0.0, rng.uniform(0, 1.2 * lv.n_files / lv.access_degree)]))
+                for lv in cfg.levels
+            ]
+            demands = []
+            count = 0 if trial % 20 == 0 else int(rng.integers(1, 4 * k * cfg.num_levels))
+            few_files = trial % 3 == 0  # forces repeated files within groups
+            for _ in range(count):
+                lvl = int(rng.integers(0, cfg.num_levels))
+                n = cfg.levels[lvl].n_files
+                file = int(rng.integers(0, 2 if few_files else n))
+                demands.append((int(rng.integers(0, k)), lvl, file))
+            reference = _per_demand_rate(cfg, shares, demands)
+            assert expected_profile_rate(cfg, shares, demands) == reference
+            table = np.array(demands, dtype=np.int64).reshape(-1, 3)
+            assert expected_profile_rate(cfg, shares, table) == reference
+            edge_instances += any(
+                k % cfg.levels[lvl].access_degree and c > k - cfg.levels[lvl].access_degree
+                for c, lvl, _ in demands
+            )
+            repeated_instances += few_files and count > k
+    assert edge_instances >= 40 and repeated_instances >= 40
+
+
+def test_simulate_stochastic_rates_pinned():
+    # Edge users on level 1 (d=2 does not divide K=5), coded groups on
+    # both levels, cached fractions 0.7 and 0.175.  The floats pin the
+    # order in which group and edge loads are summed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(5, 14.0, [(20, 2, 2), (40, 1, 1)])
+    dist = zipf_distribution(0.8, 60)
+    res = simulate_stochastic(cfg, dist, level_map_for_config(cfg, 60), 30, 6, seed=7)
+    assert res.rates == (
+        12.398156640625004,
+        12.928156640625,
+        10.427572587890623,
+        11.504713212890627,
+        12.068156640625,
+        12.699672265625003,
+    )
+    assert res.theoretical == 4.542352536161257
+
+
+@pytest.mark.parametrize(
+    "demand, message",
+    [
+        ((-1, 0, 0), "cache index -1 out of range"),
+        ((9, 0, 0), "cache index 9 out of range"),
+        ((0, 0, 99), "file 99 does not exist in level 1"),
+        ((0, -1, 0), "level index -1 out of range"),
+    ],
+)
+def test_expected_profile_rejects_out_of_range_demands(demand, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(4, 2.0, [(8, 1, 1), (16, 1, 2)])
+    shares = pama_rate(cfg).allocation.shares
+    for demands in ([demand], [(0, 0, 1), demand], np.array([(0, 0, 1), demand])):
+        with pytest.raises(ValueError, match=message):
+            expected_profile_rate(cfg, shares, demands)
+
+
 def test_simulate_stochastic_reproducible_and_bounded():
     dist = zipf_distribution(0.6, 500)
     split = zipf_split_heuristic(0.6, 500, 5, 50.0)
@@ -256,6 +361,9 @@ def test_simulate_level_map_must_cover_catalogue():
     cfg = make_config(5, 10.0, [(500, 10, 1)])
     with pytest.raises(ValueError):
         simulate_stochastic(cfg, dist, np.zeros(10, dtype=int), 50, 5, seed=1)
+    two_levels = make_config(5, 10.0, [(100, 5, 1), (400, 5, 1)])
+    with pytest.raises(ValueError, match="more ranks than it has files"):
+        simulate_stochastic(two_levels, dist, np.zeros(500, dtype=int), 50, 5, seed=1)
 
 
 def test_lfu_simulate_endpoints():
