@@ -22,6 +22,12 @@ For fixed parameters each bound is piecewise monotone in b (every min
 term switches branch once), so the b-search needs only the integer
 neighbours of the branch-switch points; powers of two are added as a
 cheap fallback.
+
+Each family's value formula, the A-tail sum and its switch points are
+defined once, for scalars and arrays alike, and shared by the evaluators
+and the search.  The search prices each block of candidates as one array
+and calls the evaluator only when the block's first maximum strictly
+beats the best so far, so ties go to the first candidate enumerated.
 """
 
 from __future__ import annotations
@@ -64,6 +70,47 @@ class BoundWitness:
         return ";".join(f"{k}={v}" for k, v in self.params)
 
 
+def _cutset_value(config: SystemConfig, level: int, v):
+    """Unclamped cut-set value v - (ceil(v/U) + d - 1) / floor(N/v) * M;
+    ``v`` may be an integer or an integer array."""
+    lv = config.levels[level]
+    caches_touched = -(-v // lv.users_per_cache) + (lv.access_degree - 1)
+    return v - caches_touched / (lv.n_files // v) * config.memory
+
+
+def _tail_sum(config: SystemConfig, a: frozenset[int], b):
+    """sum_{j in A} min{U_j, N_j/(b*d_j)}, summed in A's iteration order;
+    ``b`` may be a scalar or an array."""
+    total = 0.0
+    for j in a:
+        lj = config.levels[j]
+        total = total + np.minimum(lj.users_per_cache, lj.n_files / (b * lj.access_degree))
+    return total
+
+
+def _tail_switches(config: SystemConfig, a: frozenset[int]) -> list[float]:
+    """The b = N_j/(d_j*U_j) at which each tail term switches branch."""
+    levels = [config.levels[j] for j in a]
+    return [lv.n_files / (lv.access_degree * lv.users_per_cache) for lv in levels]
+
+
+def _noncutset_value(config: SystemConfig, l: int, a: frozenset[int], s, b):
+    """Unclamped non-cut-set value; ``s`` and ``b`` may be broadcastable
+    arrays."""
+    lv = config.levels[l]
+    head = np.minimum((s - lv.access_degree + 1) * lv.users_per_cache, lv.n_files / (s * b))
+    return head / (config.max_degree + 1) + _tail_sum(config, a, b) - config.memory / b
+
+
+def _corollary_value(config: SystemConfig, a: frozenset[int], b):
+    """Unclamped corollary value; ``b`` may be an array."""
+    return _tail_sum(config, a, b) - config.memory / b
+
+
+def _a_param(a: frozenset[int]) -> str:
+    return ",".join(str(j + 1) for j in sorted(a))
+
+
 def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
     """Cut-set bound for ``v`` pooled users of one level (0-based index)."""
     lv = config.levels[level]
@@ -72,9 +119,7 @@ def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
         raise ValueError(f"v must lie in 1..K*U = {k * lv.users_per_cache}, got {v}")
     if v > lv.n_files:
         raise ValueError(f"v must not exceed N = {lv.n_files}, got {v}")
-    caches_touched = -(-v // lv.users_per_cache) + (lv.access_degree - 1)
-    batches = lv.n_files // v
-    value = max(0.0, v - caches_touched / batches * config.memory)
+    value = max(0.0, _cutset_value(config, level, v))
     return BoundWitness(value, "cutset", (("level", level + 1), ("v", v)))
 
 
@@ -86,27 +131,12 @@ def noncutset_bound(
     a = frozenset(a_set)
     if l in a:
         raise ValueError("l must not belong to A")
-    lv = config.levels[l]
-    if not lv.access_degree <= s <= config.num_caches:
+    if not config.levels[l].access_degree <= s <= config.num_caches:
         raise ValueError(f"s must lie in d_l..K, got {s}")
     if b < 1:
         raise ValueError(f"b must be a positive integer, got {b}")
-    d_max = config.max_degree
-    head = min((s - lv.access_degree + 1) * lv.users_per_cache, lv.n_files / (s * b))
-    tail = sum(
-        min(
-            config.levels[j].users_per_cache,
-            config.levels[j].n_files / (b * config.levels[j].access_degree),
-        )
-        for j in a
-    )
-    value = max(0.0, head / (d_max + 1) + tail - config.memory / b)
-    params = (
-        ("l", l + 1),
-        ("A", ",".join(str(j + 1) for j in sorted(a))),
-        ("s", s),
-        ("b", b),
-    )
+    value = float(max(0.0, _noncutset_value(config, l, a, s, b)))
+    params = (("l", l + 1), ("A", _a_param(a)), ("s", s), ("b", b))
     return BoundWitness(value, "noncutset", params)
 
 
@@ -117,16 +147,8 @@ def corollary_bound(config: SystemConfig, a_set: Iterable[int], b: int) -> Bound
         raise ValueError("A must be non-empty")
     if b < 1:
         raise ValueError(f"b must be a positive integer, got {b}")
-    tail = sum(
-        min(
-            config.levels[j].users_per_cache,
-            config.levels[j].n_files / (b * config.levels[j].access_degree),
-        )
-        for j in a
-    )
-    value = max(0.0, tail - config.memory / b)
-    params = (("A", ",".join(str(j + 1) for j in sorted(a))), ("b", b))
-    return BoundWitness(value, "corollary", params)
+    value = float(max(0.0, _corollary_value(config, a, b)))
+    return BoundWitness(value, "corollary", (("A", _a_param(a)), ("b", b)))
 
 
 def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
@@ -135,39 +157,28 @@ def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
     if vmax <= CUTSET_EXHAUSTIVE_LIMIT:
         return np.arange(1, vmax + 1, dtype=np.int64)
     # Geometric grid plus the integers where floor(N/v) or ceil(v/U)
-    # switches near each grid point.
+    # switches near each grid point (grid <= vmax <= N, so N // grid >= 1).
     grid = np.unique(np.geomspace(1, vmax, 512).astype(np.int64))
-    extra = []
-    n = lv.n_files
-    u = lv.users_per_cache
-    for g in grid:
-        q = n // g
-        if q >= 1:
-            extra.append(n // q)          # largest v with the same floor
-            extra.append(n // q + 1)
-        r = (g // u) * u
-        extra.extend((r, r + 1))
-    cand = np.unique(np.concatenate([grid, np.asarray(extra, dtype=np.int64)]))
+    last_same_floor = lv.n_files // (lv.n_files // grid)
+    round_down = (grid // lv.users_per_cache) * lv.users_per_cache
+    cand = np.unique(
+        np.concatenate([grid, last_same_floor, last_same_floor + 1, round_down, round_down + 1])
+    )
     return cand[(cand >= 1) & (cand <= vmax)]
 
 
 def _best_cutset(config: SystemConfig) -> BoundWitness:
     best = BoundWitness(0.0, "trivial_zero")
-    m = config.memory
-    for idx, lv in enumerate(config.levels):
+    for idx in range(config.num_levels):
         v = _cutset_candidates(config, idx)
-        caches = -(-v // lv.users_per_cache) + (lv.access_degree - 1)
-        batches = lv.n_files // v
-        values = v - caches / batches * m
+        values = _cutset_value(config, idx, v)
         pos = int(np.argmax(values))
         if values[pos] > best.value:
-            best = BoundWitness(
-                float(values[pos]), "cutset", (("level", idx + 1), ("v", int(v[pos])))
-            )
+            best = cutset_bound(config, idx, int(v[pos]))
     return best
 
 
-def _b_neighbours(switches: Iterable[float], cap: float) -> list[int]:
+def _b_neighbours(switches: Iterable[float], cap: float) -> set[int]:
     values = {1}
     for x in switches:
         if not math.isfinite(x) or x > cap:
@@ -175,89 +186,58 @@ def _b_neighbours(switches: Iterable[float], cap: float) -> list[int]:
         if x >= 1:
             values.add(int(math.floor(x)))
             values.add(int(math.ceil(x)))
-    return sorted(v for v in values if v >= 1)
+    return values
 
 
 def _popular_subsets(eligible: Sequence[int]) -> list[frozenset[int]]:
     if len(eligible) > SUBSET_LEVEL_LIMIT:
         # Fall back to prefix sets to keep the search tractable.
         return [frozenset(eligible[: i + 1]) for i in range(len(eligible))]
-    out = []
-    for mask in range(1, 1 << len(eligible)):
-        out.append(frozenset(eligible[i] for i in range(len(eligible)) if mask >> i & 1))
-    return out
+    return [
+        frozenset(eligible[i] for i in range(len(eligible)) if mask >> i & 1)
+        for mask in range(1, 1 << len(eligible))
+    ]
 
 
 def _best_corollary(config: SystemConfig) -> BoundWitness:
     best = BoundWitness(0.0, "trivial_zero")
     max_n = max(lv.n_files for lv in config.levels)
-    power_fallback = [2**e for e in range(0, max(1, max_n).bit_length() + 1)]
+    power_fallback = {2**e for e in range(0, max(1, max_n).bit_length() + 1)}
     for a in _popular_subsets(tuple(range(config.num_levels))):
-        switches = [
-            config.levels[j].n_files
-            / (config.levels[j].access_degree * config.levels[j].users_per_cache)
-            for j in a
-        ]
-        for b in sorted(set(_b_neighbours(switches, max_n)) | set(power_fallback)):
-            w = corollary_bound(config, a, b)
-            if w.value > best.value:
-                best = w
+        b = np.array(sorted(_b_neighbours(_tail_switches(config, a), max_n) | power_fallback))
+        values = _corollary_value(config, a, b)
+        pos = int(np.argmax(values))
+        if values[pos] > best.value:
+            best = corollary_bound(config, a, int(b[pos]))
     return best
 
 
 def _best_noncutset(config: SystemConfig) -> BoundWitness:
     best = BoundWitness(0.0, "trivial_zero")
-    k = config.num_caches
-    m = config.memory
-    d_max = config.max_degree
     for l in range(config.num_levels):
         lv = config.levels[l]
         d_l = lv.access_degree
-        u_l = lv.users_per_cache
-        n_l = lv.n_files
+        s = np.arange(d_l, config.num_caches + 1, dtype=np.float64)
+        if s.size == 0:
+            continue
         eligible = tuple(
             j
             for j in range(l)
             if config.levels[j].access_degree <= d_l
             and config.levels[j].popularity > lv.popularity
         )
-        s_arr = np.arange(d_l, k + 1, dtype=np.float64)
-        if s_arr.size == 0:
-            continue
+        head_switch = lv.n_files / (s * (s - d_l + 1) * lv.users_per_cache)
         for a in [frozenset()] + _popular_subsets(eligible):
-            tail_switches = [
-                config.levels[j].n_files
-                / (config.levels[j].access_degree * config.levels[j].users_per_cache)
-                for j in a
-            ]
-
-            def tail_sum(b: np.ndarray) -> np.ndarray:
-                total = np.zeros_like(b, dtype=np.float64)
-                for j in a:
-                    lj = config.levels[j]
-                    total += np.minimum(
-                        lj.users_per_cache, lj.n_files / (b * lj.access_degree)
-                    )
-                return total
-
-            # Candidate b values per window size: branch switches of the
-            # head term (s-dependent) and of each tail term, plus b = 1.
-            head_switch = n_l / (s_arr * (s_arr - d_l + 1) * u_l)
-            b_rows = [np.ones_like(s_arr)]
-            b_rows.append(np.maximum(1.0, np.floor(head_switch)))
-            b_rows.append(np.maximum(1.0, np.ceil(head_switch)))
-            for x in tail_switches:
-                x = max(1.0, x)
-                b_rows.append(np.full_like(s_arr, math.floor(x)))
-                b_rows.append(np.full_like(s_arr, math.ceil(x)))
-            for b_row in b_rows:
-                head = np.minimum((s_arr - d_l + 1) * u_l, n_l / (s_arr * b_row))
-                values = head / (d_max + 1) + tail_sum(b_row) - m / b_row
-                pos = int(np.argmax(values))
-                if values[pos] > best.value:
-                    best = noncutset_bound(
-                        config, l, a, int(s_arr[pos]), int(b_row[pos])
-                    )
+            # b rows by window size s: 1, then the floor and ceiling of the
+            # head term's switch point and of each tail term's, in A's order.
+            tails = [np.full_like(s, x) for x in _tail_switches(config, a)]
+            switches = np.vstack([head_switch, *tails])
+            rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
+            b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
+            values = _noncutset_value(config, l, a, s, b)
+            row, col = divmod(int(np.argmax(values)), s.size)
+            if values[row, col] > best.value:
+                best = noncutset_bound(config, l, a, int(s[col]), int(b[row, col]))
     return best
 
 

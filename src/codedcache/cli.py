@@ -263,12 +263,7 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
     if degrees is None:
         degrees = [1] * part.num_levels
     config = discretize(dist, part, args.caches, args.users, degrees, args.memory)
-    text = json.dumps(config_to_dict(config), indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, [json.dumps(config_to_dict(config), indent=2)], None)
     return 0
 
 

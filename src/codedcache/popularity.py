@@ -85,17 +85,6 @@ class LevelPartition:
     def num_levels(self) -> int:
         return len(self.boundaries) + 1
 
-    def block_sizes(self) -> tuple[int, ...]:
-        edges = (0,) + self.boundaries + (self.n_files,)
-        return tuple(b - a for a, b in zip(edges, edges[1:]))
-
-    def level_map(self) -> np.ndarray:
-        """Array mapping 0-based rank to 0-based level index."""
-        out = np.zeros(self.n_files, dtype=np.int64)
-        for idx, b in enumerate(self.boundaries):
-            out[b:] = idx + 1
-        return out
-
 
 def zipf_distribution(exponent: float, n_files: int) -> EmpiricalDistribution:
     """Synthetic Zipf(s) distribution over n_files ranks."""

@@ -58,12 +58,11 @@ Demand = tuple[int, int, int]  # (cache, level, file-within-level)
 
 @dataclass(frozen=True)
 class Coloring:
-    """Cache coloring for one access degree: colors and the edge caches
-    whose users are served uncoded."""
+    """Cache coloring for one access degree (cache c has color c mod d)
+    and the edge caches whose users are served uncoded."""
 
     num_caches: int
     degree: int
-    cache_colors: tuple[int, ...]
     edge_caches: frozenset[int]
 
     def color_cache(self, cache: int, color: int) -> int:
@@ -78,7 +77,6 @@ def build_coloring(num_caches: int, degree: int) -> Coloring:
     caches."""
     if degree > num_caches:
         raise ValueError(f"degree {degree} exceeds the cache count {num_caches}")
-    colors = tuple(c % degree for c in range(num_caches))
     if num_caches % degree == 0:
         edge: frozenset[int] = frozenset()
     else:
@@ -86,7 +84,6 @@ def build_coloring(num_caches: int, degree: int) -> Coloring:
     return Coloring(
         num_caches=num_caches,
         degree=degree,
-        cache_colors=colors,
         edge_caches=edge,
     )
 

@@ -116,18 +116,19 @@ def test_rate_subcommand(ex1_path, capsys):
     assert "R_single_level" in capsys.readouterr().out
 
 
-def test_discretize_emits_loadable_instance(tmp_path):
+def test_discretize_emits_loadable_instance(tmp_path, capsys):
     out = tmp_path / "instance.json"
-    code = run(
-        [
-            "discretize", "--zipf", "0.6", "--files", "400", "--caches", "4",
-            "--users", "40", "--memory", "50", "--heuristic", "--out", str(out),
-        ]
-    )
-    assert code == 0
+    argv = [
+        "discretize", "--zipf", "0.6", "--files", "400", "--caches", "4",
+        "--users", "40", "--memory", "50", "--heuristic",
+    ]
+    assert run(argv + ["--out", str(out)]) == 0
     cfg = config_from_json(out.read_text())
     assert cfg.num_caches == 4
     assert sum(lv.n_files for lv in cfg.levels) == 400
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_discretize_needs_a_distribution():

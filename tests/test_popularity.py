@@ -13,6 +13,7 @@ from codedcache.popularity import (
     brute_force_partition,
     discretize,
     fit_zipf,
+    level_map_for_config,
     load_counts,
     zipf_distribution,
     zipf_split_heuristic,
@@ -135,9 +136,11 @@ def test_zipf_split_validation():
 
 def test_partition_accessors():
     part = LevelPartition(boundaries=(10, 40), n_files=100)
-    assert part.block_sizes() == (10, 30, 60)
-    lm = part.level_map()
+    cfg = discretize(zipf_distribution(0.8, 100), part, 2, 8, [1, 1, 1], 1.0)
+    assert [lv.n_files for lv in cfg.levels] == [10, 30, 60]
+    lm = level_map_for_config(cfg, 100)
     assert lm[0] == 0 and lm[9] == 0 and lm[10] == 1 and lm[39] == 1 and lm[40] == 2
+    assert lm[99] == 2 and len(lm) == 100
 
 
 def test_partition_validation():

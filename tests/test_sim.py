@@ -28,7 +28,6 @@ from codedcache.sim import (
 
 def test_coloring_six_caches_two_colors():
     col = build_coloring(6, 2)
-    assert col.cache_colors == (0, 1, 0, 1, 0, 1)
     assert col.edge_caches == frozenset()
     # every user sees one cache of each color, distinct within a group
     for slot in range(2):
@@ -37,14 +36,14 @@ def test_coloring_six_caches_two_colors():
             for cache in range(6):
                 if cache % 2 == 0:  # group residue 0
                     vc = col.color_cache(cache, color)
-                    assert col.cache_colors[vc] == color
+                    assert vc % 2 == color
                     assert vc not in seen
                     seen.add(vc)
 
 
 def test_coloring_single_color():
     col = build_coloring(5, 1)
-    assert col.cache_colors == (0, 0, 0, 0, 0)
+    assert [col.color_cache(c, 0) for c in range(5)] == [0, 1, 2, 3, 4]
     assert col.edge_caches == frozenset()
 
 
