@@ -61,6 +61,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def _example1(memory: float = 100.0) -> SystemConfig:
@@ -538,9 +539,11 @@ def run_all(only: Sequence[int] | None = None, verbose: bool = False) -> list[Cr
     for number, name, func in CRITERIA:
         if only is not None and number not in only:
             continue
+        t0 = time.perf_counter()
         passed, detail = func()
-        results.append(CriterionResult(number, name, passed, detail))
+        seconds = time.perf_counter() - t0
+        results.append(CriterionResult(number, name, passed, detail, seconds))
         if verbose:
             status = "PASS" if passed else "FAIL"
-            print(f"criterion {number:2d} [{status}] {name}: {detail}")
+            print(f"criterion {number:2d} [{status}] {name} ({seconds:.2f}s): {detail}")
     return results

@@ -27,6 +27,10 @@ rate-monotone in M.  :func:`pama_rate` therefore evaluates every split
 reachable at the given memory (all table prefixes) and keeps the cheapest,
 which restores monotonicity and continuity of the reported rate; the
 literal table lookup remains available as :func:`get_partition`.
+
+:func:`pama_totals` evaluates that rate for a batch of instances with
+arrays, bit for bit equal to :func:`pama_rate`; the brute-force split
+search prices its candidates with it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ConfigError, SystemConfig
-from .rate import single_level_rate
+from .rate import coded_load, single_level_rate
 
 
 @dataclass(frozen=True)
@@ -309,6 +315,90 @@ def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> Pama
     except ValueError:
         closed = ClosedFormRate(value=math.inf, in_validity=False)
     return PamaResult(partition=part, allocation=alloc, exact=exact, closed=closed)
+
+
+def pama_totals(
+    n_files: np.ndarray,
+    users: np.ndarray,
+    degrees: np.ndarray,
+    num_caches: int,
+    memory: float,
+) -> np.ndarray:
+    """``pama_rate(config).exact.total`` for a batch of instances that
+    share K and M, equal bit for bit.
+
+    Row r of the (rows, L) integer arrays holds the levels (N, U, d) of
+    one instance, most popular first, each with d <= K.  Every step
+    follows the scalar path in the same float order: the breakpoint
+    events sorted by (x, kind, level) with running S_I/T_J sums, the
+    prefixes with Y_t <= M, :func:`pama_allocate`'s fresh group sums and
+    capped I shares, :func:`total_rate_exact`'s per-level rates (through
+    :func:`coded_load`) summed in level order, and :func:`pama_rate`'s
+    selection that keeps a later split within 1e-12 of the best.
+    """
+    rows, width = n_files.shape
+    r = np.arange(rows)
+    nf = n_files.astype(np.float64)
+    sqrt_nu = np.sqrt((n_files * users).astype(np.float64))
+    full = nf / degrees
+    root = np.sqrt(nf / users)
+    # Events laid out enter-then-store, each by level index, so a stable
+    # sort on x breaks ties by (kind, level) as the table does.
+    x = np.concatenate([root / num_caches, root / degrees], axis=1)
+    order = np.argsort(x, axis=1, kind="stable")
+    x = np.take_along_axis(x, order, axis=1)
+    level, enter = order % width, order < width
+
+    # Prefix t is the split after the first t moves; prefix 0 is all-H.
+    prefixes = 2 * width + 1
+    reach = np.ones((rows, prefixes), dtype=bool)
+    in_i = np.zeros((rows, prefixes, width), dtype=bool)
+    in_j = np.zeros((rows, prefixes, width), dtype=bool)
+    s_i = np.zeros(rows)
+    t_j = np.zeros(rows)
+    for t in range(2 * width):
+        lv, ent = level[:, t], enter[:, t]
+        reach[:, t + 1] = x[:, t] * s_i + t_j <= memory
+        step = sqrt_nu[r, lv]
+        s_i = np.where(ent, s_i + step, s_i - step)
+        t_j = np.where(ent, t_j, t_j + full[r, lv])
+        in_i[:, t + 1] = in_i[:, t]
+        in_j[:, t + 1] = in_j[:, t]
+        in_i[r, t + 1, lv] = ent
+        in_j[r, t + 1, lv] = ~ent
+
+    # pama_allocate's group sums are fresh sums in level order.
+    s_fresh = np.zeros((rows, prefixes))
+    t_fresh = np.zeros((rows, prefixes))
+    for j in range(width):
+        s_fresh = s_fresh + np.where(in_i[:, :, j], sqrt_nu[:, None, j], 0.0)
+        t_fresh = t_fresh + np.where(in_j[:, :, j], full[:, None, j], 0.0)
+    leftover = memory - t_fresh
+    leftover = np.where(leftover > 0.0, leftover, 0.0)
+
+    # single_level_rate: 0 at full storage, K*U at zero memory, else
+    # d*U*coded_load(d*m/N, K/d).  Only reachable I lanes need pricing.
+    rate = np.where(in_j, 0.0, (num_caches * users).astype(np.float64)[:, None, :])
+    ri, ti, li = np.nonzero(in_i & reach[:, :, None])
+    cap = full[ri, li]
+    share = sqrt_nu[ri, li] / s_fresh[ri, ti] * leftover[ri, ti]
+    share = np.where(cap < share, cap, share)
+    lane = np.where(share >= cap, 0.0, rate[ri, ti, li])
+    coded = (share < cap) & (share != 0.0)
+    d = degrees[ri, li][coded]
+    lane[coded] = (d * users[ri, li][coded]) * coded_load(
+        d * share[coded] / n_files[ri, li][coded], num_caches / d
+    )
+    rate[ri, ti, li] = lane
+
+    total = np.zeros((rows, prefixes))
+    for j in range(width):
+        total = total + rate[:, :, j]
+    best = total[:, 0]
+    for t in range(1, prefixes):
+        take = reach[:, t] & (total[:, t] <= best + 1e-12 * (1.0 + best))
+        best = np.where(take, total[:, t], best)
+    return best
 
 
 def grid_search_alpha(

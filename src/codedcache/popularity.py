@@ -5,6 +5,13 @@ clean popularity classes.  This module loads such distributions (or
 synthesizes Zipf ones), fits a Zipf exponent, and splits the ranked file
 catalogue into contiguous popularity levels, either by brute force or by
 a constant-time two-level heuristic tuned for Zipf profiles.
+
+The brute-force search prices its candidate splits in array blocks:
+block masses from one cumsum gather, :func:`discretize`'s user rounding
+and zero-user merge on arrays, then :func:`~codedcache.pama.pama_totals`.
+Each candidate's rate equals ``pama_rate(discretize(...)).exact.total``
+bit for bit, so the search picks the same split as pricing one
+discretized instance at a time would.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .model import ConfigError, LevelSpec, SystemConfig, ValidationWarning
-from .pama import pama_rate
+from .pama import pama_totals
 
 
 class CountsError(ValueError):
@@ -270,19 +277,114 @@ def level_map_for_config(config: SystemConfig, n_files: int) -> np.ndarray:
     return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
 
-def _partition_rate(
-    dist: EmpiricalDistribution,
-    boundaries: tuple[int, ...],
+# Candidate splits priced per array batch by brute_force_partition: a
+# block of this many rows keeps the search's arrays to a few MB at any
+# budget while amortizing the per-batch NumPy overhead.
+SPLIT_BLOCK = 4096
+
+
+def _round_users(
+    cum: np.ndarray, edges: np.ndarray, nlev: np.ndarray, per_cache: float
+) -> np.ndarray:
+    """discretize's user counts per row of block edges: half-up rounding
+    of per_cache * mass on every live block but the last, which takes
+    the remainder.  Blocks past ``nlev`` are padding."""
+    masses = cum[edges[:, 1:]] - cum[edges[:, :-1]]
+    users = np.floor(per_cache * masses + 0.5).astype(np.int64)
+    last = nlev - 1
+    head = np.where(np.arange(users.shape[1]) < last[:, None], users, 0).sum(axis=1)
+    users[np.arange(len(users)), last] = np.floor(per_cache - head + 0.5)
+    return users
+
+
+def _drop_column(values: np.ndarray, column: np.ndarray, fill: int) -> np.ndarray:
+    """Each row with its entry at ``column`` removed, padded with ``fill``."""
+    cols = np.arange(values.shape[1])
+    padded = np.column_stack([values, np.full(len(values), fill)])
+    return np.take_along_axis(padded, cols + (cols >= column[:, None]), axis=1)
+
+
+def _merge_zero_user_levels(
+    cum: np.ndarray, edges: np.ndarray, degrees: np.ndarray, per_cache: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """discretize's merge loop, on every row at once.
+
+    Returns (edges, degrees, users, level counts); a row that merged
+    keeps its live blocks first and is padded with empty blocks.
+    """
+    n_files = int(edges[0, -1])
+    nlev = np.full(len(edges), degrees.shape[1])
+    users = _round_users(cum, edges, nlev, per_cache)
+    rows = np.arange(len(edges))
+    while True:
+        zero = (np.arange(users.shape[1]) < nlev[rows, None]) & (users[rows] < 1)
+        hit = zero.any(axis=1)
+        if not hit.any():
+            return edges, degrees, users, nlev
+        rows, zero = rows[hit], zero[hit]
+        if np.any(nlev[rows] == 1):
+            raise ConfigError("every level rounds to zero users; raise total_users")
+        # Merge the first zero-user block into its less popular
+        # neighbour (the more popular one for the last block), keeping
+        # the neighbour's access degree.
+        drop = zero.argmax(axis=1)
+        cut = np.where(drop + 1 < nlev[rows], drop + 1, drop)
+        edges[rows] = _drop_column(edges[rows], cut, n_files)
+        degrees[rows] = _drop_column(degrees[rows], drop, 1)
+        nlev[rows] -= 1
+        users[rows] = _round_users(cum, edges[rows], nlev[rows], per_cache)
+
+
+def _popularity_order(n: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the stable order of levels by decreasing U/N, compared
+    exactly by cross-multiplication as ``Fraction`` compares them."""
+    idx = np.arange(n.shape[1])
+    ahead_num = u[:, None, :] * n[:, :, None]  # [r, i, j] = U_j * N_i
+    ahead_den = u[:, :, None] * n[:, None, :]  # [r, i, j] = U_i * N_j
+    ahead = (ahead_num > ahead_den) | ((ahead_num == ahead_den) & (idx < idx[:, None]))
+    return np.argsort(ahead.sum(axis=2), axis=1)
+
+
+def _price_splits(
+    cum: np.ndarray,
+    cut_rows: np.ndarray,
+    degrees: Sequence[int],
     num_caches: int,
     total_users: int,
-    degrees: Sequence[int],
     memory: float,
-) -> float:
-    part = LevelPartition(boundaries=boundaries, n_files=dist.n_files)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidationWarning)
-        config = discretize(dist, part, num_caches, total_users, degrees[: part.num_levels], memory)
-    return pama_rate(config).exact.total
+) -> np.ndarray:
+    """``pama_rate(discretize(...)).exact.total`` for each row of cut
+    points, equal bit for bit, priced as one array batch."""
+    if total_users < 1:
+        raise ConfigError("total_users must be positive")
+    count = len(cut_rows)
+    n_files = cum.size - 1
+    edges = np.column_stack(
+        [np.zeros(count, np.int64), cut_rows, np.full(count, n_files, np.int64)]
+    )
+    degs = np.tile(np.asarray(degrees, dtype=np.int64), (count, 1))
+    edges, degs, users, nlev = _merge_zero_user_levels(
+        cum, edges, degs, total_users / num_caches
+    )
+    memory = float(memory)
+    rates = np.empty(count)
+    for width in np.unique(nlev).tolist():
+        rows = np.flatnonzero(nlev == width)
+        n = np.diff(edges[rows, : width + 1], axis=1)
+        u = users[rows, :width]
+        d = degs[rows, :width]
+        if np.any(d > num_caches):
+            # build_threshold_table would put such a level in I and J at once.
+            raise ValueError(f"access degree {int(d.max())} exceeds K = {num_caches}")
+        order = _popularity_order(n, u)
+        rates[rows] = pama_totals(
+            np.take_along_axis(n, order, axis=1),
+            np.take_along_axis(u, order, axis=1),
+            np.take_along_axis(d, order, axis=1),
+            num_caches,
+            memory,
+        )
+    return rates
 
 
 def brute_force_partition(
@@ -302,6 +404,13 @@ def brute_force_partition(
     n_files/200) to tame the O(N^(L-1)) candidate count; ``extra_cuts``
     adds specific off-grid cut points to the candidate set.  Raises if
     the candidate count would exceed ``budget``.
+
+    Candidates are priced ``SPLIT_BLOCK`` at a time as one array batch,
+    each rate bit-identical to ``pama_rate`` of the discretized instance;
+    in enumeration order, the first rate below the best so far by more
+    than 1e-15 becomes the best.  Raises :class:`ConfigError` when every
+    level rounds to zero users, and ``ValueError`` when a level that
+    survives the zero-user merge has an access degree above K.
     """
     n = dist.n_files
     if num_levels < 1:
@@ -313,9 +422,13 @@ def brute_force_partition(
     if coarsening < 1:
         raise ValueError("coarsening must be at least 1")
 
+    cum = np.concatenate([[0.0], dist.cumulative()])
+    degrees = degrees[:num_levels]
     if num_levels == 1:
-        rate = _partition_rate(dist, (), num_caches, total_users, degrees, memory)
-        return LevelPartition(boundaries=(), n_files=n), rate
+        rate = _price_splits(
+            cum, np.zeros((1, 0), np.int64), degrees, num_caches, total_users, memory
+        )
+        return LevelPartition(boundaries=(), n_files=n), float(rate[0])
 
     cuts = sorted(
         set(range(coarsening, n, coarsening)) | {c for c in extra_cuts if 0 < c < n}
@@ -329,10 +442,15 @@ def brute_force_partition(
 
     best_rate = math.inf
     best_cuts: tuple[int, ...] | None = None
-    for combo in itertools.combinations(cuts, num_levels - 1):
-        rate = _partition_rate(dist, combo, num_caches, total_users, degrees, memory)
-        if rate < best_rate - 1e-15:
-            best_rate = rate
-            best_cuts = combo
+    combos = itertools.combinations(cuts, num_levels - 1)
+    while block := list(itertools.islice(combos, SPLIT_BLOCK)):
+        rates = _price_splits(
+            cum, np.array(block, dtype=np.int64), degrees, num_caches, total_users, memory
+        )
+        # Only a rate below the block's starting threshold can improve.
+        for i in np.flatnonzero(rates < best_rate - 1e-15).tolist():
+            if rates[i] < best_rate - 1e-15:
+                best_rate = float(rates[i])
+                best_cuts = block[i]
     assert best_cuts is not None
     return LevelPartition(boundaries=best_cuts, n_files=n), best_rate

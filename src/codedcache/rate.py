@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
+
 from .model import SystemConfig
 
 
@@ -29,22 +31,53 @@ class RateWarning(UserWarning):
     """Out-of-range memory argument handled by clamping."""
 
 
-def coded_load(mu: float, k: float) -> float:
+def coded_load(mu: float | np.ndarray, k: float | np.ndarray) -> float | np.ndarray:
     """Expected coded load (1/mu - 1)(1 - (1 - mu)^k), in subfile units,
     of k users whose caches each hold a random fraction mu of every file.
 
     Evaluated as (1 - mu)/mu * -expm1(k * log1p(-mu)), which does not
     cancel at small mu, and clamped to [0, k].  Exactly k at mu <= 0 and
     exactly 0 at mu >= 1 or k <= 0.
+
+    ``mu`` may also be a float64 array (``k`` a scalar or an array of the
+    same shape); the result is then an array equal, lane by lane and bit
+    for bit, to the scalar result.
     """
+    if type(mu) is np.ndarray:
+        return _coded_load_lanes(mu, k)
     if k <= 0 or mu >= 1.0:
         return 0.0
     if mu <= 0.0:
         return float(k)
-    value = (1.0 - mu) / mu * -math.expm1(k * math.log1p(-mu))
+    value = _open_load(mu, k, math.log1p, math.expm1)
     # Both factors are >= 0, so only the upper clamp can bite: rounding,
     # or NaN from overflow at subnormal mu, where the limit is k.
     return value if value < k else float(k)
+
+
+def _open_load(mu, k, log1p, expm1):
+    """The coded load for 0 < mu < 1 and k > 0, before clamping."""
+    return (1.0 - mu) / mu * -expm1(k * log1p(-mu))
+
+
+def _libm(func):
+    """Apply a ``math`` function to each lane of an array.  NumPy's SIMD
+    log1p and expm1 can differ from libm in the last ulp, and the array
+    path must equal the scalar one exactly."""
+    return lambda values: np.fromiter(map(func, values.tolist()), np.float64, values.size)
+
+
+def _coded_load_lanes(mu: np.ndarray, k: float | np.ndarray) -> np.ndarray:
+    mu, k = np.broadcast_arrays(mu.astype(np.float64), np.asarray(k, dtype=np.float64))
+    endpoint = (k <= 0) | (mu >= 1.0)
+    load = np.where(endpoint, 0.0, k)
+    # Every other lane, NaN included, takes the formula, as in the scalar path.
+    open_ = ~(endpoint | (mu <= 0.0))
+    mu, k = mu[open_], k[open_]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _open_load(mu, k, _libm(math.log1p), _libm(math.expm1))
+    load[open_] = np.where(value < k, value, k)
+    return load
 
 
 def single_level_rate(

@@ -1,9 +1,17 @@
+import hashlib
 import json
+import re
+import warnings
 
 import pytest
 
 from codedcache.cli import run
-from codedcache.model import config_from_json, config_to_json, make_config
+from codedcache.model import (
+    ValidationWarning,
+    config_from_json,
+    config_to_json,
+    make_config,
+)
 
 EX1_JSON = config_to_json(make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)]))
 
@@ -131,6 +139,37 @@ def test_discretize_emits_loadable_instance(tmp_path, capsys):
     assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
+# sha256 of the --out instance, computed with the one-split-at-a-time
+# brute-force search.  The last two draws merge zero-user levels (one of
+# them also reorders near-tied blocks), on a one-file cut grid.
+DISCRETIZE_PINS = [
+    ("--zipf 0.8 --files 2000 --caches 8 --users 200 --memory 100 --levels 2",
+     "f3e9bf8bbacd64bdb348b166d3445cdf35c6c8680c9837fbf6e88cd08461e278"),
+    ("--zipf 1.0 --files 3000 --caches 6 --users 300 --memory 450 --levels 3 --coarsen 100",
+     "5d8ab8b518182adb267ae1b3f4536db06d2ecf52894605c9ad207fd257c312a1"),
+    ("--zipf 0.6 --files 1200 --caches 4 --users 120 --memory 60 --levels 2 --degrees 1,2",
+     "b652a75de2197a041e2b5b991f7a660ebc6b6e17fb5c0d48f6304d404e4cd3ba"),
+    ("--zipf 0.8 --files 2400 --caches 6 --users 240 --memory 240 --levels 3 --coarsen 80 "
+     "--degrees 1,2,3",
+     "1f8e4552c50f4f1265cae58c266a748020964d4e09e78007ebb7e40cfacc10c1"),
+    ("--zipf 1.2 --files 500 --caches 5 --users 50 --memory 20 --levels 1",
+     "9f8de0ae4ad00f1f1690eec45d8bc1b4eceb175f13bfdc1cbf516110816cfb6b"),
+    ("--zipf 0.6 --files 300 --caches 4 --users 6 --memory 30 --levels 3",
+     "f30c511f95581ce3c76349e96b6346343dbf94a28950a1f5e77fe5b96ccbf892"),
+    ("--zipf 0.6 --files 300 --caches 4 --users 12 --memory 300 --levels 3",
+     "2fce3eea5186d7ca37b00b46cbfbd000fa9be6cb595683c16785b605bd876d13"),
+]
+
+
+@pytest.mark.parametrize("args,digest", DISCRETIZE_PINS)
+def test_discretize_brute_force_bytes_pinned(tmp_path, args, digest):
+    out = tmp_path / "instance.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        assert run(["discretize", *args.split(), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_discretize_needs_a_distribution():
     assert run(["discretize", "--caches", "4", "--users", "8", "--memory", "1"]) == 2
 
@@ -186,3 +225,13 @@ def test_lfu_simulated(ex1_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 + 3
+
+
+def test_selftest_prints_each_criterion_time(capsys):
+    assert run(["selftest", "--only", "2"]) == 0
+    line = capsys.readouterr().out.strip()
+    assert re.fullmatch(
+        r"criterion  2 \[PASS\] single-level endpoints \(\d+\.\d\ds\): "
+        r"1000/1000 tuples exact at both endpoints",
+        line,
+    )

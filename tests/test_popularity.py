@@ -1,11 +1,20 @@
 import io
+import itertools
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from codedcache.model import ConfigError, ValidationWarning
-from codedcache.pama import pama_rate
+from codedcache import popularity
+from codedcache.model import ConfigError, LevelSpec, ValidationWarning
+from codedcache.pama import (
+    build_threshold_table,
+    candidate_partitions,
+    pama_allocate,
+    pama_rate,
+    total_rate_exact,
+)
 from codedcache.popularity import (
     CountsError,
     EmpiricalDistribution,
@@ -239,3 +248,159 @@ def test_brute_force_budget_enforced():
     dist = zipf_distribution(0.6, 400)
     with pytest.raises(ValueError, match="budget"):
         brute_force_partition(dist, 3, 4, 60.0, (1, 1, 1), 16, coarsening=1, budget=100)
+
+
+def _reference_rate(dist, cuts, num_caches, total_users, degrees, memory):
+    """One candidate priced the direct way: discretize, then pama_rate.
+    Also returns the ValidationWarning messages discretize raised."""
+    part = LevelPartition(boundaries=tuple(cuts), n_files=dist.n_files)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidationWarning)
+        cfg = discretize(
+            dist, part, num_caches, total_users, degrees[: part.num_levels], memory
+        )
+    return pama_rate(cfg).exact.total, [str(w.message) for w in caught]
+
+
+def _reference_brute_force(
+    dist, num_levels, num_caches, memory, degrees, total_users, coarsening, extra_cuts=()
+):
+    """The one-split-at-a-time search: every candidate through
+    discretize and pama_rate, the first strict improvement by 1e-15
+    wins.  Returns (cut tuples, rates, warnings, best cuts, best rate)."""
+    n = dist.n_files
+    cuts = sorted(
+        set(range(coarsening, n, coarsening)) | {c for c in extra_cuts if 0 < c < n}
+    )
+    combos = list(itertools.combinations(cuts, num_levels - 1))
+    rates, notes = [], []
+    best_rate, best_cuts = math.inf, None
+    for combo in combos:
+        rate, caught = _reference_rate(dist, combo, num_caches, total_users, degrees, memory)
+        rates.append(rate)
+        notes.append(caught)
+        if rate < best_rate - 1e-15:
+            best_rate, best_cuts = rate, combo
+    return combos, rates, notes, best_cuts, best_rate
+
+
+def _batch_rates(dist, combos, num_levels, num_caches, total_users, degrees, memory):
+    cum = np.concatenate([[0.0], dist.cumulative()])
+    rows = np.array(combos, dtype=np.int64).reshape(len(combos), num_levels - 1)
+    return popularity._price_splits(
+        cum, rows, degrees[:num_levels], num_caches, total_users, memory
+    ).tolist()
+
+
+def test_batch_prices_equal_pama_rate_bit_for_bit(monkeypatch):
+    # A small block makes every search below span several blocks.
+    monkeypatch.setattr(popularity, "SPLIT_BLOCK", 7)
+    rng = np.random.default_rng(20261018)
+    merges = {1: 0, 2: 0}
+    reorders = multi_block = 0
+    seen_levels, seen_degrees = set(), set()
+    for i in range(60):
+        lcount = 1 + i % 4
+        k = int(rng.integers(1, 11))
+        degrees = tuple(int(d) for d in rng.integers(1, min(3, k) + 1, lcount))
+        n = int(rng.integers(30, 301))
+        users = int(rng.integers(k, 8 * k + 1))
+        dist = zipf_distribution(float(rng.uniform(0.3, 1.5)), n)
+        coarsening = max(1, n // int(rng.integers(6, 13)))
+        extra = (0, n, *rng.integers(1, n, 2).tolist())
+        memory = n * float(rng.uniform(0.0, 1.1)) * 10.0 ** float(rng.uniform(-2, 0))
+        if i % 2:
+            # Sit exactly on a breakpoint Y_t of some candidate, where
+            # neighbouring splits tie up to rounding and pama_rate's
+            # tolerance rule decides.
+            cut = tuple(sorted(rng.choice(np.arange(1, n), lcount - 1, replace=False).tolist()))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ValidationWarning)
+                cfg = discretize(dist, LevelPartition(cut, n), k, users, degrees, memory)
+            table = build_threshold_table(cfg)
+            memory = table.breakpoints[int(rng.integers(len(table.breakpoints)))].memory
+            extra += cut
+        combos, ref, notes, ref_cuts, ref_rate = _reference_brute_force(
+            dist, lcount, k, memory, degrees, users, coarsening, extra
+        )
+        assert _batch_rates(dist, combos, lcount, k, users, degrees, memory) == ref
+        part, rate = brute_force_partition(
+            dist, lcount, k, memory, degrees, users, coarsening=coarsening, extra_cuts=extra
+        )
+        assert (part.boundaries, rate) == (ref_cuts, ref_rate)
+        for caught in notes:
+            merged = sum("rounds to zero users" in m for m in caught)
+            if merged:
+                merges[min(merged, 2)] += 1
+            reorders += any("reordered" in m for m in caught)
+        multi_block += len(combos) > popularity.SPLIT_BLOCK
+        seen_levels.add(lcount)
+        seen_degrees.update(degrees)
+    assert seen_levels == {1, 2, 3, 4} and seen_degrees == {1, 2, 3}
+    assert merges[1] > 0 and merges[2] > 0 and reorders > 0 and multi_block > 0
+
+
+def test_batch_keeps_pama_tie_rule_on_breakpoints():
+    # At a breakpoint memory Y_t, neighbouring splits often price within
+    # rounding of each other; pama_rate keeps the later split when it is
+    # within 1e-12 relative of the best, so its rate is then not the
+    # plain minimum.  The batch must make the same choice.
+    rng = np.random.default_rng(7)
+    decisive = 0
+    for _ in range(100):
+        lcount = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 11))
+        degrees = tuple(int(d) for d in rng.integers(1, min(3, k) + 1, lcount))
+        n = int(rng.integers(30, 301))
+        users = int(rng.integers(k, 8 * k + 1))
+        dist = zipf_distribution(float(rng.uniform(0.3, 1.5)), n)
+        cut = tuple(sorted(rng.choice(np.arange(1, n), lcount - 1, replace=False).tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            cfg = discretize(dist, LevelPartition(cut, n), k, users, degrees, 0.0)
+        table = build_threshold_table(cfg)
+        for bp in table.breakpoints:
+            at = cfg.with_memory(bp.memory)
+            rate = pama_rate(at, table).exact.total
+            totals = [
+                total_rate_exact(at, pama_allocate(at, part)).total
+                for part in candidate_partitions(table, bp.memory)
+            ]
+            decisive += rate != min(totals)
+            assert _batch_rates(dist, [cut], lcount, k, users, degrees, bp.memory) == [rate]
+    assert decisive > 0
+
+
+def test_batch_merges_match_discretize():
+    uniform = EmpiricalDistribution(probabilities=(0.01,) * 100)
+    # The last block rounds to zero users and merges into the block
+    # before it, keeping that block's degree.
+    with pytest.warns(ValidationWarning, match="rounds to zero users"):
+        cfg = discretize(uniform, LevelPartition((80,), 100), 2, 4, (1, 2), 10.0)
+    assert cfg.levels == (LevelSpec(100, 2, 1),)
+    assert _batch_rates(uniform, [(80,)], 2, 2, 4, (1, 2), 10.0) == [pama_rate(cfg).exact.total]
+    # Two zero-user head blocks merge one after the other, each into
+    # its less popular neighbour.
+    with pytest.warns(ValidationWarning, match="rounds to zero users") as caught:
+        cfg = discretize(uniform, LevelPartition((10, 20), 100), 3, 3, (1, 2, 3), 10.0)
+    assert len(caught) == 2 and cfg.levels == (LevelSpec(100, 1, 3),)
+    assert _batch_rates(uniform, [(10, 20)], 3, 3, 3, (1, 2, 3), 10.0) == [
+        pama_rate(cfg).exact.total
+    ]
+
+
+def test_brute_force_all_zero_users_is_error():
+    dist = zipf_distribution(0.6, 100)
+    for lcount in (1, 2, 3):
+        with pytest.raises(ConfigError, match="zero users"):
+            brute_force_partition(dist, lcount, 10, 5.0, (1, 1, 1), 4, coarsening=10)
+
+
+def test_brute_force_degree_above_cache_count_is_error():
+    # The direct path failed inside build_threshold_table; the batch
+    # refuses the same candidates with a ValueError.
+    dist = zipf_distribution(0.8, 200)
+    with pytest.raises(ValueError):
+        _reference_rate(dist, (50,), 4, 40, (5, 1), 20.0)
+    with pytest.raises(ValueError, match="exceeds K"):
+        brute_force_partition(dist, 2, 4, 20.0, (5, 1), 40, coarsening=50)

@@ -380,6 +380,17 @@ def test_lfu_simulate_reproducible():
     assert a.rates == b.rates
 
 
+def test_lfu_simulate_rates_pinned():
+    # Distinct-file counts from the earlier np.unique implementation.
+    dist = zipf_distribution(0.8, 2000)
+    assert lfu_simulate(dist, 50.0, 300, 6, seed=3).rates == (
+        183.0, 181.0, 186.0, 177.0, 175.0, 172.0
+    )
+    assert lfu_simulate(dist, 50.0, 300, 6, seed=11).rates == (
+        175.0, 173.0, 179.0, 176.0, 176.0, 171.0
+    )
+
+
 def _subset_walk(pl, demands):
     """Reference delivery that walks every subset of every (group, color)
     subsystem: the XOR for subset S is as long as the longest segment
