@@ -18,10 +18,15 @@ The derivation of the non-cut-set family assumes every level in A is
 more popular than l and has degree at most d_l; the search layer only
 submits such pairs, while the raw evaluators accept any legal arguments.
 
-For fixed parameters each bound is piecewise monotone in b (every min
-term switches branch once), so the b-search needs only the integer
-neighbours of the branch-switch points; powers of two are added as a
-cheap fallback.
+The best-bound search prices only the candidates that can win, so it is
+exact at every size.  Cut-set: while ceil(v/U) and floor(N/v) stay
+constant the value rises with v, so only run ends can win: every v up to
+sqrt(N), each N // q beyond it, the multiples of U and min(K*U, N).
+Non-cut-set and corollary: every tail term is positive and a subset's
+(s, b) candidates are among the full set's, so only A = every eligible
+level (every level, for the corollary) can win.  Each min term switches
+branch once in b and the value is monotone in b between switch points,
+so b needs only 1 and the switch points' integer neighbours.
 
 Each family's value formula, the A-tail sum and its switch points are
 defined once, for scalars and arrays alike, and shared by the evaluators
@@ -42,9 +47,6 @@ from .model import SystemConfig
 from .pama import pama_rate, build_threshold_table
 
 GAMMA = 1.0 / (1.0 - math.exp(-1.0))
-
-CUTSET_EXHAUSTIVE_LIMIT = 10_000
-SUBSET_LEVEL_LIMIT = 10
 
 
 def k0(max_degree: int, num_levels: int) -> float:
@@ -152,19 +154,15 @@ def corollary_bound(config: SystemConfig, a_set: Iterable[int], b: int) -> Bound
 
 
 def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
+    """The v in 1..min(K*U, N) that end a run of constant ceil(v/U) and
+    floor(N/v), ascending."""
     lv = config.levels[level]
-    vmax = min(config.num_caches * lv.users_per_cache, lv.n_files)
-    if vmax <= CUTSET_EXHAUSTIVE_LIMIT:
-        return np.arange(1, vmax + 1, dtype=np.int64)
-    # Geometric grid plus the integers where floor(N/v) or ceil(v/U)
-    # switches near each grid point (grid <= vmax <= N, so N // grid >= 1).
-    grid = np.unique(np.geomspace(1, vmax, 512).astype(np.int64))
-    last_same_floor = lv.n_files // (lv.n_files // grid)
-    round_down = (grid // lv.users_per_cache) * lv.users_per_cache
-    cand = np.unique(
-        np.concatenate([grid, last_same_floor, last_same_floor + 1, round_down, round_down + 1])
-    )
-    return cand[(cand >= 1) & (cand <= vmax)]
+    n, u = lv.n_files, lv.users_per_cache
+    vmax = min(config.num_caches * u, n)
+    root = math.isqrt(n)
+    runs = [np.arange(1, min(vmax, root) + 1), n // np.arange(max(1, n // vmax), root + 1)]
+    cand = np.unique(np.concatenate([*runs, np.arange(u, vmax + 1, u), [vmax]]))
+    return cand[cand <= vmax]
 
 
 def _best_cutset(config: SystemConfig) -> BoundWitness:
@@ -178,38 +176,23 @@ def _best_cutset(config: SystemConfig) -> BoundWitness:
     return best
 
 
-def _b_neighbours(switches: Iterable[float], cap: float) -> set[int]:
+def _b_neighbours(switches: Iterable[float]) -> set[int]:
+    """1 and the floor and ceiling of each switch point at or above 1."""
     values = {1}
     for x in switches:
-        if not math.isfinite(x) or x > cap:
-            x = cap
         if x >= 1:
-            values.add(int(math.floor(x)))
-            values.add(int(math.ceil(x)))
+            values.update((math.floor(x), math.ceil(x)))
     return values
 
 
-def _popular_subsets(eligible: Sequence[int]) -> list[frozenset[int]]:
-    if len(eligible) > SUBSET_LEVEL_LIMIT:
-        # Fall back to prefix sets to keep the search tractable.
-        return [frozenset(eligible[: i + 1]) for i in range(len(eligible))]
-    return [
-        frozenset(eligible[i] for i in range(len(eligible)) if mask >> i & 1)
-        for mask in range(1, 1 << len(eligible))
-    ]
-
-
 def _best_corollary(config: SystemConfig) -> BoundWitness:
-    best = BoundWitness(0.0, "trivial_zero")
-    max_n = max(lv.n_files for lv in config.levels)
-    power_fallback = {2**e for e in range(0, max(1, max_n).bit_length() + 1)}
-    for a in _popular_subsets(tuple(range(config.num_levels))):
-        b = np.array(sorted(_b_neighbours(_tail_switches(config, a), max_n) | power_fallback))
-        values = _corollary_value(config, a, b)
-        pos = int(np.argmax(values))
-        if values[pos] > best.value:
-            best = corollary_bound(config, a, int(b[pos]))
-    return best
+    a = frozenset(range(config.num_levels))
+    b = np.array(sorted(_b_neighbours(_tail_switches(config, a))))
+    values = _corollary_value(config, a, b)
+    pos = int(np.argmax(values))
+    if values[pos] > 0.0:
+        return corollary_bound(config, a, int(b[pos]))
+    return BoundWitness(0.0, "trivial_zero")
 
 
 def _best_noncutset(config: SystemConfig) -> BoundWitness:
@@ -220,24 +203,23 @@ def _best_noncutset(config: SystemConfig) -> BoundWitness:
         s = np.arange(d_l, config.num_caches + 1, dtype=np.float64)
         if s.size == 0:
             continue
-        eligible = tuple(
+        a = frozenset(
             j
             for j in range(l)
             if config.levels[j].access_degree <= d_l
             and config.levels[j].popularity > lv.popularity
         )
+        # b rows by window size s: 1, then the floor and ceiling of the
+        # head term's switch point and of each tail term's, in A's order.
         head_switch = lv.n_files / (s * (s - d_l + 1) * lv.users_per_cache)
-        for a in [frozenset()] + _popular_subsets(eligible):
-            # b rows by window size s: 1, then the floor and ceiling of the
-            # head term's switch point and of each tail term's, in A's order.
-            tails = [np.full_like(s, x) for x in _tail_switches(config, a)]
-            switches = np.vstack([head_switch, *tails])
-            rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
-            b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
-            values = _noncutset_value(config, l, a, s, b)
-            row, col = divmod(int(np.argmax(values)), s.size)
-            if values[row, col] > best.value:
-                best = noncutset_bound(config, l, a, int(s[col]), int(b[row, col]))
+        tails = [np.full_like(s, x) for x in _tail_switches(config, a)]
+        switches = np.vstack([head_switch, *tails])
+        rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
+        b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
+        values = _noncutset_value(config, l, a, s, b)
+        row, col = divmod(int(np.argmax(values)), s.size)
+        if values[row, col] > best.value:
+            best = noncutset_bound(config, l, a, int(s[col]), int(b[row, col]))
     return best
 
 

@@ -193,6 +193,12 @@ def zipf_split_heuristic(s: float, n_files: int, num_caches: int, memory: float)
     return LevelPartition(boundaries=(head_count,), n_files=n_files)
 
 
+def _check_degrees(degrees: Sequence[int], num_caches: int) -> None:
+    """Refuse a degree above K, which puts a level in I and J at once."""
+    if max(degrees, default=0) > num_caches:
+        raise ConfigError(f"access degree {max(degrees)} exceeds K = {num_caches}")
+
+
 def discretize(
     dist: EmpiricalDistribution,
     partition: LevelPartition,
@@ -208,12 +214,14 @@ def discretize(
     remainder assigned to the last level.  Levels whose user count
     rounds to zero are merged into their less popular neighbour with a
     warning.  The more-files-than-users regularity check is downgraded
-    to a warning here, since empirical blocks may violate it.
+    to a warning here, since empirical blocks may violate it; an access
+    degree above K raises :class:`ConfigError`.
     """
     if partition.n_files != dist.n_files:
         raise ConfigError("partition and distribution disagree on the file count")
     if len(degrees) != partition.num_levels:
         raise ConfigError("need one access degree per level")
+    _check_degrees(degrees, num_caches)
     if total_users < 1:
         raise ConfigError("total_users must be positive")
 
@@ -373,9 +381,6 @@ def _price_splits(
         n = np.diff(edges[rows, : width + 1], axis=1)
         u = users[rows, :width]
         d = degs[rows, :width]
-        if np.any(d > num_caches):
-            # build_threshold_table would put such a level in I and J at once.
-            raise ValueError(f"access degree {int(d.max())} exceeds K = {num_caches}")
         order = _popularity_order(n, u)
         rates[rows] = pama_totals(
             np.take_along_axis(n, order, axis=1),
@@ -408,9 +413,9 @@ def brute_force_partition(
     Candidates are priced ``SPLIT_BLOCK`` at a time as one array batch,
     each rate bit-identical to ``pama_rate`` of the discretized instance;
     in enumeration order, the first rate below the best so far by more
-    than 1e-15 becomes the best.  Raises :class:`ConfigError` when every
-    level rounds to zero users, and ``ValueError`` when a level that
-    survives the zero-user merge has an access degree above K.
+    than 1e-15 becomes the best.  Raises :class:`ConfigError` for an
+    access degree above K, for a cut grid with fewer than L-1 cut points,
+    and when every level rounds to zero users.
     """
     n = dist.n_files
     if num_levels < 1:
@@ -424,6 +429,7 @@ def brute_force_partition(
 
     cum = np.concatenate([[0.0], dist.cumulative()])
     degrees = degrees[:num_levels]
+    _check_degrees(degrees, num_caches)
     if num_levels == 1:
         rate = _price_splits(
             cum, np.zeros((1, 0), np.int64), degrees, num_caches, total_users, memory
@@ -433,6 +439,8 @@ def brute_force_partition(
     cuts = sorted(
         set(range(coarsening, n, coarsening)) | {c for c in extra_cuts if 0 < c < n}
     )
+    if len(cuts) < num_levels - 1:
+        raise ConfigError(f"no candidate split: {len(cuts)} cut points for {num_levels} levels")
     n_cand = math.comb(len(cuts), num_levels - 1)
     if n_cand > budget:
         raise ValueError(

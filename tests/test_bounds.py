@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 from pathlib import Path
 
@@ -7,6 +8,13 @@ import pytest
 
 from codedcache.bounds import (
     GAMMA,
+    BoundWitness,
+    _best_corollary,
+    _best_cutset,
+    _best_noncutset,
+    _corollary_value,
+    _cutset_value,
+    _noncutset_value,
     best_lower_bound,
     corollary_bound,
     cutset_bound,
@@ -172,20 +180,21 @@ def _quiet(build, *args):
         return build(*args)
 
 
-# (K, levels, M, kind, params, value) of best_lower_bound, computed
-# before the bound formulas were shared between the evaluators and the
-# search.  Most rows sit on a tie, where another candidate reaches the
-# same value, so they pin the first-maximum enumeration order: over levels
-# and v (cut-set), over b rows and windows s (non-cut-set), over b
-# (corollary) and across the families.  Two rows pin the formulas' order
-# of summation to the last bit.  The 11-level row takes the prefix-subset
-# fallback beyond SUBSET_LEVEL_LIMIT levels, and the two rows with over
-# CUTSET_EXHAUSTIVE_LIMIT candidate v win off the geometric grid.
+# (K, levels, M, kind, params, value) of best_lower_bound.  Most rows sit
+# on a tie, where another candidate reaches the same value, so they pin
+# the first-maximum enumeration order: over levels and v (cut-set), over
+# b rows and windows s (non-cut-set), over b (corollary) and across the
+# families.  Two rows pin the formulas' order of summation to the last
+# bit.  The 11-level row wins with A = all eleven levels.  The two
+# single-level rows with more than 10^4 possible v are searched over the
+# ends of the runs of constant ceil(v/U) and floor(N/v), and hold the
+# all-v maximum.  Every row but the K = 300 one was computed before the
+# bound formulas were shared between the evaluators and the search.
 ELEVEN_LEVELS = [(6 * (i + 1) ** 2, 1 + i % 3, 1 + i % 2) for i in range(11)]
 PINNED_WITNESSES = [
     (2, [(20, 5, 1), (300, 5, 2)], 0.0, "cutset", (("level", 1), ("v", 10)), 10.0),
     (8, [(36, 1, 1), (130, 1, 3)], 8.0, "cutset", (("level", 2), ("v", 7)), 3.0),
-    (300, [(30011, 50, 1)], 100.0, "cutset", (("level", 1), ("v", 7502)), 3727.0),
+    (300, [(30011, 50, 1)], 100.0, "cutset", (("level", 1), ("v", 7500)), 3750.0),
     (200, [(20000, 60, 1)], 500.0, "cutset", (("level", 1), ("v", 1250)), 593.75),
     (3, [(12, 4, 1), (30, 2, 1)], 3.0, "noncutset", (("l", 2), ("A", "1"), ("s", 2), ("b", 3)), 5.0),
     (6, [(42, 7, 1), (90, 1, 2)], 20.0, "noncutset", (("l", 2), ("A", "1"), ("s", 4), ("b", 6)),
@@ -222,3 +231,124 @@ def test_gap_cli_output_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6a154f7f377e5d5adebf565a015f6a621e8591166fdf69ff5185778d1c34c3b6"
     )
+
+
+# Reference searches over the full spaces the best-bound search once
+# enumerated: every v, every subset A of the eligible levels (the empty
+# one too, for the non-cut-set family), and for the corollary the powers
+# of two beside the switch-point neighbours.  Each takes the first strict
+# maximum in the old enumeration order.
+def _first_strict_max(best, values, witness):
+    pos = np.unravel_index(int(np.argmax(values)), values.shape)
+    return witness(*pos) if values[pos] > best.value else best
+
+
+def _all_subsets(levels):
+    return [
+        frozenset(x for i, x in enumerate(levels) if mask >> i & 1)
+        for mask in range(1 << len(levels))
+    ]
+
+
+def _reference_cutset(cfg):
+    best = BoundWitness(0.0, "trivial_zero")
+    for idx, lv in enumerate(cfg.levels):
+        v = np.arange(1, min(cfg.num_caches * lv.users_per_cache, lv.n_files) + 1)
+        best = _first_strict_max(
+            best, _cutset_value(cfg, idx, v), lambda i: cutset_bound(cfg, idx, int(v[i]))
+        )
+    return best
+
+
+def _reference_noncutset(cfg):
+    best = BoundWitness(0.0, "trivial_zero")
+    for l, lv in enumerate(cfg.levels):
+        d_l = lv.access_degree
+        s = np.arange(d_l, cfg.num_caches + 1, dtype=np.float64)
+        eligible = [
+            j
+            for j in range(l)
+            if cfg.levels[j].access_degree <= d_l
+            and cfg.levels[j].popularity > lv.popularity
+        ]
+        head_switch = lv.n_files / (s * (s - d_l + 1) * lv.users_per_cache)
+        for a in _all_subsets(eligible):
+            tails = [
+                np.full_like(s, cfg.levels[j].n_files)
+                / (cfg.levels[j].access_degree * cfg.levels[j].users_per_cache)
+                for j in a
+            ]
+            switches = np.vstack([head_switch, *tails])
+            rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
+            b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
+            best = _first_strict_max(
+                best,
+                _noncutset_value(cfg, l, a, s, b),
+                lambda r, c: noncutset_bound(cfg, l, a, int(s[c]), int(b[r, c])),
+            )
+    return best
+
+
+def _reference_corollary(cfg):
+    best = BoundWitness(0.0, "trivial_zero")
+    max_n = max(lv.n_files for lv in cfg.levels)
+    powers = {2**e for e in range(max_n.bit_length() + 1)}
+    for a in _all_subsets(range(cfg.num_levels))[1:]:
+        b = {1} | powers
+        for j in a:
+            lj = cfg.levels[j]
+            x = lj.n_files / (lj.access_degree * lj.users_per_cache)
+            b |= {math.floor(x), math.ceil(x)}
+        b = np.array(sorted(b))
+        best = _first_strict_max(
+            best, _corollary_value(cfg, a, b), lambda i: corollary_bound(cfg, a, int(b[i]))
+        )
+    return best
+
+
+def _reference_instances():
+    # Memories are drawn from a continuous range.  At an M that makes a
+    # corollary segment exactly flat in b, a power of two inside the
+    # segment can beat its ends by a rounding error of a few ulps.
+    rng = np.random.default_rng(2024)
+    shapes = (
+        [(int(rng.integers(1, 5)), int(rng.integers(2, 21)), 8) for _ in range(40)]
+        + [(int(rng.integers(1, 3)), int(rng.integers(150, 401)), 120) for _ in range(12)]
+        + [(int(rng.integers(11, 13)), int(rng.integers(2, 7)), 4) for _ in range(3)]
+    )
+    instances = [make_config(300, 100.0, [(30011, 50, 1)])]
+    for lcount, k, max_u in shapes:
+        levels = []
+        for _ in range(lcount):
+            u = int(rng.integers(1, max_u + 1))
+            d = int(rng.integers(1, min(3, k) + 1))
+            levels.append((k * u * int(rng.integers(1, 20)) + int(rng.integers(0, k)), u, d))
+        cfg = _quiet(make_config, k, 0.0, levels)
+        share = 0.3 if k >= 150 else 1.05
+        instances.append(cfg.with_memory(float(rng.uniform(0, share * cfg.full_memory))))
+    return instances
+
+
+def test_search_matches_exhaustive_references():
+    def key(w):
+        return w.kind, w.params, w.value
+
+    instances = _reference_instances()
+    assert any(
+        min(cfg.num_caches * lv.users_per_cache, lv.n_files) > 10**4
+        for cfg in instances
+        for lv in cfg.levels
+    )
+    assert max(cfg.num_levels for cfg in instances) > 10
+    for cfg in instances:
+        best = BoundWitness(0.0, "trivial_zero")
+        for search, reference in (
+            (_best_cutset, _reference_cutset),
+            (_best_noncutset, _reference_noncutset),
+            (_best_corollary, _reference_corollary),
+        ):
+            expected = reference(cfg)
+            assert key(search(cfg)) == key(expected), (cfg, search.__name__)
+            if expected.value > best.value:
+                best = expected
+        assert key(best_lower_bound(cfg)) == key(best), cfg

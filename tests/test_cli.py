@@ -174,6 +174,20 @@ def test_discretize_needs_a_distribution():
     assert run(["discretize", "--caches", "4", "--users", "8", "--memory", "1"]) == 2
 
 
+def test_discretize_with_no_candidate_split_is_validation_error(capsys):
+    argv = "--zipf 0.8 --files 10 --caches 2 --users 4 --memory 2 --levels 2 --coarsen 20"
+    assert run(["discretize", *argv.split()]) == 2
+    assert "no candidate split" in capsys.readouterr().err
+
+
+def test_discretize_heuristic_rejects_degree_above_k_before_writing(tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    argv = "--zipf 0.8 --files 400 --caches 4 --users 40 --memory 20 --heuristic --degrees 5,1"
+    assert run(["discretize", *argv.split(), "--out", str(out)]) == 2
+    assert "access degree 5 exceeds K = 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_access_opt_subcommand(ex1_path, tmp_path):
     summary_path = tmp_path / "acc.json"
     assert (

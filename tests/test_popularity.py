@@ -397,8 +397,7 @@ def test_brute_force_all_zero_users_is_error():
 
 
 def test_brute_force_degree_above_cache_count_is_error():
-    # The direct path failed inside build_threshold_table; the batch
-    # refuses the same candidates with a ValueError.
+    # Both paths refuse the degree before pricing any split.
     dist = zipf_distribution(0.8, 200)
     with pytest.raises(ValueError):
         _reference_rate(dist, (50,), 4, 40, (5, 1), 20.0)

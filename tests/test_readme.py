@@ -1,0 +1,32 @@
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _quick_start() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_prints_what_its_comments_claim(capsys):
+    code = _quick_start()
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    # A claim is the comment's text up to the first run of two spaces; a
+    # trailing "..." claims the printed number to 1e-3.
+    claims = [
+        (re.split(r"\s{2,}", line.split("#", 1)[1].strip())[0], out)
+        for line, out in zip(prints, printed)
+        if "#" in line
+    ]
+    assert [claim for claim, _ in claims] == ["H=;I=1,2;J=", "(75.0, 25.0)", "5.6996...", "6.0"]
+    for claim, out in claims:
+        if claim.endswith("..."):
+            assert float(out) == pytest.approx(float(claim[:-3]), abs=1e-3)
+        else:
+            assert out == claim
