@@ -407,25 +407,25 @@ def brute_force_partition(
 
     Cut points are restricted to multiples of ``coarsening`` (default
     n_files/200) to tame the O(N^(L-1)) candidate count; ``extra_cuts``
-    adds specific off-grid cut points to the candidate set.  Raises if
-    the candidate count would exceed ``budget``.
+    adds specific off-grid cut points to the candidate set.
 
     Candidates are priced ``SPLIT_BLOCK`` at a time as one array batch,
     each rate bit-identical to ``pama_rate`` of the discretized instance;
     in enumeration order, the first rate below the best so far by more
-    than 1e-15 becomes the best.  Raises :class:`ConfigError` for an
-    access degree above K, for a cut grid with fewer than L-1 cut points,
-    and when every level rounds to zero users.
+    than 1e-15 becomes the best.  Raises :class:`ConfigError` for L < 1,
+    a coarsening below 1, an access degree above K, a cut grid with fewer
+    than L-1 cut points, more candidates than ``budget``, and when every
+    level rounds to zero users.
     """
     n = dist.n_files
     if num_levels < 1:
-        raise ValueError("num_levels must be positive")
+        raise ConfigError("num_levels must be positive")
     if len(degrees) < num_levels:
         raise ConfigError("need one access degree per level")
     if coarsening is None:
         coarsening = max(1, n // 200)
     if coarsening < 1:
-        raise ValueError("coarsening must be at least 1")
+        raise ConfigError("coarsening must be at least 1")
 
     cum = np.concatenate([[0.0], dist.cumulative()])
     degrees = degrees[:num_levels]
@@ -443,7 +443,7 @@ def brute_force_partition(
         raise ConfigError(f"no candidate split: {len(cuts)} cut points for {num_levels} levels")
     n_cand = math.comb(len(cuts), num_levels - 1)
     if n_cand > budget:
-        raise ValueError(
+        raise ConfigError(
             f"{n_cand} candidate partitions exceed the budget of {budget}; "
             "increase coarsening"
         )

@@ -26,9 +26,12 @@ users are served uncoded (only the bits missing from every accessible
 cache are sent in clear).
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
-``numpy.random.SeedSequence`` spawn keys — (1, cache, level, file) for
-placement sampling, (2, trial) for stochastic user profiles.  Identical
-seeds reproduce every artifact bit-for-bit.
+``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
+placement sampling, (2, trial) for stochastic user profiles.  A
+(cache, level) stream fills that level's masks file by file, in blocks
+of at most ``DRAW_BLOCK`` doubles; each double compares its full float64
+value with the cached fraction.  Identical seeds reproduce every
+artifact bit-for-bit.
 """
 
 from __future__ import annotations
@@ -97,11 +100,23 @@ def _subfile_length(file_size: int, degree: int, color: int) -> int:
 
 @dataclass
 class PlacementState:
-    """Bit-exact cache contents for one instance and seed."""
+    """Bit-exact cache contents for one instance and seed.
+
+    ``stored[(cache, level)]`` is an ``(N_i, subfile_length)`` bool array
+    whose row f marks the bits of file f's subfile (of the cache's color)
+    that the cache keeps.  Each (cache, level) array comes from one PCG64
+    stream with spawn key ``(1, cache, level)``, drawn row-major in
+    blocks of at most ``DRAW_BLOCK`` doubles."""
 
     config: SystemConfig
     file_size_bits: int
-    stored: dict[tuple[int, int, int], np.ndarray]  # (cache, level, file) -> bool mask
+    stored: dict[tuple[int, int], np.ndarray]
+
+
+# Doubles drawn per call: each float64 draw holds at most 1 MiB however large
+# a level's masks are.  One double takes one 64-bit output of the stream,
+# so the bits do not depend on the block size.
+DRAW_BLOCK = 1 << 17
 
 
 def place(
@@ -125,7 +140,7 @@ def place(
             )
         fractions.append(min(1.0, max(0.0, mu)))
 
-    stored: dict[tuple[int, int, int], np.ndarray] = {}
+    stored: dict[tuple[int, int], np.ndarray] = {}
     for cache in range(k):
         expected_bits = 0.0
         actual_bits = 0
@@ -133,16 +148,17 @@ def place(
             color = cache % lv.access_degree
             length = _subfile_length(file_size_bits, lv.access_degree, color)
             mu = fractions[lvl_idx]
-            for f in range(lv.n_files):
-                rng = np.random.Generator(
-                    np.random.PCG64(
-                        np.random.SeedSequence(seed, spawn_key=(1, cache, lvl_idx, f))
-                    )
-                )
-                mask = rng.random(length) < mu
-                stored[(cache, lvl_idx, f)] = mask
-                actual_bits += int(mask.sum())
-                expected_bits += mu * length
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, cache, lvl_idx)))
+            )
+            masks = np.empty((lv.n_files, length), dtype=bool)
+            flat = masks.reshape(-1)
+            for start in range(0, flat.size, DRAW_BLOCK):
+                block = flat[start : start + DRAW_BLOCK]
+                np.less(rng.random(block.size), mu, out=block)
+            stored[(cache, lvl_idx)] = masks
+            actual_bits += int(np.count_nonzero(masks))
+            expected_bits += mu * masks.size
         if expected_bits >= 1e4:
             slack = 0.01 * expected_bits + 5.0 * math.sqrt(expected_bits)
             if abs(actual_bits - expected_bits) > slack:
@@ -249,7 +265,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             for f in {file for _, file in members}:
                 sig = np.zeros(length, dtype=np.uint64)
                 for bit, vc in enumerate(caches_used):
-                    sig |= placement.stored[(vc, lvl_idx, f)].astype(np.uint64) << np.uint64(bit)
+                    sig |= placement.stored[(vc, lvl_idx)][f].astype(np.uint64) << np.uint64(bit)
                 sigs[f] = sig
             bits_here = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
 
@@ -297,7 +313,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
                 cov = np.zeros(length, dtype=bool)
                 for c in window:
                     if c % d == color:
-                        cov |= placement.stored[(c, lvl_idx, file)]
+                        cov |= placement.stored[(c, lvl_idx)][file]
                 missing = int(np.count_nonzero(~cov))
                 total_bits += missing
                 uncoded_bits += missing

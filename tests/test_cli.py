@@ -180,6 +180,21 @@ def test_discretize_with_no_candidate_split_is_validation_error(capsys):
     assert "no candidate split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("--levels 3 --coarsen 1 --budget 10", "exceed the budget of 10"),
+        ("--levels 0", "num_levels must be positive"),
+        ("--coarsen 0", "coarsening must be at least 1"),
+    ],
+)
+def test_discretize_bad_search_input_is_validation_error(extra, message, capsys):
+    argv = "--zipf 0.8 --files 1000 --caches 4 --users 40 --memory 20 " + extra
+    assert run(["discretize", *argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_discretize_heuristic_rejects_degree_above_k_before_writing(tmp_path, capsys):
     out = tmp_path / "instance.json"
     argv = "--zipf 0.8 --files 400 --caches 4 --users 40 --memory 20 --heuristic --degrees 5,1"

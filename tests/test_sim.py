@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from collections import Counter, defaultdict
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from codedcache import sim
 from codedcache.model import make_config
 from codedcache.pama import Allocation, pama_rate
 from codedcache.popularity import (
@@ -108,8 +110,8 @@ def test_stored_bits_match_memory_budget():
     expected = sum(res.allocation.shares) * f_bits
     for cache in range(4):
         actual = sum(
-            int(mask.sum())
-            for (c, _, _), mask in pl.stored.items()
+            int(masks.sum())
+            for (c, _), masks in pl.stored.items()
             if c == cache
         )
         assert actual == pytest.approx(expected, rel=0.01)
@@ -120,8 +122,8 @@ def test_part_sizes_concentrate():
     # about a quarter of every file.
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(8.0,)), 100_000, seed=5)
-    m0 = pl.stored[(0, 0, 0)]
-    m1 = pl.stored[(1, 0, 0)]
+    m0 = pl.stored[(0, 0)][0]
+    m1 = pl.stored[(1, 0)][0]
     for part in (
         ~m0 & ~m1,
         m0 & ~m1,
@@ -177,6 +179,31 @@ def test_decode_fuzz_small_instances():
             assert log.decode_ok
 
 
+def test_decode_fuzz_large_instances():
+    # K from 9 to 64, d from 1 to 4: worst-case groups of 3 to 63
+    # members, wrap-around users where d does not divide K.  A failed
+    # counting check raises DecodeError.
+    rng = np.random.default_rng(328)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for it in range(10):
+            k = int(rng.integers(9, 65))
+            d = int(rng.integers(1, 5))
+            n = k + int(rng.integers(0, 5))
+            cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, 1, d)])
+            pl = place(cfg, Allocation(shares=(cfg.memory,)), 2**12, seed=it)
+            if it % 2 == 0:
+                demands = worst_case_demands(cfg)
+            else:
+                demands = [
+                    (int(rng.integers(0, k)), 0, int(rng.integers(0, n)))
+                    for _ in range(int(rng.integers(1, k + 1)))
+                ]
+            log = deliver_bit_exact(pl, demands)
+            assert log.decode_ok
+            assert log.rate <= len(demands)
+
+
 def test_decode_with_wraparound_users():
     # 5 caches, degree 2: cache 4's users wrap and go uncoded.
     with warnings.catch_warnings():
@@ -216,6 +243,60 @@ def test_placement_reproducible():
     log_b = deliver_bit_exact(b, worst_case_demands(cfg))
     assert log_a.total_bits == log_b.total_bits
     assert log_a.pair_bits == log_b.pair_bits
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        1 << 17,  # each level's masks in one block
+        256,  # several rows per block
+        101,  # one 101-bit row per block
+        37,  # every subfile longer than a block
+    ],
+)
+def test_placement_stream_pinned(monkeypatch, block):
+    # F = 101 gives subfiles of 101 bits (d = 1) and of 51 and 50 bits
+    # (d = 2, by color), so row and block edges fall out of step.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(3, 3.0, [(5, 1, 1), (6, 1, 2)])
+    monkeypatch.setattr(sim, "DRAW_BLOCK", block)
+    pcg64 = np.random.PCG64
+    built = []
+
+    def counting_pcg64(seed_seq):
+        built.append(seed_seq.spawn_key)
+        return pcg64(seed_seq)
+
+    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+    pl = place(cfg, Allocation(shares=(1.0, 2.0)), 101, seed=8)
+    monkeypatch.undo()
+    assert sorted(built) == [(1, c, lvl) for c in range(3) for lvl in range(2)]
+    mus = (1.0 / 5, 2 * 2.0 / 6)
+    for (c, lvl), masks in pl.stored.items():
+        n_files = cfg.levels[lvl].n_files
+        length = 101 if lvl == 0 else 51 - c % 2
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(8, spawn_key=(1, c, lvl)))
+        )
+        assert np.array_equal(masks, rng.random((n_files, length)) < mus[lvl])
+
+
+def test_place_scratch_memory_is_bounded():
+    # The K/d = 11 shape of the bit-exact benchmark: 45 MiB of masks.  A
+    # whole-level float64 draw would need 17 MiB on top of them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(11, 30.0, [(132, 1, 1), (264, 2, 2)])
+    allocation = pama_rate(cfg).allocation
+    tracemalloc.start()
+    try:
+        pl = place(cfg, allocation, 2**14, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = sum(masks.nbytes for masks in pl.stored.values())
+    assert peak <= stored + 4 * 2**20
 
 
 def test_expected_profile_matches_closed_form_exactly():
@@ -412,7 +493,7 @@ def _subset_walk(pl, demands):
             cov = np.zeros(length, dtype=bool)
             for c in window:
                 if c % col.degree == color:
-                    cov |= pl.stored[(c, lvl, f)]
+                    cov |= pl.stored[(c, lvl)][f]
             if (lvl, cache, f, color) not in served:
                 served.add((lvl, cache, f, color))
                 total += int((~cov).sum())
@@ -425,7 +506,7 @@ def _subset_walk(pl, demands):
         for color in range(col.degree):
             # held[f][j]: which bits of f the j-th member's cache stores
             held = {
-                f: np.array([pl.stored[(col.color_cache(c, color), lvl, f)] for c, _ in members])
+                f: np.array([pl.stored[(col.color_cache(c, color), lvl)][f] for c, _ in members])
                 for f in {f for _, f in members}
             }
             bits = sum(int((~h.any(axis=0)).sum()) for h in held.values())
