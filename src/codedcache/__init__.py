@@ -52,11 +52,9 @@ from .popularity import (
     zipf_split_heuristic,
 )
 from .sim import (
-    Coloring,
     DeliveryLog,
     PlacementState,
     SimulationResult,
-    build_coloring,
     deliver_bit_exact,
     expected_profile_rate,
     lfu_simulate,

@@ -94,11 +94,9 @@ class ThresholdTable:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Per-level memory shares in file units.  ``partition`` is None for
-    allocations that did not come from a level split (e.g. grid search)."""
+    """Per-level memory shares in file units."""
 
     shares: tuple[float, ...]
-    partition: Partition | None = None
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def pama_allocate(config: SystemConfig, partition: Partition) -> Allocation:
             shares.append(min(share, config.levels[idx].full_memory))
         else:
             shares.append(0.0)
-    return Allocation(shares=tuple(shares), partition=partition)
+    return Allocation(shares=tuple(shares))
 
 
 def total_rate_exact(config: SystemConfig, allocation: Allocation) -> ExactRate:
@@ -408,7 +406,7 @@ def grid_search_alpha(
     a simplex grid of the given step (fractions of M), each level capped
     at its full-storage point.  Intended for small level counts."""
     if not 0 < grid_step <= 0.1:
-        raise ValueError("grid_step must lie in (0, 0.1]")
+        raise ConfigError("grid_step must lie in (0, 0.1]")
     lcount = config.num_levels
     if lcount > 6:
         raise ConfigError("grid search is limited to at most 6 levels")

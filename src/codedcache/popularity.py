@@ -430,11 +430,6 @@ def brute_force_partition(
     cum = np.concatenate([[0.0], dist.cumulative()])
     degrees = degrees[:num_levels]
     _check_degrees(degrees, num_caches)
-    if num_levels == 1:
-        rate = _price_splits(
-            cum, np.zeros((1, 0), np.int64), degrees, num_caches, total_users, memory
-        )
-        return LevelPartition(boundaries=(), n_files=n), float(rate[0])
 
     cuts = sorted(
         set(range(coarsening, n, coarsening)) | {c for c in extra_cuts if 0 < c < n}

@@ -1,6 +1,6 @@
 """Executable placement and delivery.
 
-Two simulation modes:
+Two simulation modes read one subsystem layout:
 
 * bit-exact: every cache samples actual bit indices of every subfile of
   its color, delivery broadcasts XOR-coded segments per (user group,
@@ -8,22 +8,24 @@ Two simulation modes:
   broadcast carries at least the bits any member lacks and at most the
   bits all members lack.  A delivery group holds at most 64 users.
 
-* expected-size: per-trial stochastic user profiles are mapped onto the
-  same subsystem structure, but each subsystem contributes its expected
-  coded load (Maddah-Ali & Niesen, decentralized coded caching) instead
-  of sampled bits.  A profile is priced with array operations: slots
-  from one sort, groups and their distinct files from sorted keys, and
-  one scalar ``coded_load`` call per distinct (level, file count).  This
-  scales to catalogue-sized popularity distributions.
+* expected-size: per-trial stochastic user profiles are priced on the
+  same layout, but each subsystem contributes its expected coded load
+  (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
+  bits, with one scalar ``coded_load`` call per distinct (level, file
+  count).  This scales to catalogue-sized popularity distributions.
 
-Coding structure: level-i users are split into groups keyed by (cache
-index mod d_i, arrival slot), so that no two users of a group share any
-cache, and caches are colored by index mod d_i, so every non-wrapping
-user sees each color exactly once.  When d does not divide K, users
-whose access window wraps past the cyclic boundary cannot cover all
-colors consistently; those caches are flagged as edge caches and their
-users are served uncoded (only the bits missing from every accessible
-cache are sent in clear).
+Subsystem layout (``_layout``).  A demand's slot is the number of
+earlier demands at its (cache, level).  Caches are colored by index mod
+d_i, and a level-i user at cache c reads caches c, c+1, ..., c+d_i-1
+(mod K); the one of color j is (c + (j - c) mod d_i) mod K.  When d_i
+does not divide K, a user at c > K - d_i wraps past the cyclic boundary
+and cannot see every color once.  Such edge users are served uncoded:
+for each distinct edge demand, the bits missing from every accessible
+cache are sent in clear.  Every other user joins the delivery group
+keyed by (level, c mod d_i, slot), whose members share no cache.
+Groups are numbered in key order and keep the index of their first
+demand; distinct edge demands keep their order of first appearance.
+Neither order depends on how files are labelled.
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
@@ -38,14 +40,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import SystemConfig, ValidationWarning
-from .pama import Allocation, build_threshold_table, pama_rate
+from .model import ConfigError, SystemConfig, ValidationWarning
+from .pama import Allocation, pama_rate
 from .popularity import EmpiricalDistribution
 from .rate import coded_load
 
@@ -57,38 +58,6 @@ class DecodeError(AssertionError):
 
 
 Demand = tuple[int, int, int]  # (cache, level, file-within-level)
-
-
-@dataclass(frozen=True)
-class Coloring:
-    """Cache coloring for one access degree (cache c has color c mod d)
-    and the edge caches whose users are served uncoded."""
-
-    num_caches: int
-    degree: int
-    edge_caches: frozenset[int]
-
-    def color_cache(self, cache: int, color: int) -> int:
-        """The unique accessible cache of the given color for a
-        non-edge user attached at ``cache``."""
-        return (cache + (color - cache) % self.degree) % self.num_caches
-
-
-def build_coloring(num_caches: int, degree: int) -> Coloring:
-    """Color caches by index mod d.  When d does not divide K, the
-    trailing caches whose access windows wrap are flagged as edge
-    caches."""
-    if degree > num_caches:
-        raise ValueError(f"degree {degree} exceeds the cache count {num_caches}")
-    if num_caches % degree == 0:
-        edge: frozenset[int] = frozenset()
-    else:
-        edge = frozenset(range(num_caches - degree + 1, num_caches))
-    return Coloring(
-        num_caches=num_caches,
-        degree=degree,
-        edge_caches=edge,
-    )
 
 
 def _subfile_length(file_size: int, degree: int, color: int) -> int:
@@ -202,6 +171,61 @@ def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> 
         raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
 
 
+def _layout(
+    config: SystemConfig, demands: Sequence[Demand] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[Demand]]:
+    """Subsystem layout of a demand profile (see the module docstring).
+
+    Returns the ``(n, 3)`` int64 demand table; a mask of the coded
+    demands (those that join a group) and the group id of each coded
+    demand, in demand order; each group's (level, residue, slot) key and
+    the position of its first demand among the coded ones; and the
+    distinct edge demands, as (cache, level, file) tuples in order of
+    first appearance.  Demands that are not integer triples, or that
+    name a cache, level or file the config lacks, raise ``ValueError``.
+    """
+    table = np.asarray(demands)
+    if table.size == 0:
+        table = np.empty((0, 3), dtype=np.int64)
+    if table.ndim != 2 or table.shape[1] != 3 or table.dtype.kind not in "iu":
+        raise ValueError("demands must be (cache, level, file) integer triples")
+    table = table.astype(np.int64, copy=False)
+    caches, levels, files = table.T
+    n = len(table)
+    k, num_levels = config.num_caches, config.num_levels
+    n_files = np.array([lv.n_files for lv in config.levels])
+    level_ok = (levels >= 0) & (levels < num_levels)
+    bad = (
+        ~level_ok
+        | (caches < 0)
+        | (caches >= k)
+        | (files < 0)
+        | (files >= n_files[np.where(level_ok, levels, 0)])
+    )
+    if bad.any():
+        _check_demand(config, *table[bad.argmax()].tolist())
+
+    # Slots from one sort: sorting (cell, index) pairs packed in one int64
+    # is a stable sort by cell, and much faster than a stable argsort.
+    index = np.arange(n)
+    by_cell = np.sort((caches * num_levels + levels) * n + index)
+    run_head = np.diff(by_cell // n, prepend=-1) != 0
+    slots = np.empty(n, dtype=np.int64)
+    slots[by_cell % n] = index - np.flatnonzero(run_head)[np.cumsum(run_head) - 1]
+
+    degrees = np.array([lv.access_degree for lv in config.levels])[levels]
+    wraps = (k % degrees != 0) & (caches > k - degrees)
+    coded = ~wraps
+    residues = caches % degrees
+    _, first, group = np.unique(
+        ((levels * k + residues) * n + slots)[coded], return_index=True, return_inverse=True
+    )
+    head = np.flatnonzero(coded)[first]
+    keys = np.column_stack([levels[head], residues[head], slots[head]])
+    edges = list(dict.fromkeys(map(tuple, table[wraps].tolist())))
+    return table, coded, group, keys, first, edges
+
+
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
 
 
@@ -219,30 +243,17 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     the subsystem's broadcast is at least as long as the bits it lacks,
     and no broadcast needs more than the sum of the members' lacked bits
     (unicasting everything); either violation raises ``DecodeError``.
-    Groups of more than 64 members raise ``ValueError``.  Returns the
-    broadcast size normalized by the file size.
+    Groups of more than 64 members raise ``ValueError``, and so do
+    demands that are not integer triples or that name a cache, level or
+    file the config lacks.  Returns the broadcast size normalized by the
+    file size.
     """
     config = placement.config
     k = config.num_caches
     f_bits = placement.file_size_bits
-
-    colorings = [build_coloring(k, lv.access_degree) for lv in config.levels]
-    slots: Counter = Counter()
-    # (cache, file) of coded users by (level, residue, slot) and of edge
-    # users by level.
-    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = defaultdict(list)
-    edge_by_level: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for cache, lvl_idx, file in demands:
-        _check_demand(config, cache, lvl_idx, file)
-        slot = slots[(cache, lvl_idx)]
-        slots[(cache, lvl_idx)] += 1
-        coloring = colorings[lvl_idx]
-        if cache in coloring.edge_caches:
-            edge_by_level[lvl_idx].append((cache, file))
-        else:
-            groups[(lvl_idx, cache % coloring.degree, slot)].append((cache, file))
-
-    largest = max(map(len, groups.values()), default=0)
+    table, coded, group, group_keys, _, edges = _layout(config, demands)
+    coded_demands = table[coded]
+    largest = int(np.bincount(group).max(initial=0))
     if largest > MAX_GROUP:
         raise ValueError(
             f"a delivery group has {largest} members; at most {MAX_GROUP} fit a signature"
@@ -252,17 +263,18 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     uncoded_bits = 0
     pair_bits: dict[tuple[int, tuple[int, int], int], int] = {}
 
-    for (lvl_idx, residue, slot), members in sorted(groups.items()):
-        coloring = colorings[lvl_idx]
-        for color in range(coloring.degree):
-            caches_used = [coloring.color_cache(cache, color) for cache, _ in members]
+    for g, (lvl_idx, residue, slot) in enumerate(group_keys.tolist()):
+        members = coded_demands[group == g]
+        d = config.levels[lvl_idx].access_degree
+        for color in range(d):
+            caches_used = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
             if len(set(caches_used)) != len(caches_used):
                 raise DecodeError("group members mapped to a shared cache")
-            length = _subfile_length(f_bits, coloring.degree, color)
+            length = _subfile_length(f_bits, d, color)
 
             # sig bit j set: the j-th member's cache stores the bit.
             sigs: dict[int, np.ndarray] = {}
-            for f in {file for _, file in members}:
+            for f in set(members[:, 2].tolist()):
                 sig = np.zeros(length, dtype=np.uint64)
                 for bit, vc in enumerate(caches_used):
                     sig |= placement.stored[(vc, lvl_idx)][f].astype(np.uint64) << np.uint64(bit)
@@ -271,7 +283,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
 
             # Segment lengths keyed by the XOR's member set sig | {bit}.
             keys, counts, lacked = [], [], []
-            for bit, (_, file) in enumerate(members):
+            for bit, file in enumerate(members[:, 2].tolist()):
                 sig = sigs[file]
                 lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
                 lacked.append(int(np.count_nonzero(lacking)))
@@ -297,26 +309,15 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             pair_bits[(lvl_idx, (residue, slot), color)] = bits_here
             total_bits += bits_here
 
-    for lvl_idx, edge_users in sorted(edge_by_level.items()):
+    # Edge users: send whatever no accessible cache holds, in clear.
+    for cache, lvl_idx, file in edges:
         d = config.levels[lvl_idx].access_degree
-        # Edge users: send whatever no accessible cache holds, in clear.
-        # Identical (cache, file) requests share the transmission.
-        served_clear: set[tuple[int, int, int]] = set()
-        for cache, file in edge_users:
-            window = [(cache + o) % k for o in range(d)]
-            for color in range(d):
-                key = (cache, file, color)
-                if key in served_clear:
-                    continue
-                served_clear.add(key)
-                length = _subfile_length(f_bits, d, color)
-                cov = np.zeros(length, dtype=bool)
-                for c in window:
-                    if c % d == color:
-                        cov |= placement.stored[(c, lvl_idx)][file]
-                missing = int(np.count_nonzero(~cov))
-                total_bits += missing
-                uncoded_bits += missing
+        cov = [np.zeros(_subfile_length(f_bits, d, color), dtype=bool) for color in range(d)]
+        for c in ((cache + o) % k for o in range(d)):
+            cov[c % d] |= placement.stored[(c, lvl_idx)][file]
+        missing = sum(int(np.count_nonzero(~covered)) for covered in cov)
+        total_bits += missing
+        uncoded_bits += missing
 
     return DeliveryLog(
         total_bits=total_bits,
@@ -339,68 +340,34 @@ def expected_profile_rate(
     serves identical requests simultaneously), so each delivery group
     costs ``coded_load`` of its level's cached fraction and its number
     of distinct files.  Group loads are summed left to right in the
-    order the groups first appear among the demands.  Edge users then
-    add the expected uncovered fraction of each of their subfiles.
+    order the groups first appear among the demands.  Each distinct edge
+    demand then adds the expected uncovered fraction of each of its
+    subfiles, in order of first appearance.
     """
-    table = np.asarray(demands)
-    if table.size == 0:
-        return 0.0
-    if table.ndim != 2 or table.shape[1] != 3 or table.dtype.kind not in "iu":
-        raise ValueError("demands must be (cache, level, file) integer triples")
-    table = table.astype(np.int64, copy=False)
-    caches, levels, files = table.T
-    n = len(table)
-    k, num_levels = config.num_caches, config.num_levels
-    n_files = np.array([lv.n_files for lv in config.levels])
-    level_ok = (levels >= 0) & (levels < num_levels)
-    bad = (
-        ~level_ok
-        | (caches < 0)
-        | (caches >= k)
-        | (files < 0)
-        | (files >= n_files[np.where(level_ok, levels, 0)])
-    )
-    if bad.any():
-        _check_demand(config, *table[bad.argmax()].tolist())
-
+    table, coded, group, keys, first, edges = _layout(config, demands)
+    k = config.num_caches
     mus = [
         min(1.0, lv.access_degree * shares[idx] / lv.n_files)
         for idx, lv in enumerate(config.levels)
     ]
-    degrees = np.array([lv.access_degree for lv in config.levels])[levels]
-    wraps = (k % degrees != 0) & (caches > k - degrees)
 
-    # Slot: how many earlier demands share this demand's (cache, level).
-    # Sorting (cell, index) pairs packed in one int64 is a stable sort by
-    # cell, and much faster than a stable argsort.
-    index = np.arange(n)
-    by_cell = np.sort((caches * num_levels + levels) * n + index)
-    run_head = np.diff(by_cell // n, prepend=-1) != 0
-    slots = np.empty(n, dtype=np.int64)
-    slots[by_cell % n] = index - np.flatnonzero(run_head)[np.cumsum(run_head) - 1]
-
-    coded = ~wraps
-    group_key = ((levels * k + caches % degrees) * n + slots)[coded]
-    _, first_seen, group = np.unique(group_key, return_index=True, return_inverse=True)
-    file_span = int(n_files.max())
-    pairs = np.sort(group * file_span + files[coded])
+    file_span = max(lv.n_files for lv in config.levels)
+    pairs = np.sort(group * file_span + table[:, 2][coded])
     distinct = np.bincount(
-        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first_seen.size
+        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first.size
     )
     # Price each (level, distinct-file count) once, then gather.
-    priced, price_of = np.unique(
-        levels[coded][first_seen] * (n + 1) + distinct, return_inverse=True
-    )
+    count_span = len(group) + 1
+    priced, price_of = np.unique(keys[:, 0] * count_span + distinct, return_inverse=True)
     values = np.array(
-        [coded_load(mus[key // (n + 1)], key % (n + 1)) for key in priced.tolist()]
+        [coded_load(mus[key // count_span], key % count_span) for key in priced.tolist()]
     )
-    group_loads = values[price_of][np.argsort(first_seen)]
+    group_loads = values[price_of][np.argsort(first)]
     load = float(np.cumsum(group_loads)[-1]) if group_loads.size else 0.0
 
-    # Edge users, in the iteration order of the set of distinct edge
-    # demands; each (cache, level) adds the same per-color terms.
+    # Each (cache, level) of an edge demand adds the same per-color terms.
     edge_terms: dict[tuple[int, int], list[float]] = {}
-    for cache, lvl_idx, _ in set(map(tuple, table[wraps].tolist())):
+    for cache, lvl_idx, _ in edges:
         if (cache, lvl_idx) not in edge_terms:
             d = config.levels[lvl_idx].access_degree
             window = [(cache + o) % k for o in range(d)]
@@ -424,6 +391,17 @@ class SimulationResult:
         return float(np.mean(self.rates))
 
 
+def _check_run(total_users: int, trials: int, seed: int) -> None:
+    """Raise :class:`ConfigError` unless a simulation has at least one
+    trial, no negative user count and a non-negative seed."""
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
+    if total_users < 0:
+        raise ConfigError(f"the user count must be non-negative, got {total_users}")
+    if seed < 0:
+        raise ConfigError(f"the seed must be non-negative, got {seed}")
+
+
 def simulate_stochastic(
     config: SystemConfig,
     popularity: EmpiricalDistribution,
@@ -442,8 +420,7 @@ def simulate_stochastic(
     realized profile is priced with :func:`expected_profile_rate` under
     the allocation chosen for ``config.memory``.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(total_users, trials, seed)
     level_map = np.asarray(level_map, dtype=np.int64)
     if level_map.shape != (popularity.n_files,):
         raise ValueError("level_map must assign a level to every file rank")
@@ -459,7 +436,7 @@ def simulate_stochastic(
         level_map.size
     ) - np.repeat(np.cumsum(per_level) - per_level, per_level)
 
-    result = pama_rate(config, build_threshold_table(config))
+    result = pama_rate(config)
     shares = result.allocation.shares
     probs = popularity.as_array()
     rates = []
@@ -471,9 +448,7 @@ def simulate_stochastic(
         ranks = rng.choice(popularity.n_files, size=total_users, p=probs)
         demands = np.column_stack([caches, level_map[ranks], file_of_rank[ranks]])
         rates.append(expected_profile_rate(config, shares, demands))
-    return SimulationResult(
-        rates=tuple(rates), theoretical=result.exact.total, seed=seed
-    )
+    return SimulationResult(rates=tuple(rates), theoretical=result.exact.total, seed=seed)
 
 
 def lfu_simulate(
@@ -485,8 +460,7 @@ def lfu_simulate(
 ) -> SimulationResult:
     """Empirical rate of the LFU baseline: per trial, the number of
     distinct requested files outside the floor(M) most popular."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_run(total_users, trials, seed)
     cached = int(math.floor(memory))
     probs = popularity.as_array()
     rates = []

@@ -239,6 +239,32 @@ def test_simulate_requires_matching_catalogue(ex1_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("--users 40 --trials 0", "trials must be at least 1"),
+        ("--users -5", "user count must be non-negative"),
+        ("--users 40 --seed -3", "seed must be non-negative"),
+    ],
+)
+def test_simulate_bad_run_arguments_are_validation_errors(ex1_path, extra, message, capsys):
+    argv = f"simulate --config {ex1_path} --zipf 0.8 --files 200 {extra}"
+    assert run(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_lfu_negative_seed_is_validation_error(capsys):
+    argv = "lfu --zipf 0.8 --files 200 --memory 10 --users 40 --trials 3 --seed -1"
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("error: the seed must be non-negative")
+
+
+def test_pama_grid_step_out_of_range_is_validation_error(ex1_path, capsys):
+    assert run(["pama", "--config", ex1_path, "--grid-step", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: grid_step must lie in (0, 0.1]\n"
+
+
 def test_lfu_worst_case_sweep(ex1_path, capsys):
     assert run(["lfu", "--config", ex1_path, "--m", "0:200:5"]) == 0
     out = capsys.readouterr().out.splitlines()

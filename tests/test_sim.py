@@ -18,7 +18,6 @@ from codedcache.popularity import (
 from codedcache.rate import coded_load, single_level_rate
 from codedcache.sim import (
     DecodeError,
-    build_coloring,
     deliver_bit_exact,
     expected_profile_rate,
     lfu_simulate,
@@ -29,35 +28,47 @@ from codedcache.sim import (
 
 
 def test_coloring_six_caches_two_colors():
-    col = build_coloring(6, 2)
-    assert col.edge_caches == frozenset()
-    # every user sees one cache of each color, distinct within a group
-    for slot in range(2):
-        for color in range(2):
+    # The cache of each color that a group member reads lies in its
+    # access window, and no two members of a group share it.
+    k, d = 6, 2
+    for residue in range(d):
+        for color in range(d):
             seen = set()
-            for cache in range(6):
-                if cache % 2 == 0:  # group residue 0
-                    vc = col.color_cache(cache, color)
-                    assert vc % 2 == color
-                    assert vc not in seen
-                    seen.add(vc)
+            for cache in range(residue, k, d):
+                vc = (cache + (color - cache) % d) % k
+                assert vc % d == color
+                assert vc in {(cache + o) % k for o in range(d)}
+                assert vc not in seen
+                seen.add(vc)
 
 
 def test_coloring_single_color():
-    col = build_coloring(5, 1)
-    assert [col.color_cache(c, 0) for c in range(5)] == [0, 1, 2, 3, 4]
-    assert col.edge_caches == frozenset()
+    # d = 1: every user reads its own cache, and nobody wraps.
+    k, d = 5, 1
+    assert [(c + (0 - c) % d) % k for c in range(k)] == [0, 1, 2, 3, 4]
+    cfg = make_config(k, 0.0, [(10, 1, d)])
+    pl = place(cfg, Allocation(shares=(0.0,)), 256, seed=1)
+    log = deliver_bit_exact(pl, worst_case_demands(cfg))
+    assert log.uncoded_bits == 0
+    assert list(log.pair_bits) == [(0, (0, 0), 0)]
 
 
 def test_coloring_edge_cache_flagged():
-    col = build_coloring(5, 2)
-    assert col.edge_caches == frozenset({4})
-    assert 3 not in col.edge_caches
+    # K = 5, d = 2: only cache 4's window wraps, so only its users go
+    # uncoded; with nothing cached they are sent the whole file.
+    k, d = 5, 2
+    assert [c for c in range(k) if k % d and c > k - d] == [4]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(k, 0.0, [(10, 1, d)])
+    pl = place(cfg, Allocation(shares=(0.0,)), 256, seed=1)
+    assert deliver_bit_exact(pl, [(4, 0, 1)]).uncoded_bits == 256
+    assert deliver_bit_exact(pl, [(3, 0, 1)]).uncoded_bits == 0
 
 
 def test_coloring_degree_exceeding_caches():
     with pytest.raises(ValueError):
-        build_coloring(3, 4)
+        make_config(3, 1.0, [(8, 1, 4)])
 
 
 def test_worst_case_demands_distinct_within_groups():
@@ -156,6 +167,16 @@ def test_missing_demand_is_an_error():
     pl = place(cfg, Allocation(shares=(8.0,)), 256, seed=1)
     with pytest.raises(ValueError):
         deliver_bit_exact(pl, [(0, 0, 99)])
+
+
+def test_bit_exact_rejects_non_integral_demands():
+    # A non-integral cache or file is refused, never rounded or used as
+    # an index.
+    cfg = make_config(4, 2.0, [(8, 1, 1)])
+    pl = place(cfg, pama_rate(cfg).allocation, 256, seed=1)
+    for demands in ([(0.5, 0, 1)], [(1, 0, 2.0)], [(0, 0, 1), (1, 0, 2.0)]):
+        with pytest.raises(ValueError, match="integer triples"):
+            deliver_bit_exact(pl, demands)
 
 
 def test_decode_fuzz_small_instances():
@@ -308,26 +329,26 @@ def test_expected_profile_matches_closed_form_exactly():
 
 def _per_demand_rate(config, shares, demands):
     """Reference expected-size pricing, one demand at a time: groups keyed
-    by (level, cache mod d, slot) in first-appearance order, then the
-    set of distinct edge demands."""
+    by (level, cache mod d, slot), then the distinct edge demands, each
+    in first-appearance order."""
     k = config.num_caches
     mus = [
         min(1.0, lv.access_degree * shares[i] / lv.n_files)
         for i, lv in enumerate(config.levels)
     ]
-    group_files, edge_seen, slots = defaultdict(set), set(), Counter()
+    group_files, edge_demands, slots = defaultdict(set), [], Counter()
     for cache, lvl, file in demands:
         d = config.levels[lvl].access_degree
         slot = slots[(cache, lvl)]
         slots[(cache, lvl)] += 1
         if k % d != 0 and cache > k - d:
-            edge_seen.add((cache, lvl, file))
+            edge_demands.append((cache, lvl, file))
         else:
             group_files[(lvl, cache % d, slot)].add(file)
     load = 0.0
     for (lvl, _, _), files in group_files.items():
         load += coded_load(mus[lvl], len(files))
-    for cache, lvl, _ in edge_seen:
+    for cache, lvl, _ in dict.fromkeys(edge_demands):
         d = config.levels[lvl].access_degree
         window = [(cache + o) % k for o in range(d)]
         for color in range(d):
@@ -370,6 +391,29 @@ def test_expected_profile_matches_per_demand_reference():
             )
             repeated_instances += few_files and count > k
     assert edge_instances >= 40 and repeated_instances >= 40
+
+
+def test_expected_profile_ignores_file_labels():
+    # Relabelling the files of a level changes no group, no distinct-file
+    # count and no first appearance, so it must not change the rate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(5, 6.0, [(20, 2, 2), (40, 1, 2)])
+    shares = pama_rate(cfg).allocation.shares
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        levels = rng.integers(0, 2, n)
+        demands = np.column_stack(
+            [rng.integers(0, 5, n), levels, rng.integers(0, np.where(levels, 40, 20))]
+        )
+        relabelled = demands.copy()
+        for lvl, lv in enumerate(cfg.levels):
+            rows = levels == lvl
+            relabelled[rows, 2] = rng.permutation(lv.n_files)[demands[rows, 2]]
+        assert expected_profile_rate(cfg, shares, relabelled) == expected_profile_rate(
+            cfg, shares, demands
+        )
 
 
 def test_simulate_stochastic_rates_pinned():
@@ -481,18 +525,18 @@ def _subset_walk(pl, demands):
     slots, groups, served = Counter(), defaultdict(list), set()
     total = uncoded = 0
     for cache, lvl, f in demands:
+        d = cfg.levels[lvl].access_degree
         slot = slots[(cache, lvl)]
         slots[(cache, lvl)] += 1
-        col = build_coloring(k, cfg.levels[lvl].access_degree)
-        if cache not in col.edge_caches:
-            groups[(lvl, cache % col.degree, slot)].append((cache, f))
+        if not (k % d and cache > k - d):
+            groups[(lvl, cache % d, slot)].append((cache, f))
             continue
-        window = [(cache + o) % k for o in range(col.degree)]
-        for color in range(col.degree):
-            length = (f_bits // col.degree) + (color < f_bits % col.degree)
+        window = [(cache + o) % k for o in range(d)]
+        for color in range(d):
+            length = (f_bits // d) + (color < f_bits % d)
             cov = np.zeros(length, dtype=bool)
             for c in window:
-                if c % col.degree == color:
+                if c % d == color:
                     cov |= pl.stored[(c, lvl)][f]
             if (lvl, cache, f, color) not in served:
                 served.add((lvl, cache, f, color))
@@ -502,11 +546,11 @@ def _subset_walk(pl, demands):
     for (lvl, residue, slot), members in sorted(groups.items()):
         n = len(members)
         assert n <= 6
-        col = build_coloring(k, cfg.levels[lvl].access_degree)
-        for color in range(col.degree):
+        d = cfg.levels[lvl].access_degree
+        for color in range(d):
             # held[f][j]: which bits of f the j-th member's cache stores
             held = {
-                f: np.array([pl.stored[(col.color_cache(c, color), lvl)][f] for c, _ in members])
+                f: np.array([pl.stored[((c + (color - c) % d) % k, lvl)][f] for c, _ in members])
                 for f in {f for _, f in members}
             }
             bits = sum(int((~h.any(axis=0)).sum()) for h in held.values())
