@@ -12,6 +12,7 @@ stochastic-robustness check uses K = 5 per its setup.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import tempfile
@@ -29,7 +30,7 @@ from .bounds import (
     k0,
     optimality_gap_envelope,
 )
-from .model import SystemConfig, make_config
+from .model import SystemConfig, ValidationWarning, make_config
 from .pama import Allocation, grid_search_alpha, pama_rate, total_rate_exact
 from .popularity import (
     brute_force_partition,
@@ -38,7 +39,7 @@ from .popularity import (
     zipf_distribution,
     zipf_split_heuristic,
 )
-from .rate import lfu_rate, single_level_rate
+from .rate import RateWarning, lfu_rate, single_level_rate
 from .sim import (
     deliver_bit_exact,
     place,
@@ -65,22 +66,14 @@ class CriterionResult:
 
 
 def _example1(memory: float = 100.0) -> SystemConfig:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_config(8, memory, [(100, 9, 1), (100, 1, 1)])
-
-
-def _quiet_pama(config: SystemConfig, table=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return pama_rate(config, table)
+    return make_config(8, memory, [(100, 9, 1), (100, 1, 1)])
 
 
 def criterion_1_example_reproduction() -> tuple[bool, str]:
     """Two-level reference instance: rates 8 and 6, shares (75, 25)."""
     config = _example1()
     all_to_first = total_rate_exact(config, Allocation(shares=(100.0, 0.0))).total
-    res = _quiet_pama(config)
+    res = pama_rate(config)
     checks = {
         "alloc(100,0) rate == 8": all_to_first == 8.0,
         "partition I={1,2}": res.partition.label() == "H=;I=1,2;J=",
@@ -90,11 +83,11 @@ def criterion_1_example_reproduction() -> tuple[bool, str]:
         "exact <= 6": res.exact.total <= 6.0,
     }
     # Timing: full pipeline (table + allocation + both rates), warmed up.
-    _quiet_pama(config)
+    pama_rate(config)
     times = []
     for _ in range(20):
         t0 = time.perf_counter()
-        _quiet_pama(config)
+        pama_rate(config)
         times.append(time.perf_counter() - t0)
     runtime = min(times)
     checks["runtime < 1 ms"] = runtime < 1e-3
@@ -129,39 +122,37 @@ def criterion_3_bit_exact() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 3)
     t0 = time.perf_counter()
     decoded = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for it in range(200):
-            k = int(rng.integers(2, 9))
-            u = int(rng.integers(1, 3))
-            d = int(rng.integers(1, min(2, k) + 1))
-            n = k * u + int(rng.integers(0, 9))
-            cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, u, d)])
-            share = min(cfg.memory, cfg.levels[0].full_memory)
-            pl = place(cfg, Allocation(shares=(share,)), 2**14, seed=SEED + it)
-            if it % 2 == 0:
-                demands = worst_case_demands(cfg)
-            else:
-                count = int(rng.integers(1, k * u + 1))
-                demands = [
-                    (int(rng.integers(0, k)), 0, int(rng.integers(0, n)))
-                    for _ in range(count)
-                ]
-            log = deliver_bit_exact(pl, demands)
-            decoded += int(log.decode_ok)
+    for it in range(200):
+        k = int(rng.integers(2, 9))
+        u = int(rng.integers(1, 3))
+        d = int(rng.integers(1, min(2, k) + 1))
+        n = k * u + int(rng.integers(0, 9))
+        cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, u, d)])
+        share = min(cfg.memory, cfg.levels[0].full_memory)
+        pl = place(cfg, Allocation(shares=(share,)), 2**14, seed=SEED + it)
+        if it % 2 == 0:
+            demands = worst_case_demands(cfg)
+        else:
+            count = int(rng.integers(1, k * u + 1))
+            demands = [
+                (int(rng.integers(0, k)), 0, int(rng.integers(0, n)))
+                for _ in range(count)
+            ]
+        log = deliver_bit_exact(pl, demands)
+        decoded += int(log.decode_ok)
 
-        worst_err = 0.0
-        for kk, nn, uu, dd, mm in (
-            (6, 24, 2, 1, 12.0),
-            (6, 12, 2, 2, 3.0),
-            (8, 16, 1, 2, 4.0),
-            (4, 16, 2, 1, 6.0),
-        ):
-            cfg = make_config(kk, mm, [(nn, uu, dd)])
-            pl = place(cfg, Allocation(shares=(mm,)), 2**17, seed=SEED)
-            log = deliver_bit_exact(pl, worst_case_demands(cfg))
-            formula = single_level_rate(mm, kk, nn, uu, dd)
-            worst_err = max(worst_err, abs(log.rate - formula) / formula)
+    worst_err = 0.0
+    for kk, nn, uu, dd, mm in (
+        (6, 24, 2, 1, 12.0),
+        (6, 12, 2, 2, 3.0),
+        (8, 16, 1, 2, 4.0),
+        (4, 16, 2, 1, 6.0),
+    ):
+        cfg = make_config(kk, mm, [(nn, uu, dd)])
+        pl = place(cfg, Allocation(shares=(mm,)), 2**17, seed=SEED)
+        log = deliver_bit_exact(pl, worst_case_demands(cfg))
+        formula = single_level_rate(mm, kk, nn, uu, dd)
+        worst_err = max(worst_err, abs(log.rate - formula) / formula)
     elapsed = time.perf_counter() - t0
     ok = decoded == 200 and worst_err <= 0.05 and elapsed < 60.0
     return ok, (
@@ -185,10 +176,8 @@ def _separated_instance(rng: np.random.Generator) -> SystemConfig:
         d = int(rng.integers(1, min(4, k) + 1))
         levels.append((n, u, d))
         ratio *= separation * float(rng.uniform(1.0, 3.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_config(k, 0.0, levels)
-        return cfg.with_memory(float(rng.uniform(0.0, 1.05 * cfg.full_memory)))
+    cfg = make_config(k, 0.0, levels)
+    return cfg.with_memory(float(rng.uniform(0.0, 1.05 * cfg.full_memory)))
 
 
 def _local_lipschitz(cfg: SystemConfig, shares: Sequence[float], step_share: float) -> float:
@@ -217,7 +206,7 @@ def criterion_4_oracle() -> tuple[bool, str]:
     failures = 0
     for _ in range(100):
         cfg = _separated_instance(rng)
-        res = _quiet_pama(cfg)
+        res = pama_rate(cfg)
         alloc_o, rate_o = grid_search_alpha(cfg, step)
         step_share = step * cfg.memory
         lip = max(
@@ -247,10 +236,8 @@ def _any_instance(rng: np.random.Generator) -> SystemConfig:
         n = int(math.ceil(k * u * pops[0] / pops[i] * rng.uniform(1.0, 3.0)))
         d = int(rng.integers(1, min(5, k) + 1))
         levels.append((n, u, d))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_config(k, 0.0, levels)
-        return cfg.with_memory(float(rng.uniform(0.0, 1.1 * cfg.full_memory)))
+    cfg = make_config(k, 0.0, levels)
+    return cfg.with_memory(float(rng.uniform(0.0, 1.1 * cfg.full_memory)))
 
 
 def criterion_5_soundness() -> tuple[bool, str]:
@@ -265,7 +252,7 @@ def criterion_5_soundness() -> tuple[bool, str]:
     violations = 0
     worst_margin = -math.inf
     for cfg in cfgs:
-        achievable = _quiet_pama(cfg).exact.total
+        achievable = pama_rate(cfg).exact.total
         lb = best_lower_bound(cfg).value
         margin = lb - achievable
         worst_margin = max(worst_margin, margin)
@@ -279,11 +266,9 @@ def criterion_5_soundness() -> tuple[bool, str]:
 def criterion_6_gap_reproduction() -> tuple[bool, str]:
     """Three-level gap study: hard cap 45, reported value in [3, 10]."""
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_config(10, 0.0, [(500, 9, 1), (1500, 5, 3), (8000, 1, 5)])
-        grid = np.geomspace(1.0, cfg.full_memory * 0.999, 50)
-        profile = gap_profile(cfg, grid)
+    cfg = make_config(10, 0.0, [(500, 9, 1), (1500, 5, 3), (8000, 1, 5)])
+    grid = np.geomspace(1.0, cfg.full_memory * 0.999, 50)
+    profile = gap_profile(cfg, grid)
     elapsed = time.perf_counter() - t0
     ratio = profile.max_ratio
     ok = ratio <= 45.0 and 3.0 <= ratio <= 10.0 and elapsed < 300.0
@@ -311,9 +296,7 @@ def _regular_instance(rng: np.random.Generator) -> SystemConfig:
         n = int(math.ceil(k * u * ratio))
         levels.append((n, u, degrees[i]))
         ratio *= q0 * q0 * float(rng.uniform(1.02, 1.5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return make_config(k, 0.0, levels, separation_ratio=q0 * q0)
+    return make_config(k, 0.0, levels, separation_ratio=q0 * q0)
 
 
 def criterion_7_gap_envelope() -> tuple[bool, str]:
@@ -322,21 +305,19 @@ def criterion_7_gap_envelope() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 7)
     worst_frac = 0.0
     failures = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(50):
-            cfg = _regular_instance(rng)
-            envelope = optimality_gap_envelope(cfg.max_degree, cfg.num_levels)
-            total = cfg.full_memory
-            grid = np.concatenate(
-                [np.geomspace(max(total * 1e-7, 0.5), 0.98 * total, 8),
-                 [0.3 * total, 0.6 * total]]
-            )
-            profile = gap_profile(cfg, grid)
-            frac = profile.max_ratio / envelope
-            worst_frac = max(worst_frac, frac)
-            if profile.max_ratio > envelope:
-                failures += 1
+    for _ in range(50):
+        cfg = _regular_instance(rng)
+        envelope = optimality_gap_envelope(cfg.max_degree, cfg.num_levels)
+        total = cfg.full_memory
+        grid = np.concatenate(
+            [np.geomspace(max(total * 1e-7, 0.5), 0.98 * total, 8),
+             [0.3 * total, 0.6 * total]]
+        )
+        profile = gap_profile(cfg, grid)
+        frac = profile.max_ratio / envelope
+        worst_frac = max(worst_frac, frac)
+        if profile.max_ratio > envelope:
+            failures += 1
     return failures == 0, (
         f"{50 - failures}/50 under the envelope, worst ratio/envelope "
         f"{worst_frac:.4f}"
@@ -348,29 +329,27 @@ def criterion_8_diminishing_returns() -> tuple[bool, str]:
     dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     details = []
     ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for frac in (0.03, 0.2, 0.7):
-            memory = frac * ZIPF_FILES
-            rates = {}
-            for lcount in (1, 2, 3):
-                _, rates[lcount] = brute_force_partition(
-                    dist,
-                    lcount,
-                    PARTITION_CACHES,
-                    memory,
-                    (1,) * lcount,
-                    PARTITION_USERS,
-                    coarsening=ZIPF_FILES // 200,
-                )
-            gain12 = rates[1] - rates[2]
-            gain23 = rates[2] - rates[3]
-            here = gain12 > 0 and gain23 >= -1e-9 and gain23 < gain12
-            ok = ok and here
-            details.append(
-                f"M/N={frac}: L1={rates[1]:.2f} L2={rates[2]:.2f} "
-                f"L3={rates[3]:.2f} ({'ok' if here else 'FAIL'})"
+    for frac in (0.03, 0.2, 0.7):
+        memory = frac * ZIPF_FILES
+        rates = {}
+        for lcount in (1, 2, 3):
+            _, rates[lcount] = brute_force_partition(
+                dist,
+                lcount,
+                PARTITION_CACHES,
+                memory,
+                (1,) * lcount,
+                PARTITION_USERS,
+                coarsening=ZIPF_FILES // 200,
             )
+        gain12 = rates[1] - rates[2]
+        gain23 = rates[2] - rates[3]
+        here = gain12 > 0 and gain23 >= -1e-9 and gain23 < gain12
+        ok = ok and here
+        details.append(
+            f"M/N={frac}: L1={rates[1]:.2f} L2={rates[2]:.2f} "
+            f"L3={rates[3]:.2f} ({'ok' if here else 'FAIL'})"
+        )
     return ok, "; ".join(details)
 
 
@@ -378,29 +357,27 @@ def criterion_9_heuristic_quality() -> tuple[bool, str]:
     """Two-level split heuristic within 2.5x of the brute-force optimum."""
     dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for frac in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
-            memory = frac * ZIPF_FILES
-            split = zipf_split_heuristic(
-                ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, memory
-            )
-            cfg = discretize(
-                dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), memory
-            )
-            rate_h = _quiet_pama(cfg).exact.total
-            _, rate_bf = brute_force_partition(
-                dist,
-                2,
-                PARTITION_CACHES,
-                memory,
-                (1, 1),
-                PARTITION_USERS,
-                coarsening=ZIPF_FILES // 200,
-                extra_cuts=split.boundaries,
-            )
-            if rate_bf > 0:
-                worst = max(worst, rate_h / rate_bf)
+    for frac in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
+        memory = frac * ZIPF_FILES
+        split = zipf_split_heuristic(
+            ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, memory
+        )
+        cfg = discretize(
+            dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), memory
+        )
+        rate_h = pama_rate(cfg).exact.total
+        _, rate_bf = brute_force_partition(
+            dist,
+            2,
+            PARTITION_CACHES,
+            memory,
+            (1, 1),
+            PARTITION_USERS,
+            coarsening=ZIPF_FILES // 200,
+            extra_cuts=split.boundaries,
+        )
+        if rate_bf > 0:
+            worst = max(worst, rate_h / rate_bf)
     ok = worst <= 2.5
     return ok, (
         f"max heuristic/brute ratio {worst:.3f} (asserted <= 2.5; the source "
@@ -421,21 +398,19 @@ def criterion_10_lfu_dominance() -> tuple[bool, str]:
     dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     violations = 0
     max_gain = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for memory in _lfu_sweep_grid():
-            split = zipf_split_heuristic(
-                ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, float(memory)
-            )
-            cfg = discretize(
-                dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), float(memory)
-            )
-            rate_pama = _quiet_pama(cfg).exact.total
-            rate_lfu = lfu_rate(cfg)
-            if rate_pama > rate_lfu + 1e-9:
-                violations += 1
-            if rate_pama > 1e-9:
-                max_gain = max(max_gain, rate_lfu / rate_pama)
+    for memory in _lfu_sweep_grid():
+        split = zipf_split_heuristic(
+            ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, float(memory)
+        )
+        cfg = discretize(
+            dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), float(memory)
+        )
+        rate_pama = pama_rate(cfg).exact.total
+        rate_lfu = lfu_rate(cfg)
+        if rate_pama > rate_lfu + 1e-9:
+            violations += 1
+        if rate_pama > 1e-9:
+            max_gain = max(max_gain, rate_lfu / rate_pama)
     return violations == 0, (
         f"{violations} violations; max LFU/coded gain {max_gain:.1f} "
         f"(informational; the source figure cites 14.5)"
@@ -446,18 +421,16 @@ def criterion_11_stochastic_robustness() -> tuple[bool, str]:
     """Theory within a factor 3 of stochastic-profile simulations."""
     dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     ratios = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for frac in (0.005, 0.01, 0.03, 0.1, 0.2, 0.4, 0.6, 0.8):
-            memory = frac * ZIPF_FILES
-            split = zipf_split_heuristic(
-                ZIPF_EXPONENT, ZIPF_FILES, STOCHASTIC_CACHES, memory
-            )
-            cfg = discretize(dist, split, STOCHASTIC_CACHES, 100, (1, 1), memory)
-            res = simulate_stochastic(
-                cfg, dist, level_map_for_config(cfg, ZIPF_FILES), 100, 100, seed=SEED
-            )
-            ratios.append(res.theoretical / res.mean if res.mean > 0 else 1.0)
+    for frac in (0.005, 0.01, 0.03, 0.1, 0.2, 0.4, 0.6, 0.8):
+        memory = frac * ZIPF_FILES
+        split = zipf_split_heuristic(
+            ZIPF_EXPONENT, ZIPF_FILES, STOCHASTIC_CACHES, memory
+        )
+        cfg = discretize(dist, split, STOCHASTIC_CACHES, 100, (1, 1), memory)
+        res = simulate_stochastic(
+            cfg, dist, level_map_for_config(cfg, ZIPF_FILES), 100, 100, seed=SEED
+        )
+        ratios.append(res.theoretical / res.mean if res.mean > 0 else 1.0)
     ok = all(1.0 / 3.0 <= r <= 3.0 for r in ratios)
     return ok, (
         f"theory/empirical ratios in [{min(ratios):.3f}, {max(ratios):.3f}] "
@@ -518,19 +491,38 @@ def criterion_12_determinism() -> tuple[bool, str]:
     )
 
 
-CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
-    (1, "example reproduction", criterion_1_example_reproduction),
-    (2, "single-level endpoints", criterion_2_endpoints),
-    (3, "bit-exact scheme validity", criterion_3_bit_exact),
-    (4, "allocation vs oracle", criterion_4_oracle),
-    (5, "bound soundness", criterion_5_soundness),
-    (6, "gap reproduction", criterion_6_gap_reproduction),
-    (7, "optimality-gap envelope", criterion_7_gap_envelope),
-    (8, "diminishing returns", criterion_8_diminishing_returns),
-    (9, "split-heuristic quality", criterion_9_heuristic_quality),
-    (10, "LFU dominance", criterion_10_lfu_dominance),
-    (11, "stochastic robustness", criterion_11_stochastic_robustness),
-    (12, "determinism", criterion_12_determinism),
+def _quiet(criterion: Callable[[], tuple[bool, str]]) -> Callable[[], tuple[bool, str]]:
+    """``criterion`` with the package's soft warnings silenced: its
+    instances are deliberately irregular, so ``ValidationWarning`` and
+    ``RateWarning`` are expected there.  Every other warning still
+    reaches the caller's filters."""
+
+    @functools.wraps(criterion)
+    def run() -> tuple[bool, str]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            warnings.simplefilter("ignore", RateWarning)
+            return criterion()
+
+    return run
+
+
+CRITERIA: tuple[tuple[int, str, Callable[[], tuple[bool, str]]], ...] = tuple(
+    (number, name, _quiet(criterion))
+    for number, name, criterion in (
+        (1, "example reproduction", criterion_1_example_reproduction),
+        (2, "single-level endpoints", criterion_2_endpoints),
+        (3, "bit-exact scheme validity", criterion_3_bit_exact),
+        (4, "allocation vs oracle", criterion_4_oracle),
+        (5, "bound soundness", criterion_5_soundness),
+        (6, "gap reproduction", criterion_6_gap_reproduction),
+        (7, "optimality-gap envelope", criterion_7_gap_envelope),
+        (8, "diminishing returns", criterion_8_diminishing_returns),
+        (9, "split-heuristic quality", criterion_9_heuristic_quality),
+        (10, "LFU dominance", criterion_10_lfu_dominance),
+        (11, "stochastic robustness", criterion_11_stochastic_robustness),
+        (12, "determinism", criterion_12_determinism),
+    )
 )
 
 

@@ -247,7 +247,6 @@ def _cmd_discretize(args: argparse.Namespace) -> int:
     if args.heuristic:
         exponent = args.zipf if args.zipf is not None else fit_zipf(dist)
         part = zipf_split_heuristic(exponent, dist.n_files, args.caches, args.memory)
-        levels = 2
     else:
         levels = args.levels
         part, _ = brute_force_partition(

@@ -6,12 +6,12 @@ synthesizes Zipf ones), fits a Zipf exponent, and splits the ranked file
 catalogue into contiguous popularity levels, either by brute force or by
 a constant-time two-level heuristic tuned for Zipf profiles.
 
-The brute-force search prices its candidate splits in array blocks:
-block masses from one cumsum gather, :func:`discretize`'s user rounding
-and zero-user merge on arrays, then :func:`~codedcache.pama.pama_totals`.
-Each candidate's rate equals ``pama_rate(discretize(...)).exact.total``
-bit for bit, so the search picks the same split as pricing one
-discretized instance at a time would.
+The brute-force search discretizes its candidate splits in array
+blocks (user rounding, zero-user merge and level order, one row per
+split) and prices them with :func:`~codedcache.pama.pama_totals`.
+:func:`discretize` is the one-row case of the same array code, so each
+candidate's rate equals ``pama_rate(discretize(...)).exact.total`` bit
+for bit and the search picks the split that discretize then writes.
 """
 
 from __future__ import annotations
@@ -226,44 +226,28 @@ def discretize(
         raise ConfigError("total_users must be positive")
 
     cum = np.concatenate([[0.0], dist.cumulative()])
-    edges = [0, *partition.boundaries, partition.n_files]
-    blocks = list(zip(edges[:-1], edges[1:], degrees))
-    per_cache = total_users / num_caches
-
-    while True:
-        masses = [float(cum[hi] - cum[lo]) for lo, hi, _ in blocks]
-        users = [int(math.floor(per_cache * mass + 0.5)) for mass in masses[:-1]]
-        users.append(int(math.floor(per_cache - sum(users) + 0.5)))
-        if all(u >= 1 for u in users):
-            break
-        if len(blocks) == 1:
-            raise ConfigError("every level rounds to zero users; raise total_users")
-        # Merge the first zero-user block into a neighbour, keeping the
-        # neighbour's access degree.
-        drop = next(i for i, u in enumerate(users) if u < 1)
-        neighbour = drop + 1 if drop + 1 < len(blocks) else drop - 1
+    edges = np.array([[0, *partition.boundaries, partition.n_files]], dtype=np.int64)
+    edges, degs, users, nlev, dropped = _merge_zero_user_levels(
+        cum, edges, np.array([degrees], dtype=np.int64), total_users / num_caches
+    )
+    for (size,) in dropped:
         warnings.warn(
-            f"level of {blocks[drop][1] - blocks[drop][0]} files rounds to zero "
-            "users; merging into its neighbour",
+            f"level of {size} files rounds to zero users; merging into its neighbour",
             ValidationWarning,
         )
-        first, second = sorted((drop, neighbour))
-        merged = (blocks[first][0], blocks[second][1], blocks[neighbour][2])
-        blocks = blocks[:first] + [merged] + blocks[second + 1 :]
-
+    n_blocks = np.diff(edges[:, : nlev[0] + 1], axis=1)
     levels = []
-    for (lo, hi, deg), u in zip(blocks, users):
-        n_block = hi - lo
+    for n_block, u, deg in zip(n_blocks[0].tolist(), users[0].tolist(), degs[0].tolist()):
         if n_block < num_caches * u:
             warnings.warn(
                 f"block of {n_block} files serves {num_caches * u} users; "
                 "regularity N >= K*U does not hold for this level",
                 ValidationWarning,
             )
-        levels.append(LevelSpec(n_files=n_block, users_per_cache=u, access_degree=int(deg)))
+        levels.append(LevelSpec(n_files=n_block, users_per_cache=u, access_degree=deg))
 
-    ordered = tuple(sorted(levels, key=lambda lv: lv.popularity, reverse=True))
-    if ordered != tuple(levels):
+    order = _popularity_order(n_blocks, users[:, : nlev[0]])[0].tolist()
+    if order != sorted(order):
         # User-count rounding inverted two near-tied blocks; the level
         # order no longer matches the rank-block order.
         warnings.warn(
@@ -271,6 +255,7 @@ def discretize(
             "follow catalogue rank order",
             ValidationWarning,
         )
+    ordered = tuple(levels[i] for i in order)
     return SystemConfig(num_caches=num_caches, memory=float(memory), levels=ordered)
 
 
@@ -294,7 +279,7 @@ SPLIT_BLOCK = 4096
 def _round_users(
     cum: np.ndarray, edges: np.ndarray, nlev: np.ndarray, per_cache: float
 ) -> np.ndarray:
-    """discretize's user counts per row of block edges: half-up rounding
+    """User counts per row of block edges: half-up rounding
     of per_cache * mass on every live block but the last, which takes
     the remainder.  Blocks past ``nlev`` are padding."""
     masses = cum[edges[:, 1:]] - cum[edges[:, :-1]]
@@ -314,21 +299,25 @@ def _drop_column(values: np.ndarray, column: np.ndarray, fill: int) -> np.ndarra
 
 def _merge_zero_user_levels(
     cum: np.ndarray, edges: np.ndarray, degrees: np.ndarray, per_cache: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """discretize's merge loop, on every row at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Per row of block edges, round users and merge every block that
+    rounds to zero users into a neighbour, one block per round.
 
-    Returns (edges, degrees, users, level counts); a row that merged
-    keeps its live blocks first and is padded with empty blocks.
+    Returns (edges, degrees, users, level counts, dropped sizes); a row
+    that merged keeps its live blocks first and is padded with empty
+    blocks.  The last item holds, per round, the file count of the
+    block each merging row dropped.
     """
     n_files = int(edges[0, -1])
     nlev = np.full(len(edges), degrees.shape[1])
     users = _round_users(cum, edges, nlev, per_cache)
     rows = np.arange(len(edges))
+    dropped = []
     while True:
         zero = (np.arange(users.shape[1]) < nlev[rows, None]) & (users[rows] < 1)
         hit = zero.any(axis=1)
         if not hit.any():
-            return edges, degrees, users, nlev
+            return edges, degrees, users, nlev, dropped
         rows, zero = rows[hit], zero[hit]
         if np.any(nlev[rows] == 1):
             raise ConfigError("every level rounds to zero users; raise total_users")
@@ -336,6 +325,7 @@ def _merge_zero_user_levels(
         # neighbour (the more popular one for the last block), keeping
         # the neighbour's access degree.
         drop = zero.argmax(axis=1)
+        dropped.append(edges[rows, drop + 1] - edges[rows, drop])
         cut = np.where(drop + 1 < nlev[rows], drop + 1, drop)
         edges[rows] = _drop_column(edges[rows], cut, n_files)
         degrees[rows] = _drop_column(degrees[rows], drop, 1)
@@ -371,7 +361,7 @@ def _price_splits(
         [np.zeros(count, np.int64), cut_rows, np.full(count, n_files, np.int64)]
     )
     degs = np.tile(np.asarray(degrees, dtype=np.int64), (count, 1))
-    edges, degs, users, nlev = _merge_zero_user_levels(
+    edges, degs, users, nlev, _ = _merge_zero_user_levels(
         cum, edges, degs, total_users / num_caches
     )
     memory = float(memory)

@@ -38,6 +38,7 @@ artifact bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ConfigError, SystemConfig, ValidationWarning
+from .model import ConfigError, SystemConfig, ValidationWarning, _memory
 from .pama import Allocation, pama_rate
 from .popularity import EmpiricalDistribution
 from .rate import coded_load
@@ -187,7 +188,17 @@ def _layout(
     table = np.asarray(demands)
     if table.size == 0:
         table = np.empty((0, 3), dtype=np.int64)
-    if table.ndim != 2 or table.shape[1] != 3 or table.dtype.kind not in "iu":
+    # np.asarray reads a bool beside ints as 0 or 1; an integer array
+    # (as simulate_stochastic passes) cannot hold one.
+    if (
+        table.ndim != 2
+        or table.shape[1] != 3
+        or table.dtype.kind not in "iu"
+        or (
+            not isinstance(demands, np.ndarray)
+            and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain(*demands)))
+        )
+    ):
         raise ValueError("demands must be (cache, level, file) integer triples")
     table = table.astype(np.int64, copy=False)
     caches, levels, files = table.T
@@ -459,9 +470,11 @@ def lfu_simulate(
     seed: int,
 ) -> SimulationResult:
     """Empirical rate of the LFU baseline: per trial, the number of
-    distinct requested files outside the floor(M) most popular."""
+    distinct requested files outside the floor(M) most popular.  A
+    bool, non-real, non-finite or negative memory raises
+    :class:`ConfigError`."""
     _check_run(total_users, trials, seed)
-    cached = int(math.floor(memory))
+    cached = int(math.floor(_memory(memory)))
     probs = popularity.as_array()
     rates = []
     for trial in range(trials):

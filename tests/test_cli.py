@@ -260,6 +260,13 @@ def test_lfu_negative_seed_is_validation_error(capsys):
     assert capsys.readouterr().err.startswith("error: the seed must be non-negative")
 
 
+@pytest.mark.parametrize("memory", ["-5", "inf", "nan"])
+def test_lfu_bad_memory_is_validation_error(memory, capsys):
+    argv = f"lfu --zipf 0.8 --files 200 --memory {memory} --users 40 --trials 2 --seed 1"
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().err.startswith("error: memory must be a finite non-negative")
+
+
 def test_pama_grid_step_out_of_range_is_validation_error(ex1_path, capsys):
     assert run(["pama", "--config", ex1_path, "--grid-step", "0.5"]) == 2
     assert capsys.readouterr().err == "error: grid_step must lie in (0, 0.1]\n"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from codedcache import popularity
-from codedcache.model import ConfigError, LevelSpec, ValidationWarning
+from codedcache.model import ConfigError, LevelSpec, SystemConfig, ValidationWarning
 from codedcache.pama import (
     build_threshold_table,
     candidate_partitions,
@@ -250,13 +250,117 @@ def test_brute_force_budget_enforced():
         brute_force_partition(dist, 3, 4, 60.0, (1, 1, 1), 16, coarsening=1, budget=100)
 
 
+def _scalar_discretize(dist, partition, num_caches, total_users, degrees, memory):
+    """discretize written one block at a time with Python lists: the
+    independent reference for the array discretization."""
+    if partition.n_files != dist.n_files:
+        raise ConfigError("partition and distribution disagree on the file count")
+    if len(degrees) != partition.num_levels:
+        raise ConfigError("need one access degree per level")
+    if max(degrees, default=0) > num_caches:
+        raise ConfigError(f"access degree {max(degrees)} exceeds K = {num_caches}")
+    if total_users < 1:
+        raise ConfigError("total_users must be positive")
+
+    cum = np.concatenate([[0.0], dist.cumulative()])
+    edges = [0, *partition.boundaries, partition.n_files]
+    blocks = list(zip(edges[:-1], edges[1:], degrees))
+    per_cache = total_users / num_caches
+
+    while True:
+        masses = [float(cum[hi] - cum[lo]) for lo, hi, _ in blocks]
+        users = [int(math.floor(per_cache * mass + 0.5)) for mass in masses[:-1]]
+        users.append(int(math.floor(per_cache - sum(users) + 0.5)))
+        if all(u >= 1 for u in users):
+            break
+        if len(blocks) == 1:
+            raise ConfigError("every level rounds to zero users; raise total_users")
+        # Merge the first zero-user block into a neighbour, keeping the
+        # neighbour's access degree.
+        drop = next(i for i, u in enumerate(users) if u < 1)
+        neighbour = drop + 1 if drop + 1 < len(blocks) else drop - 1
+        warnings.warn(
+            f"level of {blocks[drop][1] - blocks[drop][0]} files rounds to zero "
+            "users; merging into its neighbour",
+            ValidationWarning,
+        )
+        first, second = sorted((drop, neighbour))
+        merged = (blocks[first][0], blocks[second][1], blocks[neighbour][2])
+        blocks = blocks[:first] + [merged] + blocks[second + 1 :]
+
+    levels = []
+    for (lo, hi, deg), u in zip(blocks, users):
+        n_block = hi - lo
+        if n_block < num_caches * u:
+            warnings.warn(
+                f"block of {n_block} files serves {num_caches * u} users; "
+                "regularity N >= K*U does not hold for this level",
+                ValidationWarning,
+            )
+        levels.append(LevelSpec(n_files=n_block, users_per_cache=u, access_degree=int(deg)))
+
+    ordered = tuple(sorted(levels, key=lambda lv: lv.popularity, reverse=True))
+    if ordered != tuple(levels):
+        warnings.warn(
+            "rounding reordered near-tied blocks; level indices no longer "
+            "follow catalogue rank order",
+            ValidationWarning,
+        )
+    return SystemConfig(num_caches=num_caches, memory=float(memory), levels=ordered)
+
+
+def _outcome(func, *args):
+    """(instance or error, warning messages) of one discretization."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidationWarning)
+        try:
+            result = func(*args)
+        except ConfigError as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+def test_discretize_matches_the_scalar_reference():
+    rng = np.random.default_rng(20261018)
+    seen = {"merge": 0, "regularity": 0, "reorder": 0, "zero users": 0, "exceeds K": 0}
+    for i in range(2000):
+        lcount = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 12))
+        n = int(rng.integers(lcount, 201))
+        if i % 3:
+            dist = zipf_distribution(float(rng.uniform(0.2, 2.5)), n)
+        else:
+            # Tied counts: blocks of equal mass, where rounding decides
+            # the level order.
+            counts = np.sort(rng.integers(1, 4, n))[::-1].astype(float)
+            dist = EmpiricalDistribution(probabilities=counts / counts.sum())
+        cuts = np.sort(rng.choice(np.arange(1, n), lcount - 1, replace=False)).tolist()
+        part = LevelPartition(tuple(cuts), n)
+        degrees = rng.integers(1, k + 2 if i % 10 == 0 else min(3, k) + 1, lcount).tolist()
+        users = int(rng.integers(0 if i % 50 == 0 else 1, 6 * k + 1))
+        args = (dist, part, k, users, degrees, float(rng.uniform(0.0, n)))
+        got, got_notes = _outcome(discretize, *args)
+        ref, ref_notes = _outcome(_scalar_discretize, *args)
+        if isinstance(ref, ConfigError):
+            assert isinstance(got, ConfigError) and str(got) == str(ref)
+            seen["zero users"] += "zero users" in str(ref)
+            seen["exceeds K"] += "exceeds K" in str(ref)
+            continue
+        assert got == ref and got_notes == ref_notes
+        seen["merge"] += any("rounds to zero" in m for m in ref_notes)
+        seen["regularity"] += any("regularity" in m for m in ref_notes)
+        seen["reorder"] += any("reordered" in m for m in ref_notes)
+    assert all(seen.values()), seen
+
+
 def _reference_rate(dist, cuts, num_caches, total_users, degrees, memory):
-    """One candidate priced the direct way: discretize, then pama_rate.
-    Also returns the ValidationWarning messages discretize raised."""
+    """One candidate priced the direct way: the scalar discretization,
+    then pama_rate.  Also returns the ValidationWarning messages the
+    discretization raised."""
     part = LevelPartition(boundaries=tuple(cuts), n_files=dist.n_files)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidationWarning)
-        cfg = discretize(
+        cfg = _scalar_discretize(
             dist, part, num_caches, total_users, degrees[: part.num_levels], memory
         )
     return pama_rate(cfg).exact.total, [str(w.message) for w in caught]

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from codedcache.cli import run
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -30,3 +32,21 @@ def test_readme_quick_start_prints_what_its_comments_claim(capsys):
             assert float(out) == pytest.approx(float(claim[:-3]), abs=1e-3)
         else:
             assert out == claim
+
+
+def _cli_examples() -> list[list[str]]:
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch):
+    # simulate reads files the repo does not ship; CI runs selftest itself.
+    monkeypatch.chdir(README.parent)
+    examples = [argv for argv in _cli_examples() if argv[1] not in ("simulate", "selftest")]
+    assert len(examples) == 8 and all(argv[0] == "codedcache" for argv in examples)
+    for i, (_, *argv) in enumerate(examples):
+        if "--out" in argv:
+            at = argv.index("--out")
+            del argv[at : at + 2]
+        assert run([*argv, "--out", str(tmp_path / f"example{i}.out")]) == 0, argv

@@ -179,6 +179,18 @@ def test_bit_exact_rejects_non_integral_demands():
             deliver_bit_exact(pl, demands)
 
 
+def test_boolean_demand_fields_are_refused():
+    # np.asarray would read True as cache 1; both entry points refuse it.
+    cfg = make_config(4, 2.0, [(8, 1, 1)])
+    allocation = pama_rate(cfg).allocation
+    pl = place(cfg, allocation, 256, seed=1)
+    for demands in ([(True, 0, 1)], [(0, 0, 1), (1, np.False_, 2)], [(0, 0, True)]):
+        with pytest.raises(ValueError, match="integer triples"):
+            deliver_bit_exact(pl, demands)
+        with pytest.raises(ValueError, match="integer triples"):
+            expected_profile_rate(cfg, allocation.shares, demands)
+
+
 def test_decode_fuzz_small_instances():
     rng = np.random.default_rng(123)
     with warnings.catch_warnings():
