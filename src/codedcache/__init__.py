@@ -21,7 +21,6 @@ from .pama import (
     PamaResult,
     ThresholdTable,
     build_threshold_table,
-    get_partition,
     grid_search_alpha,
     optimize_access_structure,
     pama_allocate,

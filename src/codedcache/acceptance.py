@@ -35,7 +35,6 @@ from .pama import Allocation, grid_search_alpha, pama_rate, total_rate_exact
 from .popularity import (
     brute_force_partition,
     discretize,
-    level_map_for_config,
     zipf_distribution,
     zipf_split_heuristic,
 )
@@ -427,9 +426,7 @@ def criterion_11_stochastic_robustness() -> tuple[bool, str]:
             ZIPF_EXPONENT, ZIPF_FILES, STOCHASTIC_CACHES, memory
         )
         cfg = discretize(dist, split, STOCHASTIC_CACHES, 100, (1, 1), memory)
-        res = simulate_stochastic(
-            cfg, dist, level_map_for_config(cfg, ZIPF_FILES), 100, 100, seed=SEED
-        )
+        res = simulate_stochastic(cfg, dist, 100, 100, seed=SEED)
         ratios.append(res.theoretical / res.mean if res.mean > 0 else 1.0)
     ok = all(1.0 / 3.0 <= r <= 3.0 for r in ratios)
     return ok, (

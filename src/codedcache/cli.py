@@ -39,7 +39,6 @@ from .popularity import (
     brute_force_partition,
     discretize,
     fit_zipf,
-    level_map_for_config,
     load_counts,
     zipf_distribution,
     zipf_split_heuristic,
@@ -283,7 +282,6 @@ def _cmd_access_opt(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     dist = _load_distribution(args)
-    level_map = level_map_for_config(config, dist.n_files)
     grid = _parse_mspec(args.m, config.full_memory) if args.m else [config.memory]
     lines = [
         f"# stochastic simulation seed={args.seed} trials={args.trials} users={args.users}",
@@ -292,7 +290,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     last = None
     for m in grid:
         cfg = config.with_memory(float(m))
-        res = simulate_stochastic(cfg, dist, level_map, args.users, args.trials, args.seed)
+        res = simulate_stochastic(cfg, dist, args.users, args.trials, args.seed)
         for t, rate in enumerate(res.rates):
             ratio = res.theoretical / rate if rate > 0 else math.inf
             lines.append(

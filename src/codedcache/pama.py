@@ -26,7 +26,7 @@ m_lo of the newest member), and there the literal split is not even
 rate-monotone in M.  :func:`pama_rate` therefore evaluates every split
 reachable at the given memory (all table prefixes) and keeps the cheapest,
 which restores monotonicity and continuity of the reported rate; the
-literal table lookup remains available as :func:`get_partition`.
+literal table lookup is the last of :func:`candidate_partitions`.
 
 :func:`pama_totals` evaluates that rate for a batch of instances with
 arrays, bit for bit equal to :func:`pama_rate`; the brute-force split
@@ -72,17 +72,10 @@ class Partition:
 
 @dataclass(frozen=True)
 class Breakpoint:
-    """One threshold of the partition table.
+    """One move of the partition table: ``memory`` is the raw memory Y_t
+    at which it applies and ``partition`` the split after it."""
 
-    ``threshold`` is the normalized-memory value x_t, ``memory`` the raw
-    memory Y_t at which the move applies, ``kind`` is ``"enter"`` (H->I)
-    or ``"store"`` (I->J), and ``partition`` the split after the move.
-    """
-
-    threshold: float
     memory: float
-    kind: str
-    level: int
     partition: Partition
 
 
@@ -158,32 +151,16 @@ def build_threshold_table(config: SystemConfig) -> ThresholdTable:
         if kind_rank == 0:
             i_set.add(idx)
             s_i += _sqrt_nu(config, idx)
-            kind = "enter"
         else:
             i_set.discard(idx)
             j_set.add(idx)
             s_i -= _sqrt_nu(config, idx)
             t_j += config.levels[idx].full_memory
-            kind = "store"
         h_set = frozenset(range(lcount)) - frozenset(i_set) - frozenset(j_set)
         breakpoints.append(
-            Breakpoint(
-                threshold=x,
-                memory=memory,
-                kind=kind,
-                level=idx,
-                partition=Partition(h_set, frozenset(i_set), frozenset(j_set)),
-            )
+            Breakpoint(memory, Partition(h_set, frozenset(i_set), frozenset(j_set)))
         )
     return ThresholdTable(config=config, breakpoints=tuple(breakpoints))
-
-
-def get_partition(table: ThresholdTable, memory: float) -> Partition:
-    """Literal table lookup: the split of the last breakpoint with
-    Y_t <= memory (all-H below the first breakpoint)."""
-    if memory < 0:
-        raise ValueError("memory must be non-negative")
-    return candidate_partitions(table, memory)[-1]
 
 
 def pama_allocate(config: SystemConfig, partition: Partition) -> Allocation:
@@ -224,8 +201,9 @@ def total_rate_exact(config: SystemConfig, allocation: Allocation) -> ExactRate:
     return ExactRate(total=float(sum(per_level)), per_level=tuple(per_level))
 
 
-def _definition_holds(config: SystemConfig, partition: Partition, rel_tol: float = 1e-12) -> bool:
-    """Strict feasibility inequalities of the split at config.memory."""
+def _definition_holds(config: SystemConfig, partition: Partition) -> bool:
+    """Strict feasibility inequalities of the split at config.memory,
+    each with a relative slack of 1e-12."""
     s_i, t_j = _group_sums(config, partition)
     k = config.num_caches
     if not partition.i_set:
@@ -233,7 +211,7 @@ def _definition_holds(config: SystemConfig, partition: Partition, rel_tol: float
         # treated as normative in this regime.
         return True
     tilde_m = (config.memory - t_j) / s_i
-    slack = rel_tol * (1.0 + abs(tilde_m))
+    slack = 1e-12 * (1.0 + abs(tilde_m))
     for idx in partition.i_set:
         lv = config.levels[idx]
         root = math.sqrt(lv.n_files / lv.users_per_cache)

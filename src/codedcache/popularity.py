@@ -24,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .model import ConfigError, LevelSpec, SystemConfig, ValidationWarning
+from .model import ConfigError, LevelSpec, SystemConfig, ValidationWarning, _memory
 from .pama import pama_totals
 
 
@@ -37,11 +37,11 @@ class EmpiricalDistribution:
     """Per-file request probabilities, sorted non-increasing, summing to 1.
 
     Any sequence of floats is accepted; it is held as a read-only
-    float64 array, with its cumulative sum computed once.
+    float64 array, beside its read-only ``cumulative`` sums.
     """
 
     probabilities: np.ndarray
-    _cumulative: np.ndarray = field(init=False, repr=False)
+    cumulative: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = np.array(self.probabilities, dtype=np.float64)
@@ -57,17 +57,11 @@ class EmpiricalDistribution:
         p.flags.writeable = False
         cum.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "_cumulative", cum)
+        object.__setattr__(self, "cumulative", cum)
 
     @property
     def n_files(self) -> int:
         return self.probabilities.size
-
-    def as_array(self) -> np.ndarray:
-        return self.probabilities
-
-    def cumulative(self) -> np.ndarray:
-        return self._cumulative
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ def fit_zipf(dist: EmpiricalDistribution) -> float:
     over all ranks."""
     if dist.n_files < 10:
         raise ValueError("need at least 10 files to fit a Zipf exponent")
-    p = dist.as_array()
+    p = dist.probabilities
     if np.any(p <= 0):
         raise ValueError("distribution must be strictly positive to fit")
     ranks = np.arange(1, dist.n_files + 1, dtype=np.float64)
@@ -167,15 +161,16 @@ def zipf_split_heuristic(s: float, n_files: int, num_caches: int, memory: float)
     falls relative to m1 = min(N/K, K^(1/(s-1))) and
     m2 = max(N^(1/s), K^(1/(s-1))); at s = 1 the K^(1/(s-1)) term is
     treated as +inf.  The head size is rounded to the nearest integer and
-    clamped to [1, N-1].
+    clamped to [1, N-1].  A memory that is not a finite real >= 0 raises
+    :class:`ConfigError`.
     """
+    m = _memory(memory)
     if s <= 0:
         raise ValueError("Zipf exponent must be positive")
     if n_files < 2:
         raise ValueError("need at least two files to split")
     n = float(n_files)
     k = float(num_caches)
-    m = float(memory)
     if s < 1.0:
         head = (1.0 - s) / (2.0 - s) * min(m * k, n)
     else:
@@ -215,8 +210,9 @@ def discretize(
     rounds to zero are merged into their less popular neighbour with a
     warning.  The more-files-than-users regularity check is downgraded
     to a warning here, since empirical blocks may violate it; an access
-    degree above K raises :class:`ConfigError`.
+    degree above K or a bad memory raises :class:`ConfigError`.
     """
+    memory = _memory(memory)
     if partition.n_files != dist.n_files:
         raise ConfigError("partition and distribution disagree on the file count")
     if len(degrees) != partition.num_levels:
@@ -225,7 +221,7 @@ def discretize(
     if total_users < 1:
         raise ConfigError("total_users must be positive")
 
-    cum = np.concatenate([[0.0], dist.cumulative()])
+    cum = np.concatenate([[0.0], dist.cumulative])
     edges = np.array([[0, *partition.boundaries, partition.n_files]], dtype=np.int64)
     edges, degs, users, nlev, dropped = _merge_zero_user_levels(
         cum, edges, np.array([degrees], dtype=np.int64), total_users / num_caches
@@ -256,7 +252,7 @@ def discretize(
             ValidationWarning,
         )
     ordered = tuple(levels[i] for i in order)
-    return SystemConfig(num_caches=num_caches, memory=float(memory), levels=ordered)
+    return SystemConfig(num_caches=num_caches, memory=memory, levels=ordered)
 
 
 def level_map_for_config(config: SystemConfig, n_files: int) -> np.ndarray:
@@ -402,11 +398,12 @@ def brute_force_partition(
     Candidates are priced ``SPLIT_BLOCK`` at a time as one array batch,
     each rate bit-identical to ``pama_rate`` of the discretized instance;
     in enumeration order, the first rate below the best so far by more
-    than 1e-15 becomes the best.  Raises :class:`ConfigError` for L < 1,
-    a coarsening below 1, an access degree above K, a cut grid with fewer
-    than L-1 cut points, more candidates than ``budget``, and when every
-    level rounds to zero users.
+    than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
+    memory, L < 1, a coarsening below 1, an access degree above K, a cut
+    grid with fewer than L-1 cut points, more candidates than ``budget``,
+    and when every level rounds to zero users.
     """
+    memory = _memory(memory)
     n = dist.n_files
     if num_levels < 1:
         raise ConfigError("num_levels must be positive")
@@ -417,7 +414,7 @@ def brute_force_partition(
     if coarsening < 1:
         raise ConfigError("coarsening must be at least 1")
 
-    cum = np.concatenate([[0.0], dist.cumulative()])
+    cum = np.concatenate([[0.0], dist.cumulative])
     degrees = degrees[:num_levels]
     _check_degrees(degrees, num_caches)
 

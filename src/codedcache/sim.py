@@ -48,7 +48,7 @@ import numpy as np
 
 from .model import ConfigError, SystemConfig, ValidationWarning, _memory
 from .pama import Allocation, pama_rate
-from .popularity import EmpiricalDistribution
+from .popularity import EmpiricalDistribution, level_map_for_config
 from .rate import coded_load
 
 
@@ -395,7 +395,6 @@ def expected_profile_rate(
 class SimulationResult:
     rates: tuple[float, ...]
     theoretical: float
-    seed: int
 
     @property
     def mean(self) -> float:
@@ -416,7 +415,6 @@ def _check_run(total_users: int, trials: int, seed: int) -> None:
 def simulate_stochastic(
     config: SystemConfig,
     popularity: EmpiricalDistribution,
-    level_map: Sequence[int] | np.ndarray,
     total_users: int,
     trials: int,
     seed: int,
@@ -424,42 +422,34 @@ def simulate_stochastic(
     """Stochastic user profiles in expected-size mode.
 
     Each of ``total_users`` users attaches to a uniformly random cache
-    and requests a file drawn from ``popularity``; ``level_map`` sends
-    every global rank to its level index, and a rank's file index within
-    its level is its position among that level's ranks.  A level sent
-    more ranks than it has files raises ``ValueError``.  Per trial the
-    realized profile is priced with :func:`expected_profile_rate` under
-    the allocation chosen for ``config.memory``.
+    and requests a file drawn from ``popularity``, whose ranks fall in
+    the config's levels as contiguous blocks, in level order (see
+    :func:`~codedcache.popularity.level_map_for_config`, which raises
+    :class:`ConfigError` unless the file counts agree); a rank's file
+    index is its offset in its block.  Per trial the realized profile is
+    priced with :func:`expected_profile_rate` under the allocation
+    chosen for ``config.memory``.  Known fault: after ``discretize``
+    warns that rounding reordered near-tied blocks, level order is not
+    rank-block order and ranks land in the wrong blocks; the instance
+    format does not record the blocks.
     """
     _check_run(total_users, trials, seed)
-    level_map = np.asarray(level_map, dtype=np.int64)
-    if level_map.shape != (popularity.n_files,):
-        raise ValueError("level_map must assign a level to every file rank")
-    if level_map.size and (level_map.min() < 0 or level_map.max() >= config.num_levels):
-        raise ValueError("level_map references levels missing from the config")
-    per_level = np.bincount(level_map, minlength=config.num_levels)
-    if np.any(per_level > [lv.n_files for lv in config.levels]):
-        raise ValueError("level_map sends a level more ranks than it has files")
-    # A rank's file index within its level: its position among that
-    # level's ranks, in rank order.
-    file_of_rank = np.empty_like(level_map)
-    file_of_rank[np.argsort(level_map, kind="stable")] = np.arange(
-        level_map.size
-    ) - np.repeat(np.cumsum(per_level) - per_level, per_level)
+    level_of_rank = level_map_for_config(config, popularity.n_files)
+    starts = np.cumsum([0] + [lv.n_files for lv in config.levels])[:-1]
+    file_of_rank = np.arange(popularity.n_files) - starts[level_of_rank]
 
     result = pama_rate(config)
     shares = result.allocation.shares
-    probs = popularity.as_array()
     rates = []
     for trial in range(trials):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
         )
         caches = rng.integers(0, config.num_caches, total_users)
-        ranks = rng.choice(popularity.n_files, size=total_users, p=probs)
-        demands = np.column_stack([caches, level_map[ranks], file_of_rank[ranks]])
+        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
+        demands = np.column_stack([caches, level_of_rank[ranks], file_of_rank[ranks]])
         rates.append(expected_profile_rate(config, shares, demands))
-    return SimulationResult(rates=tuple(rates), theoretical=result.exact.total, seed=seed)
+    return SimulationResult(rates=tuple(rates), theoretical=result.exact.total)
 
 
 def lfu_simulate(
@@ -475,15 +465,14 @@ def lfu_simulate(
     :class:`ConfigError`."""
     _check_run(total_users, trials, seed)
     cached = int(math.floor(_memory(memory)))
-    probs = popularity.as_array()
     rates = []
     for trial in range(trials):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
         )
-        ranks = rng.choice(popularity.n_files, size=total_users, p=probs)
+        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
         # Distinct files counted on a sort: np.unique with no return_*
         # argument takes a hash path that is several times slower here.
         missed = np.sort(ranks[ranks >= cached])
         rates.append(float(np.count_nonzero(missed[1:] != missed[:-1]) + (missed.size > 0)))
-    return SimulationResult(rates=tuple(rates), theoretical=float("nan"), seed=seed)
+    return SimulationResult(rates=tuple(rates), theoretical=float("nan"))

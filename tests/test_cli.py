@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,16 @@ def test_discretize_heuristic_rejects_degree_above_k_before_writing(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("memory", ["-5", "nan", "inf"])
+@pytest.mark.parametrize("split", ["--levels 2", "--heuristic"])
+def test_discretize_bad_memory_is_validation_error(split, memory, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    argv = f"discretize --zipf 0.8 --files 100 --caches 4 --users 20 --memory {memory} {split}"
+    assert run([*argv.split(), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: memory must be a finite non-negative")
+    assert not out.exists()
+
+
 def test_access_opt_subcommand(ex1_path, tmp_path):
     summary_path = tmp_path / "acc.json"
     assert (
@@ -237,6 +248,27 @@ def test_simulate_requires_matching_catalogue(ex1_path):
          "--users", "20", "--trials", "2", "--seed", "1"]
     )
     assert code == 2
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# sha256 of stdout, computed when callers still passed the rank-to-level
+# map to simulate_stochastic.
+SIMULATE_PINS = [
+    ("--config {}/example1.json --zipf 0.8 --files 200 --users 60 --trials 5 --seed 3 "
+     "--m 10:150:4",
+     "a42e4cf7cb9b81edf2e13aeb56b9d6eefdf9166dd0941299e2707fb9a4631fe8"),
+    ("--config {}/gap3level.json --zipf 0.6 --files 10000 --users 200 --trials 5 --seed 1",
+     "3ea48e4f5bbe3268eac01fd372eff6644a0a748966e72d3342ed0d692a088aab"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SIMULATE_PINS, ids=["example1", "gap3level"])
+def test_simulate_stdout_bytes_pinned(args, digest, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        assert run(["simulate", *args.format(CONFIGS).split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

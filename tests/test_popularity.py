@@ -80,14 +80,13 @@ def test_distribution_invariants():
 
 def test_distribution_is_a_read_only_array():
     dist = EmpiricalDistribution(probabilities=(0.5, 0.375, 0.125))
-    assert isinstance(dist.as_array(), np.ndarray)
-    assert not dist.as_array().flags.writeable
-    assert not dist.cumulative().flags.writeable
-    assert dist.cumulative() is dist.cumulative()
-    assert dist.cumulative().tolist() == [0.5, 0.875, 1.0]
+    assert isinstance(dist.probabilities, np.ndarray)
+    assert not dist.probabilities.flags.writeable
+    assert not dist.cumulative.flags.writeable
+    assert dist.cumulative.tolist() == [0.5, 0.875, 1.0]
     zipf = zipf_distribution(0.8, 1000)
     weights = np.arange(1, 1001, dtype=np.float64) ** -0.8
-    assert np.array_equal(zipf.as_array(), weights / weights.sum())
+    assert np.array_equal(zipf.probabilities, weights / weights.sum())
 
 
 @pytest.mark.parametrize("exponent", [0.6, 1.5])
@@ -108,7 +107,7 @@ def test_fit_zipf_needs_ten_files():
 
 def test_fit_zipf_roundtrip_from_counts():
     dist = zipf_distribution(0.8, 2000)
-    counts = (dist.as_array() * 10**9).astype(int)
+    counts = (dist.probabilities * 10**9).astype(int)
     loaded = load_counts(io.StringIO("\n".join(str(c) for c in counts)))
     assert fit_zipf(loaded) == pytest.approx(0.8, abs=1e-3)
 
@@ -171,7 +170,7 @@ def test_discretize_user_counts_follow_block_mass():
     dist = zipf_distribution(0.6, 10_000)
     part = LevelPartition(boundaries=(2000,), n_files=10_000)
     cfg = discretize(dist, part, num_caches=10, total_users=100, degrees=(1, 1), memory=1.0)
-    mass_head = float(np.cumsum(dist.as_array())[1999])
+    mass_head = float(np.cumsum(dist.probabilities)[1999])
     expected_u1 = int(np.floor(10 * mass_head + 0.5))
     assert cfg.levels[0].users_per_cache == expected_u1
     assert cfg.levels[0].n_files == 2000
@@ -262,7 +261,7 @@ def _scalar_discretize(dist, partition, num_caches, total_users, degrees, memory
     if total_users < 1:
         raise ConfigError("total_users must be positive")
 
-    cum = np.concatenate([[0.0], dist.cumulative()])
+    cum = np.concatenate([[0.0], dist.cumulative])
     edges = [0, *partition.boundaries, partition.n_files]
     blocks = list(zip(edges[:-1], edges[1:], degrees))
     per_cache = total_users / num_caches
@@ -389,7 +388,7 @@ def _reference_brute_force(
 
 
 def _batch_rates(dist, combos, num_levels, num_caches, total_users, degrees, memory):
-    cum = np.concatenate([[0.0], dist.cumulative()])
+    cum = np.concatenate([[0.0], dist.cumulative])
     rows = np.array(combos, dtype=np.int64).reshape(len(combos), num_levels - 1)
     return popularity._price_splits(
         cum, rows, degrees[:num_levels], num_caches, total_users, memory

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from codedcache import sim
-from codedcache.model import make_config
+from codedcache.model import ConfigError, make_config
 from codedcache.pama import Allocation, pama_rate
 from codedcache.popularity import (
     discretize,
-    level_map_for_config,
     zipf_distribution,
     zipf_split_heuristic,
 )
@@ -436,7 +435,7 @@ def test_simulate_stochastic_rates_pinned():
         warnings.simplefilter("ignore")
         cfg = make_config(5, 14.0, [(20, 2, 2), (40, 1, 1)])
     dist = zipf_distribution(0.8, 60)
-    res = simulate_stochastic(cfg, dist, level_map_for_config(cfg, 60), 30, 6, seed=7)
+    res = simulate_stochastic(cfg, dist, 30, 6, seed=7)
     assert res.rates == (
         12.398156640625004,
         12.928156640625,
@@ -473,12 +472,11 @@ def test_simulate_stochastic_reproducible_and_bounded():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = discretize(dist, split, 5, 50, (1, 1), 50.0)
-    level_map = level_map_for_config(cfg, 500)
-    a = simulate_stochastic(cfg, dist, level_map, 50, 10, seed=11)
-    b = simulate_stochastic(cfg, dist, level_map, 50, 10, seed=11)
+    a = simulate_stochastic(cfg, dist, 50, 10, seed=11)
+    b = simulate_stochastic(cfg, dist, 50, 10, seed=11)
     assert a.rates == b.rates
     assert a.theoretical == b.theoretical
-    c = simulate_stochastic(cfg, dist, level_map, 50, 10, seed=12)
+    c = simulate_stochastic(cfg, dist, 50, 10, seed=12)
     assert a.rates != c.rates
 
 
@@ -488,18 +486,15 @@ def test_simulate_zero_memory_bounded_by_population():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = discretize(dist, split, 5, 50, (1, 1), 0.0)
-    res = simulate_stochastic(cfg, dist, level_map_for_config(cfg, 500), 50, 20, seed=1)
+    res = simulate_stochastic(cfg, dist, 50, 20, seed=1)
     assert res.mean <= 50.0  # at most one file per user
 
 
-def test_simulate_level_map_must_cover_catalogue():
-    dist = zipf_distribution(0.6, 500)
-    cfg = make_config(5, 10.0, [(500, 10, 1)])
-    with pytest.raises(ValueError):
-        simulate_stochastic(cfg, dist, np.zeros(10, dtype=int), 50, 5, seed=1)
+def test_simulate_catalogue_must_match_levels():
     two_levels = make_config(5, 10.0, [(100, 5, 1), (400, 5, 1)])
-    with pytest.raises(ValueError, match="more ranks than it has files"):
-        simulate_stochastic(two_levels, dist, np.zeros(500, dtype=int), 50, 5, seed=1)
+    for n_files in (499, 501):
+        with pytest.raises(ConfigError, match="config levels cover 500 files"):
+            simulate_stochastic(two_levels, zipf_distribution(0.6, n_files), 50, 5, seed=1)
 
 
 def test_lfu_simulate_endpoints():
