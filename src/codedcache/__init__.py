@@ -36,6 +36,7 @@ from .bounds import (
     cutset_bound,
     gap_profile,
     k0,
+    lower_bounds,
     noncutset_bound,
     optimality_gap_envelope,
 )

@@ -30,20 +30,23 @@ so b needs only 1 and the switch points' integer neighbours.
 
 Each family's value formula, the A-tail sum and its switch points are
 defined once, for scalars and arrays alike, and shared by the evaluators
-and the search.  The search prices each block of candidates as one array
-and calls the evaluator only when the block's first maximum strictly
-beats the best so far, so ties go to the first candidate enumerated.
+and the search.  Each candidate is a line in M and the candidate set
+does not depend on M, so it is built once per instance and priced
+against a whole memory grid as one array.  One rule picks each memory's
+witness: the first candidate in enumeration order that reaches the
+maximum, kept only if that maximum is positive.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import SystemConfig
+from .model import SystemConfig, _memory
 from .pama import pama_rate, build_threshold_table
 
 GAMMA = 1.0 / (1.0 - math.exp(-1.0))
@@ -72,12 +75,12 @@ class BoundWitness:
         return ";".join(f"{k}={v}" for k, v in self.params)
 
 
-def _cutset_value(config: SystemConfig, level: int, v):
+def _cutset_value(config: SystemConfig, level: int, v, memory):
     """Unclamped cut-set value v - (ceil(v/U) + d - 1) / floor(N/v) * M;
-    ``v`` may be an integer or an integer array."""
+    ``v`` and ``memory`` may be broadcastable arrays, ``v`` of integers."""
     lv = config.levels[level]
     caches_touched = -(-v // lv.users_per_cache) + (lv.access_degree - 1)
-    return v - caches_touched / (lv.n_files // v) * config.memory
+    return v - caches_touched / (lv.n_files // v) * memory
 
 
 def _tail_sum(config: SystemConfig, a: frozenset[int], b):
@@ -96,17 +99,24 @@ def _tail_switches(config: SystemConfig, a: frozenset[int]) -> list[float]:
     return [lv.n_files / (lv.access_degree * lv.users_per_cache) for lv in levels]
 
 
-def _noncutset_value(config: SystemConfig, l: int, a: frozenset[int], s, b):
-    """Unclamped non-cut-set value; ``s`` and ``b`` may be broadcastable
-    arrays."""
+def _noncutset_value(config: SystemConfig, l: int, a: frozenset[int], s, b, memory):
+    """Unclamped non-cut-set value; ``s``, ``b`` and ``memory`` may be arrays."""
     lv = config.levels[l]
     head = np.minimum((s - lv.access_degree + 1) * lv.users_per_cache, lv.n_files / (s * b))
-    return head / (config.max_degree + 1) + _tail_sum(config, a, b) - config.memory / b
+    return head / (config.max_degree + 1) + _tail_sum(config, a, b) - memory / b
 
 
-def _corollary_value(config: SystemConfig, a: frozenset[int], b):
-    """Unclamped corollary value; ``b`` may be an array."""
-    return _tail_sum(config, a, b) - config.memory / b
+def _corollary_value(config: SystemConfig, a: frozenset[int], b, memory):
+    """Unclamped corollary value; ``b`` and ``memory`` may be arrays."""
+    return _tail_sum(config, a, b) - memory / b
+
+
+def _integer(value, name: str, low: int, high: float) -> int:
+    """``value`` as an int in low..high; anything else raises ValueError."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+    return int(value)
 
 
 def _a_param(a: frozenset[int]) -> str:
@@ -115,13 +125,10 @@ def _a_param(a: frozenset[int]) -> str:
 
 def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
     """Cut-set bound for ``v`` pooled users of one level (0-based index)."""
+    level = _integer(level, "level", 0, config.num_levels - 1)
     lv = config.levels[level]
-    k = config.num_caches
-    if not 1 <= v <= k * lv.users_per_cache:
-        raise ValueError(f"v must lie in 1..K*U = {k * lv.users_per_cache}, got {v}")
-    if v > lv.n_files:
-        raise ValueError(f"v must not exceed N = {lv.n_files}, got {v}")
-    value = max(0.0, _cutset_value(config, level, v))
+    v = _integer(v, "v", 1, min(config.num_caches * lv.users_per_cache, lv.n_files))
+    value = max(0.0, _cutset_value(config, level, v, config.memory))
     return BoundWitness(value, "cutset", (("level", level + 1), ("v", v)))
 
 
@@ -130,26 +137,24 @@ def noncutset_bound(
 ) -> BoundWitness:
     """Non-cut-set bound for level ``l`` mixed with level set ``a_set``
     (0-based indices), window size ``s`` and batch count ``b``."""
-    a = frozenset(a_set)
+    l = _integer(l, "l", 0, config.num_levels - 1)
+    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
     if l in a:
         raise ValueError("l must not belong to A")
-    if not config.levels[l].access_degree <= s <= config.num_caches:
-        raise ValueError(f"s must lie in d_l..K, got {s}")
-    if b < 1:
-        raise ValueError(f"b must be a positive integer, got {b}")
-    value = float(max(0.0, _noncutset_value(config, l, a, s, b)))
+    s = _integer(s, "s", config.levels[l].access_degree, config.num_caches)
+    b = _integer(b, "b", 1, math.inf)
+    value = float(max(0.0, _noncutset_value(config, l, a, s, b, config.memory)))
     params = (("l", l + 1), ("A", _a_param(a)), ("s", s), ("b", b))
     return BoundWitness(value, "noncutset", params)
 
 
 def corollary_bound(config: SystemConfig, a_set: Iterable[int], b: int) -> BoundWitness:
     """Simplified bound using only a level set A."""
-    a = frozenset(a_set)
+    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
     if not a:
         raise ValueError("A must be non-empty")
-    if b < 1:
-        raise ValueError(f"b must be a positive integer, got {b}")
-    value = float(max(0.0, _corollary_value(config, a, b)))
+    b = _integer(b, "b", 1, math.inf)
+    value = float(max(0.0, _corollary_value(config, a, b, config.memory)))
     return BoundWitness(value, "corollary", (("A", _a_param(a)), ("b", b)))
 
 
@@ -165,15 +170,11 @@ def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
     return cand[cand <= vmax]
 
 
-def _best_cutset(config: SystemConfig) -> BoundWitness:
-    best = BoundWitness(0.0, "trivial_zero")
-    for idx in range(config.num_levels):
-        v = _cutset_candidates(config, idx)
-        values = _cutset_value(config, idx, v)
-        pos = int(np.argmax(values))
-        if values[pos] > best.value:
-            best = cutset_bound(config, idx, int(v[pos]))
-    return best
+def _cutset_blocks(config: SystemConfig) -> list[tuple]:
+    return [
+        (_cutset_value, cutset_bound, (idx,), (_cutset_candidates(config, idx),))
+        for idx in range(config.num_levels)
+    ]
 
 
 def _b_neighbours(switches: Iterable[float]) -> set[int]:
@@ -185,24 +186,12 @@ def _b_neighbours(switches: Iterable[float]) -> set[int]:
     return values
 
 
-def _best_corollary(config: SystemConfig) -> BoundWitness:
-    a = frozenset(range(config.num_levels))
-    b = np.array(sorted(_b_neighbours(_tail_switches(config, a))))
-    values = _corollary_value(config, a, b)
-    pos = int(np.argmax(values))
-    if values[pos] > 0.0:
-        return corollary_bound(config, a, int(b[pos]))
-    return BoundWitness(0.0, "trivial_zero")
-
-
-def _best_noncutset(config: SystemConfig) -> BoundWitness:
-    best = BoundWitness(0.0, "trivial_zero")
+def _noncutset_blocks(config: SystemConfig) -> list[tuple]:
+    blocks = []
     for l in range(config.num_levels):
         lv = config.levels[l]
         d_l = lv.access_degree
         s = np.arange(d_l, config.num_caches + 1, dtype=np.float64)
-        if s.size == 0:
-            continue
         a = frozenset(
             j
             for j in range(l)
@@ -216,22 +205,56 @@ def _best_noncutset(config: SystemConfig) -> BoundWitness:
         switches = np.vstack([head_switch, *tails])
         rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
         b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
-        values = _noncutset_value(config, l, a, s, b)
-        row, col = divmod(int(np.argmax(values)), s.size)
-        if values[row, col] > best.value:
-            best = noncutset_bound(config, l, a, int(s[col]), int(b[row, col]))
-    return best
+        s = np.broadcast_to(s, b.shape)
+        blocks.append((_noncutset_value, noncutset_bound, (l, a), (s.ravel(), b.ravel())))
+    return blocks
+
+
+def _corollary_blocks(config: SystemConfig) -> list[tuple]:
+    a = frozenset(range(config.num_levels))
+    b = np.array(sorted(_b_neighbours(_tail_switches(config, a))))
+    return [(_corollary_value, corollary_bound, (a,), (b,))]
+
+
+PRICE_BLOCK = 1 << 16  # values priced at once (but at least one memory's)
+
+
+def _first_maxima(config: SystemConfig, blocks: list[tuple], memories: np.ndarray) -> list:
+    """Per memory, the witness of the first candidate in block order that
+    reaches the maximum, or ``trivial_zero`` unless it is > 0.  A block
+    (formula, evaluator, fixed, args) holds the candidates i =
+    ``evaluator(config, *fixed, *(arg[i] for arg in args))``, priced at
+    once by ``formula(config, *fixed, *args, memory)``."""
+    starts = np.cumsum([0] + [len(args[0]) for _, _, _, args in blocks])
+    step = max(1, PRICE_BLOCK // int(starts[-1]))
+    witnesses = []
+    for first in range(0, memories.size, step):
+        column = memories[first : first + step, None]
+        values = np.hstack([f(config, *fixed, *args, column) for f, _, fixed, args in blocks])
+        for row, pos in enumerate(np.argmax(values, axis=1).tolist()):
+            witness = BoundWitness(0.0, "trivial_zero")
+            if values[row, pos] > 0.0:
+                k = int(np.searchsorted(starts, pos, side="right")) - 1
+                _, evaluator, fixed, args = blocks[k]
+                cfg = config.with_memory(float(column[row, 0]))
+                witness = evaluator(cfg, *fixed, *(int(arg[pos - starts[k]]) for arg in args))
+            witnesses.append(witness)
+    return witnesses
+
+
+def lower_bounds(config: SystemConfig, memories: Iterable[float]) -> list[BoundWitness]:
+    """Best available lower bound at each memory, searching all three
+    families; the first candidate (cut-set by level, non-cut-set by l,
+    corollary) wins ties.  A negative, NaN or infinite memory raises
+    :class:`ConfigError` before any is priced."""
+    grid = np.array([_memory(m) for m in memories], dtype=np.float64)
+    blocks = [*_cutset_blocks(config), *_noncutset_blocks(config), *_corollary_blocks(config)]
+    return _first_maxima(config, blocks, grid)
 
 
 def best_lower_bound(config: SystemConfig) -> BoundWitness:
-    """Best available lower bound at config.memory, searching all three
-    families with exhaustive windows and branch-switch batch counts.
-    Deterministic: the first witness in enumeration order wins ties."""
-    best = BoundWitness(0.0, "trivial_zero")
-    for witness in (_best_cutset(config), _best_noncutset(config), _best_corollary(config)):
-        if witness.value > best.value:
-            best = witness
-    return best
+    """Best available lower bound at config.memory; see :func:`lower_bounds`."""
+    return lower_bounds(config, [config.memory])[0]
 
 
 @dataclass(frozen=True)
@@ -266,10 +289,8 @@ def gap_profile(config: SystemConfig, memory_grid: Sequence[float]) -> GapProfil
     # build serves the whole sweep.
     table = build_threshold_table(config)
     points = []
-    for m in memory_grid:
-        cfg = config.with_memory(float(m))
-        achievable = pama_rate(cfg, table).exact.total
-        witness = best_lower_bound(cfg)
+    for m, witness in zip(memory_grid, lower_bounds(config, memory_grid)):
+        achievable = pama_rate(config.with_memory(float(m)), table).exact.total
         if achievable <= 1e-12:
             ratio = 1.0
         elif witness.value <= 0.0:

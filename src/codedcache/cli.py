@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import acceptance
-from .bounds import best_lower_bound, gap_profile
+from .bounds import gap_profile, lower_bounds
 from .model import (
     ConfigError,
     SystemConfig,
@@ -86,6 +86,11 @@ def _parse_mspec(text: str, default_max: float) -> np.ndarray:
             raise ConfigError("log-scale --m requires MIN > 0")
         return np.geomspace(lo, hi, points)
     return np.linspace(lo, hi, points)
+
+
+def _memory_grid(args: argparse.Namespace, config: SystemConfig) -> Sequence[float]:
+    """The --m grid up to full storage, or just the config's memory."""
+    return _parse_mspec(args.m, config.full_memory) if args.m else [config.memory]
 
 
 def _load_distribution(args: argparse.Namespace) -> EmpiricalDistribution:
@@ -204,15 +209,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    grid = (
-        _parse_mspec(args.m, config.full_memory)
-        if args.m
-        else np.asarray([config.memory])
-    )
+    grid = _memory_grid(args, config)
     lines = ["# best lower bound per memory point", "M,best_LB,witness_kind,witness_params"]
     best = None
-    for m in grid:
-        w = best_lower_bound(config.with_memory(float(m)))
+    for m, w in zip(grid, lower_bounds(config, grid)):
         lines.append(f"{_fmt(m)},{_fmt(w.value)},{w.kind},\"{w.param_str()}\"")
         best = {"M": float(m), "value": w.value, "kind": w.kind, "params": w.param_str()}
     _emit(args, lines, best)
@@ -282,7 +282,7 @@ def _cmd_access_opt(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     dist = _load_distribution(args)
-    grid = _parse_mspec(args.m, config.full_memory) if args.m else [config.memory]
+    grid = _memory_grid(args, config)
     lines = [
         f"# stochastic simulation seed={args.seed} trials={args.trials} users={args.users}",
         "trial,M,empirical_rate,theoretical_rate,ratio",
@@ -324,7 +324,7 @@ def _cmd_lfu(args: argparse.Namespace) -> int:
         return 0
     if config is None:
         raise ConfigError("worst-case lfu needs --config")
-    grid = _parse_mspec(args.m, config.full_memory) if args.m else [config.memory]
+    grid = _memory_grid(args, config)
     lines = ["# worst-case lfu rates", "M,lfu_rate"]
     for m in grid:
         lines.append(f"{_fmt(m)},{_fmt(lfu_rate(config.with_memory(float(m))))}")

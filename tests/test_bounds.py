@@ -1,30 +1,34 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codedcache.bounds
 from codedcache.bounds import (
     GAMMA,
     BoundWitness,
-    _best_corollary,
-    _best_cutset,
-    _best_noncutset,
+    _corollary_blocks,
     _corollary_value,
+    _cutset_blocks,
     _cutset_value,
+    _first_maxima,
+    _noncutset_blocks,
     _noncutset_value,
     best_lower_bound,
     corollary_bound,
     cutset_bound,
     gap_profile,
     k0,
+    lower_bounds,
     noncutset_bound,
     optimality_gap_envelope,
 )
 from codedcache.cli import run
-from codedcache.model import make_config
+from codedcache.model import ConfigError, make_config
 from codedcache.pama import pama_rate
 from codedcache.rate import single_level_rate
 
@@ -104,6 +108,28 @@ def test_corollary_validation():
         corollary_bound(EX1, set(), 1)
     with pytest.raises(ValueError):
         corollary_bound(EX1, {0}, 0)
+
+
+BAD_EVALUATIONS = {
+    "negative-level": lambda: cutset_bound(EX1, -1, 3),  # would wrap to the last level
+    "level-past-end": lambda: cutset_bound(EX1, 2, 3),
+    "bool-level": lambda: cutset_bound(EX1, True, 3),
+    "float-v": lambda: cutset_bound(EX1, 0, 3.0),
+    "fractional-s-b": lambda: noncutset_bound(EX1, 1, [0], 2.5, 1.5),
+    "bool-b": lambda: noncutset_bound(EX1, 1, [0], 2, True),
+    "negative-l": lambda: noncutset_bound(EX1, -1, [0], 2, 1),
+    "negative-A-member": lambda: noncutset_bound(EX1, 1, [-1], 2, 1),  # labelled A=0
+    "A-member-past-end": lambda: noncutset_bound(EX1, 0, [5], 2, 1),
+    "corollary-bool-b": lambda: corollary_bound(EX1, [0], True),
+    "corollary-float-b": lambda: corollary_bound(EX1, [0], 2.0),
+    "corollary-A-past-end": lambda: corollary_bound(EX1, [0, 2], 1),
+}
+
+
+@pytest.mark.parametrize("evaluate", BAD_EVALUATIONS.values(), ids=BAD_EVALUATIONS.keys())
+def test_evaluators_refuse_bad_arguments(evaluate):
+    with pytest.raises(ValueError):
+        evaluate()
 
 
 def test_best_bound_uncached_instance():
@@ -225,6 +251,53 @@ def test_best_bound_pinned_witnesses():
         assert (w.kind, w.params, w.value) == (kind, params, value), (k, levels, memory, w)
 
 
+def test_lower_bounds_match_per_point_search(monkeypatch):
+    # A block of 200 values holds fewer memories than each grid, so every
+    # grid is priced in several column blocks.
+    monkeypatch.setattr(codedcache.bounds, "PRICE_BLOCK", 200)
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        lcount = int(rng.integers(1, 4))
+        k = int(rng.integers(2, 16))
+        levels = []
+        for _ in range(lcount):
+            u = int(rng.integers(1, 5))
+            d = int(rng.integers(1, min(3, k) + 1))
+            levels.append((k * u * int(rng.integers(1, 20)) + int(rng.integers(0, k)), u, d))
+        cfg = _quiet(make_config, k, 0.0, levels)
+        full = cfg.full_memory
+        grid = [0.0, 1e-9 * full, *rng.uniform(0, 1.05 * full, 30), full, 1.05 * full]
+        batch = lower_bounds(cfg, grid)
+        assert len(batch) == len(grid)
+        for m, w in zip(grid, batch):
+            single = best_lower_bound(cfg.with_memory(m))
+            assert (w.kind, w.params, w.value) == (single.kind, single.params, single.value)
+
+
+def test_lower_bounds_of_empty_grid():
+    assert lower_bounds(EX1, []) == []
+
+
+@pytest.mark.parametrize("memory", [-1.0, math.nan, math.inf, True])
+def test_lower_bounds_refuse_bad_memory(memory):
+    with pytest.raises(ConfigError):
+        lower_bounds(EX1, [10.0, memory])
+
+
+def test_lower_bounds_scratch_memory_is_bounded():
+    # 5578 candidates at 2000 memories would be 85 MiB priced at once.
+    cfg = _quiet(make_config, 300, 0.0, [(3000, 5, 1), (9000, 3, 2), (60000, 1, 3)])
+    grid = np.linspace(0.0, 1.05 * cfg.full_memory, 2000)
+    tracemalloc.start()
+    try:
+        witnesses = lower_bounds(cfg, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(witnesses) == 2000
+    assert peak <= 8 * 2**20
+
+
 def test_gap_cli_output_pinned(capsys):
     assert _quiet(run, ["gap", "--config", str(GAP3LEVEL)]) == 0
     out = capsys.readouterr().out
@@ -255,7 +328,9 @@ def _reference_cutset(cfg):
     for idx, lv in enumerate(cfg.levels):
         v = np.arange(1, min(cfg.num_caches * lv.users_per_cache, lv.n_files) + 1)
         best = _first_strict_max(
-            best, _cutset_value(cfg, idx, v), lambda i: cutset_bound(cfg, idx, int(v[i]))
+            best,
+            _cutset_value(cfg, idx, v, cfg.memory),
+            lambda i: cutset_bound(cfg, idx, int(v[i])),
         )
     return best
 
@@ -283,7 +358,7 @@ def _reference_noncutset(cfg):
             b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
             best = _first_strict_max(
                 best,
-                _noncutset_value(cfg, l, a, s, b),
+                _noncutset_value(cfg, l, a, s, b, cfg.memory),
                 lambda r, c: noncutset_bound(cfg, l, a, int(s[c]), int(b[r, c])),
             )
     return best
@@ -301,7 +376,9 @@ def _reference_corollary(cfg):
             b |= {math.floor(x), math.ceil(x)}
         b = np.array(sorted(b))
         best = _first_strict_max(
-            best, _corollary_value(cfg, a, b), lambda i: corollary_bound(cfg, a, int(b[i]))
+            best,
+            _corollary_value(cfg, a, b, cfg.memory),
+            lambda i: corollary_bound(cfg, a, int(b[i])),
         )
     return best
 
@@ -342,13 +419,14 @@ def test_search_matches_exhaustive_references():
     assert max(cfg.num_levels for cfg in instances) > 10
     for cfg in instances:
         best = BoundWitness(0.0, "trivial_zero")
-        for search, reference in (
-            (_best_cutset, _reference_cutset),
-            (_best_noncutset, _reference_noncutset),
-            (_best_corollary, _reference_corollary),
+        for family, reference in (
+            (_cutset_blocks, _reference_cutset),
+            (_noncutset_blocks, _reference_noncutset),
+            (_corollary_blocks, _reference_corollary),
         ):
             expected = reference(cfg)
-            assert key(search(cfg)) == key(expected), (cfg, search.__name__)
+            (found,) = _first_maxima(cfg, family(cfg), np.array([cfg.memory]))
+            assert key(found) == key(expected), (cfg, family.__name__)
             if expected.value > best.value:
                 best = expected
         assert key(best_lower_bound(cfg)) == key(best), cfg

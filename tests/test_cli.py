@@ -271,6 +271,28 @@ def test_simulate_stdout_bytes_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout, computed when each memory point searched its own
+# bound candidates.
+BOUND_PINS = [
+    ("bounds --config {}/example1.json --m 0:200:21",
+     "0af013fb4f134155fe5ff4ec121158b195cfdd2599e5843cf6c8ac5a4268418f"),
+    ("bounds --config {}/gap3level.json --m 0:200:21",
+     "ad6eb57ad58d1a132fe3a251a4b446f0bbff93dd6850a0ea227220f42522ed28"),
+    ("gap --config {}/example1.json",
+     "8bb2f90712912f0ad3bd568b7d0f468a962fa9c00c9e6ac22a662c61fc40f9ef"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,digest", BOUND_PINS, ids=["bounds-example1", "bounds-gap3level", "gap-example1"]
+)
+def test_bound_stdout_bytes_pinned(args, digest, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        assert run(args.format(CONFIGS).split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
