@@ -123,13 +123,51 @@ def _a_param(a: frozenset[int]) -> str:
     return ",".join(str(j + 1) for j in sorted(a))
 
 
-def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
-    """Cut-set bound for ``v`` pooled users of one level (0-based index)."""
+def _cutset_args(config: SystemConfig, level, v) -> tuple[tuple, tuple]:
+    """:func:`cutset_bound`'s checked formula arguments and parameters."""
     level = _integer(level, "level", 0, config.num_levels - 1)
     lv = config.levels[level]
     v = _integer(v, "v", 1, min(config.num_caches * lv.users_per_cache, lv.n_files))
-    value = max(0.0, _cutset_value(config, level, v, config.memory))
-    return BoundWitness(value, "cutset", (("level", level + 1), ("v", v)))
+    return (level, v), (("level", level + 1), ("v", v))
+
+
+def _noncutset_args(config: SystemConfig, l, a_set, s, b) -> tuple[tuple, tuple]:
+    """:func:`noncutset_bound`'s checked formula arguments and parameters."""
+    l = _integer(l, "l", 0, config.num_levels - 1)
+    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
+    if l in a:
+        raise ValueError("l must not belong to A")
+    s = _integer(s, "s", config.levels[l].access_degree, config.num_caches)
+    b = _integer(b, "b", 1, math.inf)
+    return (l, a, s, b), (("l", l + 1), ("A", _a_param(a)), ("s", s), ("b", b))
+
+
+def _corollary_args(config: SystemConfig, a_set, b) -> tuple[tuple, tuple]:
+    """:func:`corollary_bound`'s checked formula arguments and parameters."""
+    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
+    if not a:
+        raise ValueError("A must be non-empty")
+    b = _integer(b, "b", 1, math.inf)
+    return (a, b), (("A", _a_param(a)), ("b", b))
+
+
+# Each family as (kind, value formula, argument check).
+CUTSET = ("cutset", _cutset_value, _cutset_args)
+NONCUTSET = ("noncutset", _noncutset_value, _noncutset_args)
+COROLLARY = ("corollary", _corollary_value, _corollary_args)
+
+
+def _witness(config: SystemConfig, family: tuple, checked: tuple, memory: float) -> BoundWitness:
+    """The bound of a checked candidate (arguments, parameters) at
+    ``memory``, clamped at zero."""
+    kind, formula, _ = family
+    args, params = checked
+    return BoundWitness(float(max(0.0, formula(config, *args, memory))), kind, params)
+
+
+def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
+    """Cut-set bound for ``v`` pooled users of one level (0-based index)."""
+    return _witness(config, CUTSET, _cutset_args(config, level, v), config.memory)
 
 
 def noncutset_bound(
@@ -137,25 +175,13 @@ def noncutset_bound(
 ) -> BoundWitness:
     """Non-cut-set bound for level ``l`` mixed with level set ``a_set``
     (0-based indices), window size ``s`` and batch count ``b``."""
-    l = _integer(l, "l", 0, config.num_levels - 1)
-    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
-    if l in a:
-        raise ValueError("l must not belong to A")
-    s = _integer(s, "s", config.levels[l].access_degree, config.num_caches)
-    b = _integer(b, "b", 1, math.inf)
-    value = float(max(0.0, _noncutset_value(config, l, a, s, b, config.memory)))
-    params = (("l", l + 1), ("A", _a_param(a)), ("s", s), ("b", b))
-    return BoundWitness(value, "noncutset", params)
+    checked = _noncutset_args(config, l, a_set, s, b)
+    return _witness(config, NONCUTSET, checked, config.memory)
 
 
 def corollary_bound(config: SystemConfig, a_set: Iterable[int], b: int) -> BoundWitness:
     """Simplified bound using only a level set A."""
-    a = frozenset(_integer(j, "a member of A", 0, config.num_levels - 1) for j in a_set)
-    if not a:
-        raise ValueError("A must be non-empty")
-    b = _integer(b, "b", 1, math.inf)
-    value = float(max(0.0, _corollary_value(config, a, b, config.memory)))
-    return BoundWitness(value, "corollary", (("A", _a_param(a)), ("b", b)))
+    return _witness(config, COROLLARY, _corollary_args(config, a_set, b), config.memory)
 
 
 def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
@@ -172,7 +198,7 @@ def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
 
 def _cutset_blocks(config: SystemConfig) -> list[tuple]:
     return [
-        (_cutset_value, cutset_bound, (idx,), (_cutset_candidates(config, idx),))
+        (CUTSET, (idx,), (_cutset_candidates(config, idx),))
         for idx in range(config.num_levels)
     ]
 
@@ -206,14 +232,14 @@ def _noncutset_blocks(config: SystemConfig) -> list[tuple]:
         rounded = np.stack([np.floor(switches), np.ceil(switches)], axis=1)
         b = np.vstack([np.ones_like(s), np.maximum(1.0, rounded.reshape(-1, s.size))])
         s = np.broadcast_to(s, b.shape)
-        blocks.append((_noncutset_value, noncutset_bound, (l, a), (s.ravel(), b.ravel())))
+        blocks.append((NONCUTSET, (l, a), (s.ravel(), b.ravel())))
     return blocks
 
 
 def _corollary_blocks(config: SystemConfig) -> list[tuple]:
     a = frozenset(range(config.num_levels))
     b = np.array(sorted(_b_neighbours(_tail_switches(config, a))))
-    return [(_corollary_value, corollary_bound, (a,), (b,))]
+    return [(COROLLARY, (a,), (b,))]
 
 
 PRICE_BLOCK = 1 << 16  # values priced at once (but at least one memory's)
@@ -222,23 +248,30 @@ PRICE_BLOCK = 1 << 16  # values priced at once (but at least one memory's)
 def _first_maxima(config: SystemConfig, blocks: list[tuple], memories: np.ndarray) -> list:
     """Per memory, the witness of the first candidate in block order that
     reaches the maximum, or ``trivial_zero`` unless it is > 0.  A block
-    (formula, evaluator, fixed, args) holds the candidates i =
-    ``evaluator(config, *fixed, *(arg[i] for arg in args))``, priced at
-    once by ``formula(config, *fixed, *args, memory)``."""
-    starts = np.cumsum([0] + [len(args[0]) for _, _, _, args in blocks])
+    (family, fixed, args) holds the candidates i = the family's bound at
+    ``(*fixed, *(arg[i] for arg in args))``, priced at once by the
+    family's formula ``(config, *fixed, *args, memory)``.  Consecutive
+    memories won by one candidate check its arguments once; each value
+    is the scalar formula at that memory, as in the public evaluator."""
+    starts = np.cumsum([0] + [len(args[0]) for _, _, args in blocks])
     step = max(1, PRICE_BLOCK // int(starts[-1]))
     witnesses = []
+    won = None  # (position, family, checked) of the last winner
     for first in range(0, memories.size, step):
         column = memories[first : first + step, None]
-        values = np.hstack([f(config, *fixed, *args, column) for f, _, fixed, args in blocks])
+        values = np.hstack(
+            [formula(config, *fixed, *args, column) for (_, formula, _), fixed, args in blocks]
+        )
         for row, pos in enumerate(np.argmax(values, axis=1).tolist()):
-            witness = BoundWitness(0.0, "trivial_zero")
-            if values[row, pos] > 0.0:
+            if not values[row, pos] > 0.0:
+                witnesses.append(BoundWitness(0.0, "trivial_zero"))
+                continue
+            if won is None or won[0] != pos:
                 k = int(np.searchsorted(starts, pos, side="right")) - 1
-                _, evaluator, fixed, args = blocks[k]
-                cfg = config.with_memory(float(column[row, 0]))
-                witness = evaluator(cfg, *fixed, *(int(arg[pos - starts[k]]) for arg in args))
-            witnesses.append(witness)
+                family, fixed, args = blocks[k]
+                candidate = (int(arg[pos - starts[k]]) for arg in args)
+                won = (pos, family, family[2](config, *fixed, *candidate))
+            witnesses.append(_witness(config, won[1], won[2], float(column[row, 0])))
     return witnesses
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 runtime error, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,14 +25,19 @@ from .bounds import gap_profile, lower_bounds
 from .model import (
     ConfigError,
     SystemConfig,
+    _memory,
     config_to_dict,
     load_config,
 )
 from .pama import (
+    _definition_holds,
     build_threshold_table,
+    closed_form_rates,
     grid_search_alpha,
     optimize_access_structure,
+    pama_memories,
     pama_rate,
+    table_splits,
 )
 from .popularity import (
     CountsError,
@@ -49,6 +55,7 @@ from .sim import lfu_simulate, simulate_stochastic
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 RUNTIME_EXIT = 3
+SWEEP_BLOCK = 1 << 10  # sweep memories priced per pama_totals call
 
 
 class _UsageError(Exception):
@@ -152,39 +159,43 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _pama_header(lcount: int) -> str:
-    """CSV header of the rows :func:`_pama_row` writes."""
+    """CSV header of the rows :func:`_pama_line` writes."""
     shares = ",".join(f"share_{i + 1}" for i in range(lcount))
     rates = ",".join(f"rate_{i + 1}" for i in range(lcount))
     return f"M,R_exact,R_closed,partition,{shares},{rates}"
 
 
-def _pama_row(config: SystemConfig, table, memory: float) -> tuple[str, dict]:
-    res = pama_rate(config.with_memory(memory), table)
-    closed = res.closed.value
-    shares = ",".join(_fmt(s) for s in res.allocation.shares)
-    rates = ",".join(_fmt(r) for r in res.exact.per_level)
-    line = (
-        f"{_fmt(memory)},{_fmt(res.exact.total)},{_fmt(closed)},"
-        f"\"{res.partition.label()}\",{shares},{rates}"
-    )
-    summary = {
+def _pama_line(memory, total, closed, label, shares, rates) -> str:
+    """One CSV row of :func:`_pama_header`: floats but the split label."""
+    values = ",".join(_fmt(v) for v in [*shares, *rates])
+    return f"{_fmt(memory)},{_fmt(total)},{_fmt(closed)},\"{label}\",{values}"
+
+
+def _pama_summary(memory, total, closed, label, shares, rates) -> dict:
+    """The summary of the row :func:`_pama_line` prints, without the
+    closed form's validity flag."""
+    return {
         "M": memory,
-        "partition": res.partition.label(),
-        "shares": list(res.allocation.shares),
-        "R_exact": res.exact.total,
+        "partition": label,
+        "shares": list(shares),
+        "R_exact": total,
         "R_closed": closed,
-        "closed_in_validity": res.closed.in_validity,
-        "per_level_rates": list(res.exact.per_level),
+        "per_level_rates": list(rates),
     }
-    return line, summary
 
 
 def _cmd_pama(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     table = build_threshold_table(config)
     header = _pama_header(config.num_levels)
-    line, summary = _pama_row(config, table, config.memory)
-    lines = [f"# pama allocation for {args.config}", header, line]
+    res = pama_rate(config, table)
+    exact, label = res.exact, res.partition.label()
+    row = (
+        config.memory, exact.total, res.closed.value, label, res.allocation.shares, exact.per_level
+    )
+    summary = _pama_summary(*row)
+    summary["closed_in_validity"] = res.closed.in_validity
+    lines = [f"# pama allocation for {args.config}", header, _pama_line(*row)]
     if args.grid_step is not None:
         alloc, oracle = grid_search_alpha(config, args.grid_step)
         summary["oracle_rate"] = oracle
@@ -196,13 +207,32 @@ def _cmd_pama(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    table = build_threshold_table(config)
-    grid = _parse_mspec(args.m, config.full_memory)
+    grid = [_memory(m) for m in _parse_mspec(args.m, config.full_memory).tolist()]
+    splits = table_splits(build_threshold_table(config))
+    labels = [split.label() for split in splits]
     lines = [f"# sweep over {len(grid)} memory points", _pama_header(config.num_levels)]
-    last = None
-    for m in grid:
-        line, last = _pama_row(config, table, float(m))
-        lines.append(line)
+    for first in range(0, len(grid), SWEEP_BLOCK):
+        block = grid[first : first + SWEEP_BLOCK]
+        memory = np.array(block)
+        batch = pama_memories(config, memory)
+        closed = closed_form_rates(config, splits, batch.prefix, memory)
+        rows = list(
+            zip(
+                block,
+                batch.total.tolist(),
+                closed.tolist(),
+                [labels[t] for t in batch.prefix.tolist()],
+                batch.shares.tolist(),
+                batch.rates.tolist(),
+            )
+        )
+        lines.extend(_pama_line(*row) for row in rows)
+    last = _pama_summary(*rows[-1])
+    # pama_rate reports a closed form that raised (inf) as out of validity.
+    split = splits[int(batch.prefix[-1])]
+    last["closed_in_validity"] = math.isfinite(last["R_closed"]) and _definition_holds(
+        config.with_memory(last["M"]), split
+    )
     _emit(args, lines, {"points": len(grid), "last": last})
     return 0
 
@@ -340,7 +370,10 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else RUNTIME_EXIT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each
+    ``parse_args`` call returns a fresh namespace."""
     parser = _Parser(prog="codedcache", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

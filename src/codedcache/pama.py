@@ -29,8 +29,15 @@ which restores monotonicity and continuity of the reported rate; the
 literal table lookup is the last of :func:`candidate_partitions`.
 
 :func:`pama_totals` evaluates that rate for a batch of instances with
-arrays, bit for bit equal to :func:`pama_rate`; the brute-force split
-search prices its candidates with it.
+arrays, each row at its own memory, bit for bit equal to
+:func:`pama_rate`.  Besides the totals it returns each row's winning
+table prefix and that split's capped shares and per-level rates.  The
+brute-force split search prices its candidates with it (one memory, many
+instances) and ``sweep`` its memory grid (one instance, many memories,
+through :func:`pama_memories`); :func:`closed_form_rates` then gives the
+closed form of each winning split.  :func:`grid_search_alpha`, the
+exhaustive oracle over memory splits, prices its simplex points in array
+blocks with the same per-level lane rule.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -259,6 +267,37 @@ def total_rate_closed_form(config: SystemConfig, partition: Partition) -> Closed
     return ClosedFormRate(value=value, in_validity=_definition_holds(config, partition))
 
 
+def closed_form_rates(
+    config: SystemConfig, splits: list[Partition], prefix: np.ndarray, memory: np.ndarray
+) -> np.ndarray:
+    """``total_rate_closed_form(config.with_memory(m), splits[t]).value``
+    for each pair (t, m) of ``prefix`` and ``memory``, equal bit for bit,
+    and inf where that raises (I non-empty and M = T_J)."""
+    k = config.num_caches
+    levels = config.levels
+    s_i, t_j = np.array([_group_sums(config, split) for split in splits], dtype=np.float64).T
+    base = [sum(k * levels[h].users_per_cache for h in split.h_set) for split in splits]
+    shared = [
+        sum(levels[i].access_degree * levels[i].users_per_cache for i in split.i_set)
+        for split in splits
+    ]
+    has_i = np.array([bool(split.i_set) for split in splits])[prefix]
+    s_i, t_j = s_i[prefix], t_j[prefix]
+    base = np.array(base, dtype=np.float64)[prefix]
+    shared = np.array(shared, dtype=np.float64)[prefix]
+    denom = memory - t_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(has_i, base + s_i * s_i / denom - shared, base)
+    value = np.where(value > 0.0, value, 0.0)
+    value = np.where(config.uncached_rate < value, config.uncached_rate, value)
+    return np.where(has_i & (denom == 0), np.inf, value)
+
+
+def table_splits(table: ThresholdTable) -> list[Partition]:
+    """The split after each prefix of the table's moves: all-H first."""
+    return [Partition.all_h(table.config.num_levels), *(bp.partition for bp in table.breakpoints)]
+
+
 def candidate_partitions(table: ThresholdTable, memory: float) -> list[Partition]:
     """All splits reachable at this memory: the all-H split plus every
     table prefix with Y_t <= memory, in table order."""
@@ -293,18 +332,52 @@ def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> Pama
     return PamaResult(partition=part, allocation=alloc, exact=exact, closed=closed)
 
 
+@dataclass(frozen=True)
+class PamaBatch:
+    """Per-row outcome of :func:`pama_totals`: the exact total, the
+    winning prefix t of the threshold table (0 is all-H), and that
+    split's capped shares and per-level rates, each (rows, L)."""
+
+    total: np.ndarray
+    prefix: np.ndarray
+    shares: np.ndarray
+    rates: np.ndarray
+
+
+def _level_arrays(config: SystemConfig) -> np.ndarray:
+    """The levels' (N, U, d) as three integer rows."""
+    return np.array(
+        [(lv.n_files, lv.users_per_cache, lv.access_degree) for lv in config.levels]
+    ).T
+
+
+def _level_rates(share, cap, n_files, users, degrees, num_caches: int) -> np.ndarray:
+    """:func:`single_level_rate` lane by lane, bit for bit, for shares
+    already capped at N/d: 0 at the cap, K*U at zero memory, else
+    d*U*coded_load(d*share/N, K/d).  The arrays share one shape."""
+    rate = np.where(share >= cap, 0.0, (num_caches * users).astype(np.float64))
+    coded = (share < cap) & (share != 0.0)
+    d = degrees[coded]
+    rate[coded] = (d * users[coded]) * coded_load(
+        d * share[coded] / n_files[coded], num_caches / d
+    )
+    return rate
+
+
 def pama_totals(
     n_files: np.ndarray,
     users: np.ndarray,
     degrees: np.ndarray,
     num_caches: int,
-    memory: float,
-) -> np.ndarray:
-    """``pama_rate(config).exact.total`` for a batch of instances that
-    share K and M, equal bit for bit.
+    memory: float | np.ndarray,
+) -> PamaBatch:
+    """``pama_rate(config)`` for a batch of instances that share K, equal
+    bit for bit: the exact total, the winning split's table prefix, its
+    shares and its per-level rates.
 
     Row r of the (rows, L) integer arrays holds the levels (N, U, d) of
-    one instance, most popular first, each with d <= K.  Every step
+    one instance, most popular first, each with d <= K; ``memory`` is
+    one M for every row or a (rows,) array of per-row M.  Every step
     follows the scalar path in the same float order: the breakpoint
     events sorted by (x, kind, level) with running S_I/T_J sums, the
     prefixes with Y_t <= M, :func:`pama_allocate`'s fresh group sums and
@@ -314,6 +387,7 @@ def pama_totals(
     """
     rows, width = n_files.shape
     r = np.arange(rows)
+    memory = np.broadcast_to(np.asarray(memory, dtype=np.float64), (rows,))
     nf = n_files.astype(np.float64)
     sqrt_nu = np.sqrt((n_files * users).astype(np.float64))
     full = nf / degrees
@@ -349,32 +423,58 @@ def pama_totals(
     for j in range(width):
         s_fresh = s_fresh + np.where(in_i[:, :, j], sqrt_nu[:, None, j], 0.0)
         t_fresh = t_fresh + np.where(in_j[:, :, j], full[:, None, j], 0.0)
-    leftover = memory - t_fresh
+    leftover = memory[:, None] - t_fresh
     leftover = np.where(leftover > 0.0, leftover, 0.0)
 
-    # single_level_rate: 0 at full storage, K*U at zero memory, else
-    # d*U*coded_load(d*m/N, K/d).  Only reachable I lanes need pricing.
+    # J levels are stored (rate 0) and H levels get nothing (rate K*U);
+    # only reachable I lanes need pricing.
+    shares = np.where(in_j, full[:, None, :], 0.0)
     rate = np.where(in_j, 0.0, (num_caches * users).astype(np.float64)[:, None, :])
     ri, ti, li = np.nonzero(in_i & reach[:, :, None])
     cap = full[ri, li]
     share = sqrt_nu[ri, li] / s_fresh[ri, ti] * leftover[ri, ti]
-    share = np.where(cap < share, cap, share)
-    lane = np.where(share >= cap, 0.0, rate[ri, ti, li])
-    coded = (share < cap) & (share != 0.0)
-    d = degrees[ri, li][coded]
-    lane[coded] = (d * users[ri, li][coded]) * coded_load(
-        d * share[coded] / n_files[ri, li][coded], num_caches / d
+    shares[ri, ti, li] = np.where(cap < share, cap, share)
+    rate[ri, ti, li] = _level_rates(
+        shares[ri, ti, li], cap, n_files[ri, li], users[ri, li], degrees[ri, li], num_caches
     )
-    rate[ri, ti, li] = lane
 
     total = np.zeros((rows, prefixes))
     for j in range(width):
         total = total + rate[:, :, j]
     best = total[:, 0]
+    prefix = np.zeros(rows, dtype=np.intp)
     for t in range(1, prefixes):
         take = reach[:, t] & (total[:, t] <= best + 1e-12 * (1.0 + best))
         best = np.where(take, total[:, t], best)
-    return best
+        prefix = np.where(take, t, prefix)
+    return PamaBatch(best, prefix, shares[r, prefix], rate[r, prefix])
+
+
+def pama_memories(config: SystemConfig, memory: np.ndarray) -> PamaBatch:
+    """:func:`pama_totals` of one instance at each memory of ``memory``."""
+    shape = (memory.size, config.num_levels)
+    n_files, users, degrees = (np.broadcast_to(column, shape) for column in _level_arrays(config))
+    return pama_totals(n_files, users, degrees, config.num_caches, memory)
+
+
+ORACLE_BLOCK = 1 << 12  # simplex points priced at once by the oracle
+
+
+def _simplex_points(dims: int, total: int, head: np.ndarray) -> Iterator[np.ndarray]:
+    """Every completion of the rows of ``head`` to a point of N^dims with
+    coordinate sum at most ``total``, in lexicographic order, as int
+    arrays of at most ``ORACLE_BLOCK`` rows."""
+    if head.shape[1] == dims:
+        yield head
+        return
+    # Row r continues with 0..room[r]-1; children are cut into windows.
+    room = total + 1 - head.sum(axis=1)
+    ends = np.cumsum(room)
+    for first in range(0, int(ends[-1]), ORACLE_BLOCK):
+        pos = np.arange(first, min(first + ORACLE_BLOCK, int(ends[-1])))
+        row = np.searchsorted(ends, pos, side="right")
+        value = pos - (ends[row] - room[row])
+        yield from _simplex_points(dims, total, np.column_stack([head[row], value]))
 
 
 def grid_search_alpha(
@@ -382,7 +482,12 @@ def grid_search_alpha(
 ) -> tuple[Allocation, float]:
     """Brute-force oracle: minimize the exact rate over memory splits on
     a simplex grid of the given step (fractions of M), each level capped
-    at its full-storage point.  Intended for small level counts."""
+    at its full-storage point.  Intended for small level counts.
+
+    The points are enumerated in lexicographic order of the first L-1
+    fractions and priced ``ORACLE_BLOCK`` at a time, each rate bit for
+    bit :func:`total_rate_exact`; the first rate below the best so far
+    by more than 1e-15 becomes the best."""
     if not 0 < grid_step <= 0.1:
         raise ConfigError("grid_step must lie in (0, 0.1]")
     lcount = config.num_levels
@@ -392,25 +497,32 @@ def grid_search_alpha(
     m = config.memory
     caps = [lv.full_memory for lv in config.levels]
 
-    best_rate = math.inf
-    best_shares: tuple[float, ...] = tuple(0.0 for _ in range(lcount))
     if m == 0 or lcount == 1:
         shares = tuple(min(m, caps[i]) if i == 0 else 0.0 for i in range(lcount))
         alloc = Allocation(shares=shares)
         return alloc, total_rate_exact(config, alloc).total
 
-    for head in itertools.product(range(steps + 1), repeat=lcount - 1):
-        used = sum(head)
-        if used > steps:
-            continue
-        alphas = list(head) + [steps - used]
-        shares = tuple(
-            min(alphas[i] * m / steps, caps[i]) for i in range(lcount)
+    cap = np.array(caps)
+    n_files, users, degrees = _level_arrays(config)
+    best_rate = math.inf
+    best_shares: tuple[float, ...] = tuple(0.0 for _ in range(lcount))
+    for head in _simplex_points(lcount - 1, steps, np.zeros((1, 0), dtype=np.int64)):
+        alphas = np.column_stack([head, steps - head.sum(axis=1)])
+        shares = alphas * m / steps
+        shares = np.where(cap < shares, cap, shares)
+        lanes = _level_rates(
+            *np.broadcast_arrays(shares, cap, n_files, users, degrees), config.num_caches
         )
-        rate = total_rate_exact(config, Allocation(shares=shares)).total
-        if rate < best_rate - 1e-15:
-            best_rate = rate
-            best_shares = shares
+        rates = np.zeros(len(shares))
+        for j in range(lcount):
+            rates = rates + lanes[:, j]
+        # A rate that beats the best by 1e-15 is below the best at the
+        # block's start and below every earlier rate of the block.
+        earlier = np.minimum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
+        for i in np.flatnonzero(rates < earlier).tolist():
+            if rates[i] < best_rate - 1e-15:
+                best_rate = float(rates[i])
+                best_shares = tuple(shares[i].tolist())
     return Allocation(shares=best_shares), best_rate
 
 

@@ -374,7 +374,7 @@ def _price_splits(
             np.take_along_axis(d, order, axis=1),
             num_caches,
             memory,
-        )
+        ).total
     return rates
 
 

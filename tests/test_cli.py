@@ -1,17 +1,27 @@
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from codedcache.cli import run
+from codedcache import cli
+from codedcache.cli import _fmt, build_parser, run
 from codedcache.model import (
     ValidationWarning,
     config_from_json,
     config_to_json,
     make_config,
+)
+from codedcache.pama import (
+    build_threshold_table,
+    candidate_partitions,
+    pama_allocate,
+    pama_rate,
+    total_rate_exact,
 )
 
 EX1_JSON = config_to_json(make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)]))
@@ -100,6 +110,123 @@ def test_bad_mspec_is_validation_error(ex1_path):
     assert run(["sweep", "--config", ex1_path, "--m", "nope"]) == 2
     assert run(["sweep", "--config", ex1_path, "--m", "0:10:1"]) == 2
     assert run(["sweep", "--config", ex1_path, "--m", "0:10:5:log"]) == 2
+
+
+@pytest.mark.parametrize("mspec", ["--m=-5:10:3", "--m=nan:1:3"])
+def test_sweep_refuses_a_bad_memory_before_pricing(ex1_path, mspec, capsys):
+    assert run(["sweep", "--config", ex1_path, mspec]) == 2
+    assert capsys.readouterr().err.startswith("error: memory must be a finite non-negative")
+
+
+def test_reused_parser_keeps_no_state_between_runs(ex1_path, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    assert run(["sweep", "--config", ex1_path, "--bogus"]) == 64
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--config", ex1_path, "--m", "0::5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["sweep", "--config", ex1_path, "--m", "0::5"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _reference_sweep(config, table, grid):
+    """Sweep rows and summary priced one memory at a time through
+    pama_rate, as sweep once did, and how many rows the 1e-12 tie rule
+    decided (the rate is not the cheapest reachable split's)."""
+    lines, last, decisive = [], None, 0
+    for m in grid:
+        at = config.with_memory(m)
+        res = pama_rate(at, table)
+        closed = res.closed.value
+        shares = ",".join(_fmt(s) for s in res.allocation.shares)
+        rates = ",".join(_fmt(r) for r in res.exact.per_level)
+        lines.append(
+            f"{_fmt(m)},{_fmt(res.exact.total)},{_fmt(closed)},"
+            f"\"{res.partition.label()}\",{shares},{rates}"
+        )
+        last = {
+            "M": m,
+            "partition": res.partition.label(),
+            "shares": list(res.allocation.shares),
+            "R_exact": res.exact.total,
+            "R_closed": closed,
+            "closed_in_validity": res.closed.in_validity,
+            "per_level_rates": list(res.exact.per_level),
+        }
+        totals = [
+            total_rate_exact(at, pama_allocate(at, part)).total
+            for part in candidate_partitions(table, m)
+        ]
+        decisive += res.exact.total != min(totals)
+    summary = json.dumps({"points": len(grid), "last": last}, indent=2, sort_keys=True)
+    return lines, summary + "\n", decisive
+
+
+def test_sweep_rows_match_per_point_pama_rate(tmp_path, monkeypatch, capsys):
+    # A block of 7 memories makes most grids span several blocks.
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    rng = np.random.default_rng(15)
+    decisive = non_dividing = undefined_closed = 0
+    last_kinds = set()
+    for i in range(40):
+        lcount = 1 + i % 4
+        k = int(rng.integers(2, 13))
+        levels = []
+        for _ in range(lcount):
+            u = int(rng.integers(1, 5))
+            d = int(rng.integers(1, min(5, k) + 1))
+            non_dividing += k % d != 0
+            levels.append((k * u * int(rng.integers(1, 12)) + int(rng.integers(0, k)), u, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            cfg = make_config(k, 0.0, levels)
+        table = build_threshold_table(cfg)
+        full = cfg.full_memory
+        # Every breakpoint Y_t, M = 0, full storage and beyond it; the
+        # last memory, which the summary reports, rotates between kinds.
+        grid = [
+            0.0,
+            *(bp.memory for bp in table.breakpoints),
+            *rng.uniform(0.0, full, 10).tolist(),
+            full,
+            1.1 * full,
+        ]
+        grid.append([0.0, float(rng.uniform(0.0, full)), 1.1 * full][i % 3])
+        path = tmp_path / "instance.json"
+        path.write_text(config_to_json(cfg))
+        monkeypatch.setattr(cli, "_parse_mspec", lambda text, default_max: np.array(grid))
+        summary = tmp_path / "summary.json"
+        argv = ["sweep", "--config", str(path), "--m", "grid", "--summary", str(summary)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            assert run(argv) == 0
+        lines, expected_summary, tied = _reference_sweep(cfg, table, grid)
+        assert capsys.readouterr().out.splitlines()[2:] == lines
+        assert summary.read_text() == expected_summary
+        decisive += tied
+        undefined_closed += sum(",inf," in line for line in lines)
+        last_kinds.add(json.loads(expected_summary)["last"]["closed_in_validity"])
+    assert decisive > 0 and non_dividing > 0 and undefined_closed > 0
+    assert last_kinds == {True, False}
+
+
+def test_sweep_scratch_memory_is_bounded(tmp_path):
+    # 10,000 memories of an L=4 instance, about 26 MiB priced at once;
+    # the CSV lines themselves take about 3 MiB.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        cfg = make_config(12, 0.0, [(400, 3, 1), (900, 2, 2), (3000, 1, 3), (8000, 1, 5)])
+    path = tmp_path / "instance.json"
+    path.write_text(config_to_json(cfg))
+    argv = ["sweep", "--config", str(path), "--m", "0::10000", "--out", str(tmp_path / "o.csv")]
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            assert run(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_gap_subcommand(ex1_path, tmp_path, capsys):
@@ -351,3 +478,57 @@ def test_selftest_prints_each_criterion_time(capsys):
         r"1000/1000 tuples exact at both endpoints",
         line,
     )
+
+
+# sha256 of stdout and of the --summary file, computed when every sweep
+# row and every oracle point was priced one at a time.  The last sweep
+# grid of each config runs past full storage.  `pama` prints the config
+# path, so the commands run in the configs directory.
+ANALYSIS_PINS = [
+    ("sweep --config example1.json --m 0::100",
+     "7ff0b3aef4fc87febd3f1cd54df4a9d2b6da4556884c7056c7596263e036abab",
+     "f473c9452c28254d1a3bf3a1eeef90c5ddd868f20aed904a9ceef7a0cbbcb7bb"),
+    ("sweep --config gap3level.json --m 0::100",
+     "6b70ea266d8678f6b76c278bf2e218744de443c6115491b5141478f666d820e3",
+     "01c397d89ad413d9ab746f542c7ef359d34e19a3c105a3d8dcc720ea7f27bbb4"),
+    ("sweep --config example1.json --m 0.5::40:log",
+     "f65ef3d5a612bec52cabee4ab39ba6f18376d04d013a587d37856b2a6c4cb2fa",
+     "06311d764a32cbe50140702486e20ded24e8c957ed25fd35b6d635aecd714ec4"),
+    ("sweep --config gap3level.json --m 0.5::40:log",
+     "0fc604d5c208bd807c12a68456af9bf3b3938d39afac3e26e48a0bd6ed1f184b",
+     "7bf4146c5cfe9e438b44c4e8c38ceca5fb4acc83e43320cef87950b46eae38fe"),
+    ("sweep --config example1.json --m 0:250:51",
+     "8cc6363781f7ad0569ae1373a6abb473019fc46868667f00441f83fa2270ba19",
+     "8f92b21e45b675a9ca3570087c631840229d41e048b986d788dc1ee5b2cfb7e5"),
+    ("sweep --config gap3level.json --m 0:2900:59",
+     "da2fb5d320039b03dfe22ddc6227ccf1d1e00c2fa263cc67e76b8f5df86c6403",
+     "2ba88a0c77b563345d293b7266c66993ba287a7a8841b5a940b5f4b857e4daff"),
+    ("pama --config example1.json --grid-step 0.01",
+     "5b766dbdb8dce4bf1adb472f2fac19589d5731ff0cb21612bb158222919f2082",
+     "6bcaf6f5c3f00487e3e33c9b072ec19e38e078367f1f83764d94430b8858f0e7"),
+    ("pama --config gap3level.json --grid-step 0.01",
+     "a6f4d9538e1e543a1157390411db9d81a335465d6c7c06ce41071c30b16ea03a",
+     "12c9cdc5a0139233c56613ee748853b8bfb9667baa21dc58a51e3aa5c43ba46f"),
+]
+
+
+@pytest.mark.parametrize(
+    "args,out_digest,summary_digest",
+    ANALYSIS_PINS,
+    ids=[
+        "sweep-example1", "sweep-gap3level", "sweep-log-example1", "sweep-log-gap3level",
+        "sweep-past-full-example1", "sweep-past-full-gap3level",
+        "oracle-example1", "oracle-gap3level",
+    ],
+)
+def test_analysis_output_bytes_pinned(
+    args, out_digest, summary_digest, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(CONFIGS)
+    summary = tmp_path / "summary.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        assert run([*args.split(), "--summary", str(summary)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == out_digest
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -282,6 +284,91 @@ def test_grid_search_example1_window():
 def test_grid_search_step_validation():
     with pytest.raises(ValueError):
         grid_search_alpha(EX1, 0.5)
+
+
+def _reference_grid_search(config, grid_step):
+    """grid_search_alpha as it priced one simplex point at a time."""
+    lcount = config.num_levels
+    steps = round(1.0 / grid_step)
+    m = config.memory
+    caps = [lv.full_memory for lv in config.levels]
+    best_rate = math.inf
+    best_shares = tuple(0.0 for _ in range(lcount))
+    if m == 0 or lcount == 1:
+        shares = tuple(min(m, caps[i]) if i == 0 else 0.0 for i in range(lcount))
+        alloc = Allocation(shares=shares)
+        return alloc, total_rate_exact(config, alloc).total
+    for head in itertools.product(range(steps + 1), repeat=lcount - 1):
+        used = sum(head)
+        if used > steps:
+            continue
+        alphas = list(head) + [steps - used]
+        shares = tuple(min(alphas[i] * m / steps, caps[i]) for i in range(lcount))
+        rate = total_rate_exact(config, Allocation(shares=shares)).total
+        if rate < best_rate - 1e-15:
+            best_rate = rate
+            best_shares = shares
+    return Allocation(shares=best_shares), best_rate
+
+
+def _quiet_config(k, memory, levels):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        return make_config(k, memory, levels)
+
+
+def test_simplex_points_follow_product_order_in_bounded_blocks(monkeypatch):
+    monkeypatch.setattr(codedcache.pama, "ORACLE_BLOCK", 5)
+    for dims in range(1, 5):
+        for total in (0, 1, 4, 7):
+            blocks = list(
+                codedcache.pama._simplex_points(dims, total, np.zeros((1, 0), dtype=np.int64))
+            )
+            assert all(1 <= len(b) <= 5 for b in blocks)
+            points = [tuple(p) for b in blocks for p in b.tolist()]
+            expected = [
+                p for p in itertools.product(range(total + 1), repeat=dims) if sum(p) <= total
+            ]
+            assert points == expected
+
+
+def test_grid_search_matches_point_by_point_reference(monkeypatch):
+    # A block of 7 points splits every simplex mid-row.
+    monkeypatch.setattr(codedcache.pama, "ORACLE_BLOCK", 7)
+    same = [(60, 2, 1)] * 3
+    caps = [(20, 1, 1), (200, 2, 2), (40, 1, 4)]
+    cases = [
+        # Identical levels: every permutation of a split ties.
+        (_quiet_config(6, 45.0, same), 0.05),
+        (_quiet_config(6, 90.0, same[:2]), 0.01),
+        # Most points hit at least one storage cap.
+        (_quiet_config(4, 0.9 * (20 + 100 + 10), caps), 0.05),
+        (_quiet_config(4, 2.0 * (20 + 100 + 10), caps), 0.1),
+        (_quiet_config(4, 0.0, caps), 0.05),
+        (_quiet_config(4, 33.0, [(100, 2, 1)]), 0.05),
+    ]
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        cfg = _random_config(rng)
+        memory = float(rng.uniform(0.0, 1.1)) * cfg.full_memory
+        step = float(rng.choice([0.1, 0.05, 0.04, 0.03]))
+        cases.append((cfg.with_memory(memory), step))
+    for cfg, step in cases:
+        assert repr(grid_search_alpha(cfg, step)) == repr(_reference_grid_search(cfg, step))
+    assert {cfg.num_levels for cfg, _ in cases} == {1, 2, 3, 4}
+
+
+def test_grid_search_scratch_memory_is_bounded():
+    # 23,426 points of an L=4 simplex, about 10 MiB if priced at once.
+    cfg = _quiet_config(12, 0.0, [(400, 3, 1), (900, 2, 2), (3000, 1, 3), (8000, 1, 5)])
+    cfg = cfg.with_memory(0.6 * cfg.full_memory)
+    tracemalloc.start()
+    try:
+        grid_search_alpha(cfg, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_access_opt_single_candidate():
