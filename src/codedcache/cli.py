@@ -84,13 +84,14 @@ def _parse_mspec(text: str, default_max: float) -> np.ndarray:
         points = int(parts[2])
     except ValueError:
         raise ConfigError(f"--m expects numeric MIN:MAX:POINTS, got {text!r}") from None
+    lo, hi = _memory(lo), _memory(hi)
     if points < 2:
         raise ConfigError("--m needs at least 2 points")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"unknown --m scale {parts[3]!r}")
-        if lo <= 0:
-            raise ConfigError("log-scale --m requires MIN > 0")
+        if lo <= 0 or hi <= 0:
+            raise ConfigError("log-scale --m requires MIN > 0 and MAX > 0")
         return np.geomspace(lo, hi, points)
     return np.linspace(lo, hi, points)
 
@@ -241,11 +242,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     grid = _memory_grid(args, config)
     lines = ["# best lower bound per memory point", "M,best_LB,witness_kind,witness_params"]
-    best = None
-    for m, w in zip(grid, lower_bounds(config, grid)):
+    witnesses = lower_bounds(config, grid)
+    for m, w in zip(grid, witnesses):
         lines.append(f"{_fmt(m)},{_fmt(w.value)},{w.kind},\"{w.param_str()}\"")
-        best = {"M": float(m), "value": w.value, "kind": w.kind, "params": w.param_str()}
-    _emit(args, lines, best)
+    m, w = grid[-1], witnesses[-1]
+    _emit(args, lines, {"M": float(m), "value": w.value, "kind": w.kind, "params": w.param_str()})
     return 0
 
 

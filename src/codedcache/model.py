@@ -46,7 +46,7 @@ def _memory(value: Any) -> float:
     """A cache size as a float; it must be a finite, non-negative real."""
     memory = _real(value, "memory")
     if not math.isfinite(memory) or memory < 0:
-        raise ConfigError(f"memory must be a finite non-negative real, got {value!r}")
+        raise ConfigError(f"memory must be a finite non-negative real, got {memory!r}")
     return memory
 
 

@@ -30,10 +30,14 @@ Neither order depends on how files are labelled.
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
 placement sampling, (2, trial) for stochastic user profiles.  A
-(cache, level) stream fills that level's masks file by file, in blocks
-of at most ``DRAW_BLOCK`` doubles; each double compares its full float64
-value with the cached fraction.  Identical seeds reproduce every
-artifact bit-for-bit.
+(cache, level) stream fills that level's masks file by file at one
+random byte per bit, and every bit is exactly Bernoulli(mu) for the
+float64 cached fraction mu: the bytes read as a base-256 fraction U,
+and the bit is U < mu.  The 1 in 256 bits whose first byte ties mu's
+first digit are resolved in later rounds (see ``_bernoulli_bits``).
+First bytes come in blocks of at most ``DRAW_BLOCK`` 64-bit outputs,
+and the bits do not depend on the block size.  Identical seeds
+reproduce every artifact bit-for-bit.
 """
 
 from __future__ import annotations
@@ -75,18 +79,64 @@ class PlacementState:
     ``stored[(cache, level)]`` is an ``(N_i, subfile_length)`` bool array
     whose row f marks the bits of file f's subfile (of the cache's color)
     that the cache keeps.  Each (cache, level) array comes from one PCG64
-    stream with spawn key ``(1, cache, level)``, drawn row-major in
-    blocks of at most ``DRAW_BLOCK`` doubles."""
+    stream with spawn key ``(1, cache, level)``, filled row-major at one
+    random byte per bit plus tie rounds (see ``_bernoulli_bits``)."""
 
     config: SystemConfig
     file_size_bits: int
     stored: dict[tuple[int, int], np.ndarray]
 
 
-# Doubles drawn per call: each float64 draw holds at most 1 MiB however large
-# a level's masks are.  One double takes one 64-bit output of the stream,
-# so the bits do not depend on the block size.
-DRAW_BLOCK = 1 << 17
+# 64-bit outputs drawn per call, 8 placed bits each: the bytes of one call
+# and their tie mask hold 1 MiB however large a level's masks are.  Bits
+# read the stream's bytes in position order, so they do not depend on the
+# block size.
+DRAW_BLOCK = 1 << 16
+
+
+def _stream_bytes(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+    """The next ``count`` bytes of a stream: the little-endian bytes of
+    ceil(count / 8) 64-bit outputs, the unused tail of the last dropped."""
+    raw = bitgen.random_raw(-(-count // 8))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:count]
+
+
+def _base256_digits(mu: float) -> list[int]:
+    """The finite base-256 expansion of a float64 in (0, 1); each step
+    scales by a power of two and drops an integer part, so it is exact."""
+    digits = []
+    while mu > 0.0:
+        mu *= 256.0
+        digit = int(mu)
+        digits.append(digit)
+        mu -= digit
+    return digits
+
+
+def _bernoulli_bits(flat: np.ndarray, mu: float, bitgen: np.random.PCG64) -> None:
+    """Fill ``flat`` with independent exact Bernoulli(mu) bits: a bit is set
+    when U = 0.b0 b1 b2... (base 256, uniform bytes b_j) is below mu.
+
+    Every bit compares one byte with mu's first digit.  The 1 in 256 bits
+    that tie read one more byte per round, in position order, against the
+    next digit; a tie still open after the last digit means U >= mu."""
+    if mu <= 0.0 or mu >= 1.0:
+        flat.fill(mu >= 1.0)
+        return
+    first, *rest = _base256_digits(mu)
+    ties = []
+    for start in range(0, flat.size, 8 * DRAW_BLOCK):
+        block = flat[start : start + 8 * DRAW_BLOCK]
+        drawn = _stream_bytes(bitgen, block.size)
+        np.less(drawn, first, out=block)
+        ties.append(np.flatnonzero(drawn == first) + start)
+    open_ties = np.concatenate(ties)
+    for digit in rest:
+        if open_ties.size == 0:
+            break
+        drawn = _stream_bytes(bitgen, open_ties.size)
+        flat[open_ties[drawn < digit]] = True
+        open_ties = open_ties[drawn == digit]
 
 
 def place(
@@ -96,8 +146,9 @@ def place(
     seed: int,
 ) -> PlacementState:
     """Sample cache contents: every cache keeps, for each file of each
-    level, a Bernoulli(d_i * share_i / N_i) subset of the bit indices of
-    the subfile matching the cache's color."""
+    level, an exact Bernoulli(d_i * share_i / N_i) subset of the bit
+    indices of the subfile matching the cache's color, at one random byte
+    per bit (see ``_bernoulli_bits``)."""
     if file_size_bits < 64:
         raise ValueError("file_size_bits must be at least 64")
     k = config.num_caches
@@ -118,14 +169,9 @@ def place(
             color = cache % lv.access_degree
             length = _subfile_length(file_size_bits, lv.access_degree, color)
             mu = fractions[lvl_idx]
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, cache, lvl_idx)))
-            )
+            bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, cache, lvl_idx)))
             masks = np.empty((lv.n_files, length), dtype=bool)
-            flat = masks.reshape(-1)
-            for start in range(0, flat.size, DRAW_BLOCK):
-                block = flat[start : start + DRAW_BLOCK]
-                np.less(rng.random(block.size), mu, out=block)
+            _bernoulli_bits(masks.reshape(-1), mu, bitgen)
             stored[(cache, lvl_idx)] = masks
             actual_bits += int(np.count_nonzero(masks))
             expected_bits += mu * masks.size

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -24,6 +27,8 @@ from codedcache.pama import (
     total_rate_exact,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = CONFIGS.parent / "src"
 EX1_JSON = config_to_json(make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)]))
 
 
@@ -110,12 +115,35 @@ def test_bad_mspec_is_validation_error(ex1_path):
     assert run(["sweep", "--config", ex1_path, "--m", "nope"]) == 2
     assert run(["sweep", "--config", ex1_path, "--m", "0:10:1"]) == 2
     assert run(["sweep", "--config", ex1_path, "--m", "0:10:5:log"]) == 2
+    assert run(["sweep", "--config", ex1_path, "--m", "1:0:5:log"]) == 2
 
 
 @pytest.mark.parametrize("mspec", ["--m=-5:10:3", "--m=nan:1:3"])
 def test_sweep_refuses_a_bad_memory_before_pricing(ex1_path, mspec, capsys):
     assert run(["sweep", "--config", ex1_path, mspec]) == 2
     assert capsys.readouterr().err.startswith("error: memory must be a finite non-negative")
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        ("sweep --config {}/example1.json --m 0:inf:3", "got inf"),
+        ("bounds --config {}/example1.json --m 0:nan:3", "got nan"),
+        ("gap --config {}/example1.json --m=-1:5:3", "got -1.0"),
+    ],
+)
+def test_bad_mspec_bound_is_refused_cleanly_with_warnings_as_errors(argv, shown):
+    # A non-finite MIN or MAX is refused before numpy builds the grid, so
+    # no RuntimeWarning can turn into a traceback, and the message shows a
+    # plain float.
+    proc = subprocess.run(
+        [sys.executable, "-m", "codedcache.cli", *argv.format(CONFIGS).split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: memory must be a finite non-negative real, {shown}\n"
 
 
 def test_reused_parser_keeps_no_state_between_runs(ex1_path, tmp_path, capsys):
@@ -376,8 +404,6 @@ def test_simulate_requires_matching_catalogue(ex1_path):
     )
     assert code == 2
 
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # sha256 of stdout, computed when callers still passed the rank-to-level
 # map to simulate_stochastic.

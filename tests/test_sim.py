@@ -1,6 +1,8 @@
+import math
 import tracemalloc
 import warnings
 from collections import Counter, defaultdict
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -277,18 +279,55 @@ def test_placement_reproducible():
     assert log_a.pair_bits == log_b.pair_bits
 
 
+def _digits(mu):
+    """The base-256 digits of mu in [0, 1), exactly, from its Fraction."""
+    frac = Fraction(mu)
+    digits = []
+    while frac > 0:
+        frac *= 256
+        digits.append(math.floor(frac))
+        frac -= digits[-1]
+    return digits
+
+
+def _reference_bits(bitgen, n, mu):
+    """n placement bits, one at a time: bit p is 1 when the base-256
+    number 0.b0 b1 ... read from the stream is below mu.  Round r draws
+    one byte for every bit still tied with mu's first r digits, in
+    position order, from whole 64-bit outputs read little-endian."""
+    if mu >= 1:
+        return np.ones(n, dtype=bool)
+    bits = [False] * n
+    tied = list(range(n))
+    for digit in _digits(mu):
+        if not tied:
+            break
+        raw = bitgen.random_raw(-(-len(tied) // 8))
+        stream = b"".join(int(word).to_bytes(8, "little") for word in raw)
+        still = []
+        for pos, byte in zip(tied, stream):
+            if byte < digit:
+                bits[pos] = True
+            elif byte == digit:
+                still.append(pos)
+        tied = still
+    return np.array(bits, dtype=bool)
+
+
 @pytest.mark.parametrize(
     "block",
     [
-        1 << 17,  # each level's masks in one block
+        131072,  # each level's masks in one block
         256,  # several rows per block
-        101,  # one 101-bit row per block
+        101,  # between one row of each level
         37,  # every subfile longer than a block
+        1,  # one 64-bit output per block
     ],
 )
 def test_placement_stream_pinned(monkeypatch, block):
-    # F = 101 gives subfiles of 101 bits (d = 1) and of 51 and 50 bits
-    # (d = 2, by color), so row and block edges fall out of step.
+    # F = 1001 gives subfiles of 1001 bits (d = 1) and of 501 and 500 bits
+    # (d = 2, by color); a block holds 8 bits per output, so row and block
+    # edges fall out of step.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = make_config(3, 3.0, [(5, 1, 1), (6, 1, 2)])
@@ -300,18 +339,56 @@ def test_placement_stream_pinned(monkeypatch, block):
         built.append(seed_seq.spawn_key)
         return pcg64(seed_seq)
 
-    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
-    pl = place(cfg, Allocation(shares=(1.0, 2.0)), 101, seed=8)
-    monkeypatch.undo()
-    assert sorted(built) == [(1, c, lvl) for c in range(3) for lvl in range(2)]
-    mus = (1.0 / 5, 2 * 2.0 / 6)
-    for (c, lvl), masks in pl.stored.items():
-        n_files = cfg.levels[lvl].n_files
-        length = 101 if lvl == 0 else 51 - c % 2
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(8, spawn_key=(1, c, lvl)))
-        )
-        assert np.array_equal(masks, rng.random((n_files, length)) < mus[lvl])
+    # 0.5 has one base-256 digit, so all its ties give 0; 1/3 and
+    # 1 - 2^-53 have seven digits, 2^-60 has seven zero digits before its
+    # last; 0 and 1 fill without reading the stream.
+    for mus in [(1.0 / 5, 2.0 / 3), (0.5, 1.0 / 3), (2.0**-60, 1 - 2.0**-53), (0.0, 1.0)]:
+        built.clear()
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        pl = place(cfg, Allocation(shares=(mus[0] * 5, mus[1] * 3)), 1001, seed=8)
+        monkeypatch.setattr(np.random, "PCG64", pcg64)
+        assert sorted(built) == [(1, c, lvl) for c in range(3) for lvl in range(2)]
+        for (c, lvl), masks in pl.stored.items():
+            length = 1001 if lvl == 0 else 501 - c % 2
+            assert masks.shape == (cfg.levels[lvl].n_files, length)
+            bitgen = pcg64(np.random.SeedSequence(8, spawn_key=(1, c, lvl)))
+            expected = _reference_bits(bitgen, masks.size, mus[lvl])
+            assert np.array_equal(masks.reshape(-1), expected)
+
+
+class _NarrowStream:
+    """A stand-in bit generator whose bytes are each drawn uniformly from
+    {d - 1, d, d + 1} over mu's base-256 digits d, so that ties stay open
+    for many rounds and some outlast the last digit."""
+
+    def __init__(self, seed, mu):
+        self.rng = np.random.default_rng(seed)
+        near = {x for d in _digits(mu % 1) for x in (d - 1, d, d + 1)}
+        self.alphabet = np.array(sorted(near & set(range(256))), dtype=np.uint8)
+
+    def random_raw(self, size):
+        drawn = self.rng.choice(self.alphabet, size=8 * size)
+        return drawn.view("<u8").astype(np.uint64)
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+@pytest.mark.parametrize(
+    "mu", [1.0 / 3, 0.5, 1 - 2.0**-53, 2.0**-60, 3.0 / 256, 0.3712345, 0.0, 1.0]
+)
+def test_bernoulli_bits_match_reference_through_tie_rounds(monkeypatch, block, mu):
+    monkeypatch.setattr(sim, "DRAW_BLOCK", block)
+    flat = np.empty(65539, dtype=bool)
+    sim._bernoulli_bits(flat, mu, _NarrowStream(4, mu))
+    assert np.array_equal(flat, _reference_bits(_NarrowStream(4, mu), flat.size, mu))
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0 / 3, 0.3712345, 3.0 / 256, 0.999])
+def test_bernoulli_bits_mean(mu):
+    n = 1 << 24
+    flat = np.empty(n, dtype=bool)
+    sim._bernoulli_bits(flat, mu, np.random.PCG64(5))
+    ones = int(np.count_nonzero(flat))
+    assert abs(ones - mu * n) <= 5 * math.sqrt(n * mu * (1 - mu))
 
 
 def test_place_scratch_memory_is_bounded():
