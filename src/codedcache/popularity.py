@@ -36,8 +36,9 @@ class CountsError(ValueError):
 class EmpiricalDistribution:
     """Per-file request probabilities, sorted non-increasing, summing to 1.
 
-    Any sequence of floats is accepted; it is held as a read-only
-    float64 array, beside its read-only ``cumulative`` sums.
+    Any sequence of finite floats is accepted; NaN or infinite entries
+    raise :class:`CountsError`.  It is held as a read-only float64
+    array, beside its read-only ``cumulative`` sums.
     """
 
     probabilities: np.ndarray
@@ -47,6 +48,8 @@ class EmpiricalDistribution:
         p = np.array(self.probabilities, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise CountsError("distribution must be a non-empty 1-D sequence")
+        if not np.isfinite(p).all():
+            raise CountsError("probabilities must be finite")
         if np.any(p < 0):
             raise CountsError("probabilities must be non-negative")
         if np.any(np.diff(p) > 1e-12):

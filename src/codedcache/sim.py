@@ -8,11 +8,14 @@ Two simulation modes read one subsystem layout:
   broadcast carries at least the bits any member lacks and at most the
   bits all members lack.  A delivery group holds at most 64 users.
 
-* expected-size: per-trial stochastic user profiles are priced on the
-  same layout, but each subsystem contributes its expected coded load
+* expected-size: stochastic user profiles are priced on the same
+  layout, but each subsystem contributes its expected coded load
   (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
-  bits, with one scalar ``coded_load`` call per distinct (level, file
-  count).  This scales to catalogue-sized popularity distributions.
+  bits.  Trials are priced in blocks of at most ``DEMAND_BLOCK``
+  demands: one layout serves a whole block, ``coded_load`` runs once
+  per distinct (level, file count) in it, and each trial's loads are
+  summed left to right in one row of a zero-padded array.  This scales
+  to catalogue-sized popularity distributions.
 
 Subsystem layout (``_layout``).  A demand's slot is the number of
 earlier demands at its (cache, level).  Caches are colored by index mod
@@ -25,7 +28,9 @@ cache are sent in clear.  Every other user joins the delivery group
 keyed by (level, c mod d_i, slot), whose members share no cache.
 Groups are numbered in key order and keep the index of their first
 demand; distinct edge demands keep their order of first appearance.
-Neither order depends on how files are labelled.
+Neither order depends on how files are labelled.  A block of trials is
+laid out at once, with the trial as the most significant part of every
+key, so trials share no slot, group or edge demand.
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
@@ -36,14 +41,19 @@ float64 cached fraction mu: the bytes read as a base-256 fraction U,
 and the bit is U < mu.  The 1 in 256 bits whose first byte ties mu's
 first digit are resolved in later rounds (see ``_bernoulli_bits``).
 First bytes come in blocks of at most ``DRAW_BLOCK`` 64-bit outputs,
-and the bits do not depend on the block size.  Identical seeds
-reproduce every artifact bit-for-bit.
+and the bits do not depend on the block size.  A trial's stream draws
+its users' cache indices (the LFU baseline draws none), then one
+uniform per user, and a uniform's rank is the one ``Generator.choice``
+would give it, found by an exact table lookup (see ``_RankTable``).
+Identical seeds reproduce every artifact bit-for-bit, whatever the
+block sizes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -219,17 +229,24 @@ def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> 
 
 
 def _layout(
-    config: SystemConfig, demands: Sequence[Demand] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[Demand]]:
+    config: SystemConfig,
+    demands: Sequence[Demand] | np.ndarray,
+    trial: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Subsystem layout of a demand profile (see the module docstring).
+
+    ``trial`` optionally gives each demand's trial, as a non-decreasing
+    int64 column: the demands of a block of trials, one trial after
+    another.  Without it every demand belongs to trial 0.
 
     Returns the ``(n, 3)`` int64 demand table; a mask of the coded
     demands (those that join a group) and the group id of each coded
     demand, in demand order; each group's (level, residue, slot) key and
-    the position of its first demand among the coded ones; and the
-    distinct edge demands, as (cache, level, file) tuples in order of
-    first appearance.  Demands that are not integer triples, or that
-    name a cache, level or file the config lacks, raise ``ValueError``.
+    the position of its first demand among the coded ones, with groups
+    numbered in (trial, key) order; and the indices of each trial's
+    distinct edge demands, in order of first appearance.  Demands that
+    are not integer triples, or that name a cache, level or file the
+    config lacks, raise ``ValueError``.
     """
     table = np.asarray(demands)
     if table.size == 0:
@@ -249,6 +266,8 @@ def _layout(
     table = table.astype(np.int64, copy=False)
     caches, levels, files = table.T
     n = len(table)
+    if trial is None:
+        trial = np.zeros(n, dtype=np.int64)
     k, num_levels = config.num_caches, config.num_levels
     n_files = np.array([lv.n_files for lv in config.levels])
     level_ok = (levels >= 0) & (levels < num_levels)
@@ -265,7 +284,8 @@ def _layout(
     # Slots from one sort: sorting (cell, index) pairs packed in one int64
     # is a stable sort by cell, and much faster than a stable argsort.
     index = np.arange(n)
-    by_cell = np.sort((caches * num_levels + levels) * n + index)
+    cells = (trial * k + caches) * num_levels + levels
+    by_cell = np.sort(cells * n + index)
     run_head = np.diff(by_cell // n, prepend=-1) != 0
     slots = np.empty(n, dtype=np.int64)
     slots[by_cell % n] = index - np.flatnonzero(run_head)[np.cumsum(run_head) - 1]
@@ -274,13 +294,31 @@ def _layout(
     wraps = (k % degrees != 0) & (caches > k - degrees)
     coded = ~wraps
     residues = caches % degrees
-    _, first, group = np.unique(
-        ((levels * k + residues) * n + slots)[coded], return_index=True, return_inverse=True
+    first, group = _distinct(
+        (((trial * num_levels + levels) * k + residues) * n + slots)[coded]
     )
     head = np.flatnonzero(coded)[first]
     keys = np.column_stack([levels[head], residues[head], slots[head]])
-    edges = list(dict.fromkeys(map(tuple, table[wraps].tolist())))
+    edge_first, _ = _distinct((cells * n_files.max() + files)[wraps])
+    edges = np.flatnonzero(wraps)[np.sort(edge_first)]
     return table, coded, group, keys, first, edges
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_index=True, return_inverse=True)[1:]``:
+    the index of each distinct value's first occurrence, in value order,
+    and each entry's distinct-value number.  One unstable argsort does
+    it, where ``np.unique`` pays for a stable one."""
+    order = np.argsort(values)
+    ordered = values[order]
+    head = np.empty(ordered.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts) if starts.size else starts
+    number = np.empty_like(order)
+    number[order] = np.cumsum(head) - 1
+    return first, number
 
 
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
@@ -367,7 +405,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             total_bits += bits_here
 
     # Edge users: send whatever no accessible cache holds, in clear.
-    for cache, lvl_idx, file in edges:
+    for cache, lvl_idx, file in table[edges].tolist():
         d = config.levels[lvl_idx].access_degree
         cov = [np.zeros(_subfile_length(f_bits, d, color), dtype=bool) for color in range(d)]
         for c in ((cache + o) % k for o in range(d)):
@@ -383,6 +421,85 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
         uncoded_bits=uncoded_bits,
         decode_ok=True,
     )
+
+
+def _expected_rates(
+    config: SystemConfig,
+    shares: Sequence[float],
+    demands: Sequence[Demand] | np.ndarray,
+    trial: np.ndarray | None = None,
+    trials: int = 1,
+) -> np.ndarray:
+    """Expected-size rate of each of ``trials`` demand profiles laid out
+    side by side (see :func:`_layout` and :func:`expected_profile_rate`).
+
+    Each trial's row holds its group loads in order of first appearance,
+    then, per distinct edge demand in order of first appearance, its
+    per-color terms.  A row-wise ``cumsum`` adds them left to right, as
+    a scalar loop would, and the zeros that pad the rows add nothing.
+    """
+    table, coded, group, keys, first, edges = _layout(config, demands, trial)
+    if trial is None:
+        trial = np.zeros(len(table), dtype=np.int64)
+    k = config.num_caches
+    mus = [
+        min(1.0, lv.access_degree * shares[idx] / lv.n_files)
+        for idx, lv in enumerate(config.levels)
+    ]
+
+    file_span = max(lv.n_files for lv in config.levels)
+    pairs = np.sort(group * file_span + table[:, 2][coded])
+    distinct = np.bincount(
+        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first.size
+    )
+    # Price each (level, distinct-file count) once, then gather.
+    count_span = len(group) + 1
+    price_keys = keys[:, 0] * count_span + distinct
+    priced, price_of = _distinct(price_keys)
+    values = np.array(
+        [
+            coded_load(mus[key // count_span], key % count_span)
+            for key in price_keys[priced].tolist()
+        ]
+    )
+    order = np.argsort(first)
+    group_loads = values[price_of][order]
+    group_trial = trial[coded][first[order]]
+
+    # Each (cache, level) of an edge demand adds the same per-color
+    # terms, padded with zeros to the largest degree.
+    width = max(lv.access_degree for lv in config.levels)
+    edge_cells = table[edges, 0] * config.num_levels + table[edges, 1]
+    cells, cell_of = _distinct(edge_cells)
+    terms = np.zeros((cells.size, width))
+    for row, cell in enumerate(edge_cells[cells].tolist()):
+        cache, lvl_idx = divmod(cell, config.num_levels)
+        d = config.levels[lvl_idx].access_degree
+        window = [(cache + o) % k for o in range(d)]
+        terms[row, :d] = [
+            (1.0 - mus[lvl_idx]) ** sum(1 for c in window if c % d == color) / d
+            for color in range(d)
+        ]
+    edge_trial = trial[edges]
+
+    group_col = _column_in_trial(group_trial, trials)
+    edge_col = _column_in_trial(edge_trial, trials)
+    group_width = int(group_col.max(initial=-1)) + 1
+    rows = np.zeros((trials, group_width + (int(edge_col.max(initial=-1)) + 1) * width))
+    rows[group_trial, group_col] = group_loads
+    rows[edge_trial[:, None], group_width + edge_col[:, None] * width + np.arange(width)] = (
+        terms[cell_of]
+    )
+    if rows.shape[1] == 0:
+        return np.zeros(trials)
+    return np.cumsum(rows, axis=1, out=rows)[:, -1]
+
+
+def _column_in_trial(trial: np.ndarray, trials: int) -> np.ndarray:
+    """Each entry's position among the entries of its trial, for a
+    non-decreasing column of trial indices."""
+    counts = np.bincount(trial, minlength=trials)
+    return np.arange(trial.size) - (np.cumsum(counts) - counts)[trial]
 
 
 def expected_profile_rate(
@@ -401,40 +518,7 @@ def expected_profile_rate(
     demand then adds the expected uncovered fraction of each of its
     subfiles, in order of first appearance.
     """
-    table, coded, group, keys, first, edges = _layout(config, demands)
-    k = config.num_caches
-    mus = [
-        min(1.0, lv.access_degree * shares[idx] / lv.n_files)
-        for idx, lv in enumerate(config.levels)
-    ]
-
-    file_span = max(lv.n_files for lv in config.levels)
-    pairs = np.sort(group * file_span + table[:, 2][coded])
-    distinct = np.bincount(
-        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first.size
-    )
-    # Price each (level, distinct-file count) once, then gather.
-    count_span = len(group) + 1
-    priced, price_of = np.unique(keys[:, 0] * count_span + distinct, return_inverse=True)
-    values = np.array(
-        [coded_load(mus[key // count_span], key % count_span) for key in priced.tolist()]
-    )
-    group_loads = values[price_of][np.argsort(first)]
-    load = float(np.cumsum(group_loads)[-1]) if group_loads.size else 0.0
-
-    # Each (cache, level) of an edge demand adds the same per-color terms.
-    edge_terms: dict[tuple[int, int], list[float]] = {}
-    for cache, lvl_idx, _ in edges:
-        if (cache, lvl_idx) not in edge_terms:
-            d = config.levels[lvl_idx].access_degree
-            window = [(cache + o) % k for o in range(d)]
-            edge_terms[cache, lvl_idx] = [
-                (1.0 - mus[lvl_idx]) ** sum(1 for c in window if c % d == color) / d
-                for color in range(d)
-            ]
-        for term in edge_terms[cache, lvl_idx]:
-            load += term
-    return load
+    return float(_expected_rates(config, shares, demands)[0])
 
 
 @dataclass(frozen=True)
@@ -448,14 +532,77 @@ class SimulationResult:
 
 
 def _check_run(total_users: int, trials: int, seed: int) -> None:
-    """Raise :class:`ConfigError` unless a simulation has at least one
-    trial, no negative user count and a non-negative seed."""
+    """Raise :class:`ConfigError` unless the user count, trial count and
+    seed are integers (not bools), with at least one trial, no negative
+    user count and a non-negative seed."""
+    for name, value in (("the user count", total_users), ("trials", trials), ("the seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if total_users < 0:
         raise ConfigError(f"the user count must be non-negative, got {total_users}")
     if seed < 0:
         raise ConfigError(f"the seed must be non-negative, got {seed}")
+
+
+# Demands drawn and priced per block of stochastic trials (a trial with
+# more users is a block of its own).  A block's scratch arrays take a few
+# hundred bytes per demand; on the catalogue benchmark, blocks of 2^14
+# demands raised peak memory and saved no time.  The bound also keeps
+# _layout's packed sort keys far inside int64.
+DEMAND_BLOCK = 1 << 13
+
+
+def _trial_blocks(trials: int, total_users: int) -> list[range]:
+    """Consecutive ranges of trials with at most ``DEMAND_BLOCK`` demands
+    each, and at least one trial each."""
+    per_block = max(1, DEMAND_BLOCK // max(total_users, 1))
+    return [range(t, min(trials, t + per_block)) for t in range(0, trials, per_block)]
+
+
+def _trial_streams(seed: int, block: range) -> list[np.random.Generator]:
+    """The stochastic-profile stream of each trial of ``block``."""
+    return [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, t))))
+        for t in block
+    ]
+
+
+class _RankTable:
+    """Ranks of uniforms under a popularity distribution, equal to the
+    ones ``Generator.choice(N, n, p=p)`` gives: ``choice`` draws
+    ``rng.random(n)`` and returns ``cdf.searchsorted(u, side="right")``
+    with ``cdf = p.cumsum(); cdf /= cdf[-1]``.
+
+    A guide table of B = 2^b >= 4N buckets, ``guide[b]`` = the number of
+    cdf entries <= b/B, narrows each search: u lies in bucket floor(u*B),
+    so its rank lies in [guide[b], guide[b + 1]].  B is a power of two,
+    so u*B and B*cdf are exact and the bucket is exactly right; a short
+    bisection inside it finishes.  The table equals
+    ``cdf.searchsorted(np.arange(B + 1) / B, side="right")``, counted in
+    one pass: for an integer b, B*c <= b exactly when ceil(B*c) <= b."""
+
+    def __init__(self, probabilities: np.ndarray) -> None:
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        buckets = 1 << (4 * cdf.size - 1).bit_length()
+        self.cdf = cdf
+        counts = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+        # Bucket b holds counts[b + 1] ranks past guide[b]; this many
+        # halvings close the widest.
+        self.steps = int(counts[1:].max()).bit_length()
+        self.guide = np.cumsum(counts, out=counts)
+
+    def __call__(self, uniforms: np.ndarray) -> np.ndarray:
+        cell = (uniforms * (self.guide.size - 1)).astype(np.intp)
+        lo, hi = self.guide[cell], self.guide[cell + 1]
+        for _ in range(self.steps):
+            mid = (lo + hi) >> 1
+            right = (self.cdf[mid] <= uniforms) & (mid < hi)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return lo
 
 
 def simulate_stochastic(
@@ -472,12 +619,12 @@ def simulate_stochastic(
     the config's levels as contiguous blocks, in level order (see
     :func:`~codedcache.popularity.level_map_for_config`, which raises
     :class:`ConfigError` unless the file counts agree); a rank's file
-    index is its offset in its block.  Per trial the realized profile is
-    priced with :func:`expected_profile_rate` under the allocation
-    chosen for ``config.memory``.  Known fault: after ``discretize``
-    warns that rounding reordered near-tied blocks, level order is not
-    rank-block order and ranks land in the wrong blocks; the instance
-    format does not record the blocks.
+    index is its offset in its block.  Each trial's realized profile is
+    priced as :func:`expected_profile_rate` prices it, under the
+    allocation chosen for ``config.memory``, in blocks of trials.  Known
+    fault: after ``discretize`` warns that rounding reordered near-tied
+    blocks, level order is not rank-block order and ranks land in the
+    wrong blocks; the instance format does not record the blocks.
     """
     _check_run(total_users, trials, seed)
     level_of_rank = level_map_for_config(config, popularity.n_files)
@@ -486,15 +633,17 @@ def simulate_stochastic(
 
     result = pama_rate(config)
     shares = result.allocation.shares
-    rates = []
-    for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
+    rank_of = _RankTable(popularity.probabilities)
+    rates: list[float] = []
+    for block in _trial_blocks(trials, total_users):
+        streams = _trial_streams(seed, block)
+        caches = np.concatenate(
+            [rng.integers(0, config.num_caches, total_users) for rng in streams]
         )
-        caches = rng.integers(0, config.num_caches, total_users)
-        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
+        ranks = rank_of(np.concatenate([rng.random(total_users) for rng in streams]))
         demands = np.column_stack([caches, level_of_rank[ranks], file_of_rank[ranks]])
-        rates.append(expected_profile_rate(config, shares, demands))
+        trial = np.repeat(np.arange(len(block)), total_users)
+        rates += _expected_rates(config, shares, demands, trial, len(block)).tolist()
     return SimulationResult(rates=tuple(rates), theoretical=result.exact.total)
 
 
@@ -511,14 +660,16 @@ def lfu_simulate(
     :class:`ConfigError`."""
     _check_run(total_users, trials, seed)
     cached = int(math.floor(_memory(memory)))
-    rates = []
-    for trial in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
-        )
-        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
-        # Distinct files counted on a sort: np.unique with no return_*
-        # argument takes a hash path that is several times slower here.
-        missed = np.sort(ranks[ranks >= cached])
-        rates.append(float(np.count_nonzero(missed[1:] != missed[:-1]) + (missed.size > 0)))
+    n = popularity.n_files
+    rank_of = _RankTable(popularity.probabilities)
+    rates: list[float] = []
+    for block in _trial_blocks(trials, total_users):
+        streams = _trial_streams(seed, block)
+        ranks = rank_of(np.concatenate([rng.random(total_users) for rng in streams]))
+        trial = np.repeat(np.arange(len(block)), total_users)
+        # Distinct missed ranks per trial from one sort of trial-major
+        # keys: np.unique takes a much slower hash path here.
+        missed = np.sort((trial * n + ranks)[ranks >= cached])
+        heads = missed[np.diff(missed, prepend=-1) != 0] // n
+        rates += np.bincount(heads, minlength=len(block)).astype(np.float64).tolist()
     return SimulationResult(rates=tuple(rates), theoretical=float("nan"))

@@ -369,6 +369,22 @@ def test_discretize_bad_memory_is_validation_error(split, memory, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "discretize --zipf nan --files 200 --caches 4 --users 5 --memory 10 --levels 2",
+        "simulate --config {}/example1.json --zipf nan --files 200 --users 20 --trials 2",
+        "lfu --zipf nan --files 200 --memory 10 --users 20 --trials 2",
+    ],
+    ids=["discretize", "simulate", "lfu"],
+)
+def test_nan_zipf_exponent_is_validation_error(argv, tmp_path, capsys):
+    out = tmp_path / "instance.json"
+    assert run([*argv.format(CONFIGS).split(), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: probabilities must be finite\n"
+    assert not out.exists()
+
+
 def test_access_opt_subcommand(ex1_path, tmp_path):
     summary_path = tmp_path / "acc.json"
     assert (
@@ -421,6 +437,15 @@ def test_simulate_stdout_bytes_pinned(args, digest, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidationWarning)
         assert run(["simulate", *args.format(CONFIGS).split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_lfu_stdout_bytes_pinned(capsys):
+    # sha256 of stdout, computed when each trial drew its ranks with
+    # Generator.choice.
+    argv = "lfu --zipf 0.8 --files 2000 --memory 50 --users 3000 --trials 12 --seed 4"
+    assert run(argv.split()) == 0
+    digest = "afe2a5ab523d65adf67a7df16d85a7928c9c57e190f797ce95bc1ee554498c66"
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

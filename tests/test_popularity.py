@@ -76,6 +76,9 @@ def test_distribution_invariants():
         EmpiricalDistribution(probabilities=(0.25, 0.5, 0.25))  # not sorted
     with pytest.raises(CountsError):
         EmpiricalDistribution(probabilities=(0.7, 0.2))  # does not sum to 1
+    for bad in (math.nan, math.inf):
+        with pytest.raises(CountsError, match="must be finite"):
+            EmpiricalDistribution(probabilities=(bad, 0.5, 0.5))
 
 
 def test_distribution_is_a_read_only_array():

@@ -600,6 +600,134 @@ def test_lfu_simulate_rates_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "probabilities",
+    [
+        zipf_distribution(0.6, 3000).probabilities,
+        zipf_distribution(1.2, 3000).probabilities,
+        np.array([1.0]),
+        np.array([0.5, 0.25, 0.0, 0.0, 0.25, 0.0]),
+        np.array([0.0, 0.0, 0.5, 0.5]),
+        np.array([0.25, 0.25, 0.5, 0.0, 0.0]),
+    ],
+    ids=["zipf0.6", "zipf1.2", "one-file", "inner-zeros", "leading-zeros", "trailing-zeros"],
+)
+def test_rank_table_matches_generator_choice(probabilities):
+    # The same stream gives the same ranks: choice draws one uniform per
+    # rank, and the table reads those uniforms.
+    rank_of = sim._RankTable(probabilities)
+    for seed in range(5):
+        uniforms = np.random.default_rng(seed).random(20_000)
+        chosen = np.random.default_rng(seed).choice(probabilities.size, 20_000, p=probabilities)
+        assert np.array_equal(rank_of(uniforms), chosen)
+    # Uniforms on and beside every bucket edge and every cdf entry.
+    buckets = rank_of.guide.size - 1
+    edges = np.arange(buckets) / buckets
+    cdf = probabilities.cumsum() / probabilities.sum()
+    points = np.concatenate([edges, np.nextafter(edges, 1.0), cdf, np.nextafter(cdf, 0.0)])
+    points = points[points < 1.0]
+    assert np.array_equal(rank_of(points), rank_of.cdf.searchsorted(points, side="right"))
+
+
+def _per_trial_rates(config, popularity, total_users, trials, seed):
+    """Reference stochastic pricing, one trial at a time: each trial's
+    stream draws caches, then ranks through Generator.choice, and the
+    profile is priced by a one-trial expected_profile_rate."""
+    starts = np.cumsum([0] + [lv.n_files for lv in config.levels])
+    level_of_rank = np.repeat(np.arange(config.num_levels), np.diff(starts))
+    shares = pama_rate(config).allocation.shares
+    rates = []
+    for trial in range(trials):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
+        )
+        caches = rng.integers(0, config.num_caches, total_users)
+        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
+        levels = level_of_rank[ranks]
+        demands = np.column_stack([caches, levels, ranks - starts[levels]])
+        rates.append(expected_profile_rate(config, shares, demands))
+    return tuple(rates)
+
+
+def _per_trial_lfu(popularity, memory, total_users, trials, seed):
+    """Reference LFU rates: per trial, the distinct ranks that
+    Generator.choice draws outside the floor(M) most popular."""
+    rates = []
+    for trial in range(trials):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, trial)))
+        )
+        ranks = rng.choice(popularity.n_files, size=total_users, p=popularity.probabilities)
+        rates.append(float(len(set(ranks[ranks >= math.floor(memory)].tolist()))))
+    return tuple(rates)
+
+
+@pytest.mark.parametrize("trials_per_block", [1, 3, 7])
+def test_stochastic_blocks_match_per_trial_reference(monkeypatch, trials_per_block):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        instances = [
+            # test_simulate_stochastic_rates_pinned's instance: d = 2 does
+            # not divide K = 5, so level-1 users at cache 4 are edge users.
+            (make_config(5, 14.0, [(20, 2, 2), (40, 1, 1)]), 0.8),
+            (make_config(7, 30.0, [(30, 1, 3), (50, 2, 2), (120, 1, 1)]), 1.2),
+            (make_config(4, 0.0, [(10, 1, 2), (90, 2, 4)]), 0.6),
+        ]
+    for cfg, exponent in instances:
+        dist = zipf_distribution(exponent, sum(lv.n_files for lv in cfg.levels))
+        for users in (0, 1, 30, 45):
+            monkeypatch.setattr(sim, "DEMAND_BLOCK", trials_per_block * max(users, 1))
+            for seed in (7, 8):
+                res = simulate_stochastic(cfg, dist, users, 7, seed)
+                assert res.rates == _per_trial_rates(cfg, dist, users, 7, seed)
+                lfu = lfu_simulate(dist, cfg.memory, users, 7, seed)
+                assert lfu.rates == _per_trial_lfu(dist, cfg.memory, users, 7, seed)
+
+
+def test_stochastic_scratch_memory_is_bounded():
+    # A trial of 10k users fills a block of its own, so 100 trials hold
+    # one trial's arrays at a time, not 100 trials' worth (about 24 MiB
+    # for the demand table alone).
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(10, 1000.0, [(2000, 100, 2), (8000, 100, 3)])
+    dist = zipf_distribution(0.8, 10_000)
+    block_table = 10_000 * 3 * 8
+    for run in (
+        lambda: simulate_stochastic(cfg, dist, 10_000, 100, seed=1),
+        lambda: lfu_simulate(dist, 100.0, 10_000, 100, seed=1),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= block_table + 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "users, trials, seed, message",
+    [
+        (20, True, 1, "trials must be an integer, got True"),
+        (True, 2, 1, "the user count must be an integer, got True"),
+        (20, 2, False, "the seed must be an integer, got False"),
+        (20.0, 2, 1, "the user count must be an integer, got 20.0"),
+        (20, 2.5, 1, "trials must be an integer, got 2.5"),
+        (20, 2, "1", "the seed must be an integer, got '1'"),
+    ],
+)
+def test_run_arguments_must_be_integers(users, trials, seed, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(5, 14.0, [(20, 2, 2), (40, 1, 1)])
+    dist = zipf_distribution(0.8, 60)
+    with pytest.raises(ConfigError, match=message):
+        simulate_stochastic(cfg, dist, users, trials, seed)
+    with pytest.raises(ConfigError, match=message):
+        lfu_simulate(dist, 10.0, users, trials, seed)
+
+
 def _subset_walk(pl, demands):
     """Reference delivery that walks every subset of every (group, color)
     subsystem: the XOR for subset S is as long as the longest segment
