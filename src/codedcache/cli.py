@@ -30,7 +30,6 @@ from .model import (
     load_config,
 )
 from .pama import (
-    _definition_holds,
     build_threshold_table,
     closed_form_rates,
     grid_search_alpha,
@@ -38,6 +37,7 @@ from .pama import (
     pama_memories,
     pama_rate,
     table_splits,
+    total_rate_closed_form,
 )
 from .popularity import (
     CountsError,
@@ -132,6 +132,12 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--summary", help="write a JSON summary here")
 
 
+def _add_distribution_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--counts", help="request-count file")
+    p.add_argument("--zipf", type=float, help="synthetic Zipf exponent")
+    p.add_argument("--files", type=int, help="catalogue size for --zipf")
+
+
 def _cmd_rate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     lines = [
@@ -172,15 +178,16 @@ def _pama_line(memory, total, closed, label, shares, rates) -> str:
     return f"{_fmt(memory)},{_fmt(total)},{_fmt(closed)},\"{label}\",{values}"
 
 
-def _pama_summary(memory, total, closed, label, shares, rates) -> dict:
-    """The summary of the row :func:`_pama_line` prints, without the
-    closed form's validity flag."""
+def _pama_summary(memory, total, closed, label, shares, rates, closed_in_validity) -> dict:
+    """The summary of the row :func:`_pama_line` prints, with the closed
+    form's validity flag."""
     return {
         "M": memory,
         "partition": label,
         "shares": list(shares),
         "R_exact": total,
         "R_closed": closed,
+        "closed_in_validity": closed_in_validity,
         "per_level_rates": list(rates),
     }
 
@@ -190,12 +197,10 @@ def _cmd_pama(args: argparse.Namespace) -> int:
     table = build_threshold_table(config)
     header = _pama_header(config.num_levels)
     res = pama_rate(config, table)
+    closed = total_rate_closed_form(config, res.partition)
     exact, label = res.exact, res.partition.label()
-    row = (
-        config.memory, exact.total, res.closed.value, label, res.allocation.shares, exact.per_level
-    )
-    summary = _pama_summary(*row)
-    summary["closed_in_validity"] = res.closed.in_validity
+    row = (config.memory, exact.total, closed.value, label, res.allocation.shares, exact.per_level)
+    summary = _pama_summary(*row, closed.in_validity)
     lines = [f"# pama allocation for {args.config}", header, _pama_line(*row)]
     if args.grid_step is not None:
         alloc, oracle = grid_search_alpha(config, args.grid_step)
@@ -228,13 +233,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
         lines.extend(_pama_line(*row) for row in rows)
-    last = _pama_summary(*rows[-1])
-    # pama_rate reports a closed form that raised (inf) as out of validity.
-    split = splits[int(batch.prefix[-1])]
-    last["closed_in_validity"] = math.isfinite(last["R_closed"]) and _definition_holds(
-        config.with_memory(last["M"]), split
-    )
-    _emit(args, lines, {"points": len(grid), "last": last})
+    at = config.with_memory(rows[-1][0])
+    valid = total_rate_closed_form(at, splits[batch.prefix[-1]]).in_validity
+    _emit(args, lines, {"points": len(grid), "last": _pama_summary(*rows[-1], valid)})
     return 0
 
 
@@ -273,7 +274,10 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 def _cmd_discretize(args: argparse.Namespace) -> int:
     dist = _load_distribution(args)
-    degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else None
+    try:
+        degrees = [int(x) for x in args.degrees.split(",")] if args.degrees else None
+    except ValueError:
+        raise ConfigError(f"--degrees expects integers, got {args.degrees!r}") from None
     if args.heuristic:
         exponent = args.zipf if args.zipf is not None else fit_zipf(dist)
         part = zipf_split_heuristic(exponent, dist.n_files, args.caches, args.memory)
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="codedcache", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rate", parents=[], help="per-level single-level rates")
+    p = sub.add_parser("rate", help="per-level single-level rates")
     p.add_argument("--config", required=True)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_rate)
@@ -409,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gap)
 
     p = sub.add_parser("discretize", help="turn a popularity profile into an instance")
-    p.add_argument("--counts", help="request-count file")
-    p.add_argument("--zipf", type=float, help="synthetic Zipf exponent")
-    p.add_argument("--files", type=int, help="catalogue size for --zipf")
+    _add_distribution_flags(p)
     p.add_argument("--caches", type=int, required=True)
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--memory", type=float, required=True)
@@ -432,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="stochastic user-profile simulation")
     p.add_argument("--config", required=True)
-    p.add_argument("--counts")
-    p.add_argument("--zipf", type=float)
-    p.add_argument("--files", type=int)
+    _add_distribution_flags(p)
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -444,9 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lfu", help="LFU baseline, worst-case or simulated")
     p.add_argument("--config")
-    p.add_argument("--counts")
-    p.add_argument("--zipf", type=float)
-    p.add_argument("--files", type=int)
+    _add_distribution_flags(p)
     p.add_argument("--memory", type=float)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--trials", type=int, default=0)

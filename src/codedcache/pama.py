@@ -19,6 +19,8 @@ For a given split, the shared-memory group admits the closed-form rate
 
 an upper bound on the exact per-level sum of single-level rates (the
 exact rate carries an extra (1 - (1 - mu)^(K/d)) factor per level).
+:func:`total_rate_closed_form` owns that expression and its validity
+check; :func:`pama_rate` reports only the exact rate.
 
 Near the low end of each breakpoint interval the table's split can
 violate its own defining inequalities (the normalized memory falls below
@@ -32,12 +34,13 @@ literal table lookup is the last of :func:`candidate_partitions`.
 arrays, each row at its own memory, bit for bit equal to
 :func:`pama_rate`.  Besides the totals it returns each row's winning
 table prefix and that split's capped shares and per-level rates.  The
-brute-force split search prices its candidates with it (one memory, many
-instances) and ``sweep`` its memory grid (one instance, many memories,
-through :func:`pama_memories`); :func:`closed_form_rates` then gives the
-closed form of each winning split.  :func:`grid_search_alpha`, the
-exhaustive oracle over memory splits, prices its simplex points in array
-blocks with the same per-level lane rule.
+brute-force split search and :func:`optimize_access_structure` price
+their candidates with it (one memory, many instances) and ``sweep`` its
+memory grid (one instance, many memories, through :func:`pama_memories`);
+:func:`closed_form_rates` then gives the closed form of each winning
+split.  :func:`grid_search_alpha`, the exhaustive oracle over memory
+splits, prices its simplex points in array blocks with the same
+per-level lane rule.
 """
 
 from __future__ import annotations
@@ -114,12 +117,12 @@ class ClosedFormRate:
 
 @dataclass(frozen=True)
 class PamaResult:
-    """Outcome of the full allocation pipeline at one memory point."""
+    """Outcome of the full allocation pipeline at one memory point; the
+    split's closed form is :func:`total_rate_closed_form`."""
 
     partition: Partition
     allocation: Allocation
     exact: ExactRate
-    closed: ClosedFormRate
 
 
 def _sqrt_nu(config: SystemConfig, idx: int) -> float:
@@ -209,70 +212,53 @@ def total_rate_exact(config: SystemConfig, allocation: Allocation) -> ExactRate:
     return ExactRate(total=float(sum(per_level)), per_level=tuple(per_level))
 
 
-def _definition_holds(config: SystemConfig, partition: Partition) -> bool:
-    """Strict feasibility inequalities of the split at config.memory,
-    each with a relative slack of 1e-12."""
-    s_i, t_j = _group_sums(config, partition)
-    k = config.num_caches
-    if not partition.i_set:
-        # Normalized memory is undefined; the table construction is
-        # treated as normative in this regime.
-        return True
-    tilde_m = (config.memory - t_j) / s_i
-    slack = 1e-12 * (1.0 + abs(tilde_m))
-    for idx in partition.i_set:
-        lv = config.levels[idx]
-        root = math.sqrt(lv.n_files / lv.users_per_cache)
-        if tilde_m < root / k - slack or tilde_m > root / lv.access_degree + slack:
-            return False
-    for idx in partition.h_set:
-        lv = config.levels[idx]
-        root = math.sqrt(lv.n_files / lv.users_per_cache)
-        if tilde_m >= root / k + (lv.n_files / k) / s_i + slack:
-            return False
-    for idx in partition.j_set:
-        lv = config.levels[idx]
-        root = math.sqrt(lv.n_files / lv.users_per_cache)
-        if tilde_m <= root / lv.access_degree - slack:
-            return False
-    return True
-
-
 def total_rate_closed_form(config: SystemConfig, partition: Partition) -> ClosedFormRate:
-    """Closed-form rate of a partition, clamped to [0, sum K*U_i].
-
-    Raises ValueError when I is non-empty and M equals T_J exactly (the
-    expression divides by M - T_J); callers should fall back to
-    :func:`total_rate_exact` there.  ``in_validity`` is False when the
-    partition violates its strict defining inequalities at this memory,
-    in which case the value is only an out-of-validity extrapolation.
-    """
+    """Closed-form rate of a partition, clamped to [0, sum K*U_i], and
+    whether the split meets its strict defining inequalities at
+    config.memory (relative slack 1e-12); out of validity, the value is
+    only an extrapolation.  With I empty the table is treated as
+    normative (always valid); with I non-empty and M = T_J the
+    expression divides by zero and the result is (inf, False)."""
     s_i, t_j = _group_sums(config, partition)
     k = config.num_caches
-    base = sum(k * config.levels[h].users_per_cache for h in partition.h_set)
-    if partition.i_set:
-        denom = config.memory - t_j
-        if denom == 0:
-            raise ValueError(
-                "closed form undefined at M = T_J with shared levels present; "
-                "use total_rate_exact"
-            )
-        value = base + s_i * s_i / denom - sum(
-            config.levels[i].access_degree * config.levels[i].users_per_cache
+    levels = config.levels
+    base = sum(k * levels[h].users_per_cache for h in partition.h_set)
+    if not partition.i_set:
+        return ClosedFormRate(min(max(0.0, float(base)), config.uncached_rate), True)
+    denom = config.memory - t_j
+    if denom == 0:
+        return ClosedFormRate(math.inf, False)
+    value = base + s_i * s_i / denom - sum(
+        levels[i].access_degree * levels[i].users_per_cache for i in partition.i_set
+    )
+    value = min(max(0.0, value), config.uncached_rate)
+
+    tilde_m = denom / s_i
+    slack = 1e-12 * (1.0 + abs(tilde_m))
+
+    def root(idx: int) -> float:
+        return math.sqrt(levels[idx].n_files / levels[idx].users_per_cache)
+
+    valid = (
+        all(
+            root(i) / k - slack <= tilde_m <= root(i) / levels[i].access_degree + slack
             for i in partition.i_set
         )
-    else:
-        value = float(base)
-    value = min(max(0.0, value), config.uncached_rate)
-    return ClosedFormRate(value=value, in_validity=_definition_holds(config, partition))
+        and all(
+            tilde_m < root(h) / k + (levels[h].n_files / k) / s_i + slack
+            for h in partition.h_set
+        )
+        and all(tilde_m > root(j) / levels[j].access_degree - slack for j in partition.j_set)
+    )
+    return ClosedFormRate(value, valid)
 
 
 def closed_form_rates(
     config: SystemConfig, splits: list[Partition], prefix: np.ndarray, memory: np.ndarray
 ) -> np.ndarray:
     """``total_rate_closed_form(config.with_memory(m), splits[t]).value``
-    for each pair (t, m) of ``prefix`` and ``memory``, equal bit for bit,
-    and inf where that raises (I non-empty and M = T_J)."""
+    for each pair (t, m) of ``prefix`` and ``memory``, equal bit for bit
+    (inf where I is non-empty and M = T_J)."""
     k = config.num_caches
     levels = config.levels
     s_i, t_j = np.array([_group_sums(config, split) for split in splits], dtype=np.float64).T
@@ -325,11 +311,7 @@ def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> Pama
             best = (exact.total, part, alloc, exact)
     assert best is not None
     _, part, alloc, exact = best
-    try:
-        closed = total_rate_closed_form(config, part)
-    except ValueError:
-        closed = ClosedFormRate(value=math.inf, in_validity=False)
-    return PamaResult(partition=part, allocation=alloc, exact=exact, closed=closed)
+    return PamaResult(partition=part, allocation=alloc, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -526,33 +508,36 @@ def grid_search_alpha(
     return Allocation(shares=best_shares), best_rate
 
 
+_ACCESS_BLOCK = 1 << 12  # degree vectors priced per pama_totals call
+
+
 def optimize_access_structure(
     config: SystemConfig, max_degree: int, avg_degree: float
 ) -> tuple[tuple[int, ...], float]:
     """Pick per-level access degrees minimizing the allocated rate.
 
     Enumerates every degree vector in {1..max_degree}^L with d_i <= K and
-    user-weighted average degree at most ``avg_degree``.  Ties are broken
-    by smaller total degree, then lexicographically.
+    user-weighted average degree at most ``avg_degree``, and prices them
+    as rows of :func:`pama_totals`, ``_ACCESS_BLOCK`` per call, each rate
+    bit for bit ``pama_rate(config.with_degrees(degrees))``.  Ties are
+    broken by smaller total degree, then lexicographically.
     """
     if max_degree < 1:
         raise ConfigError("max_degree must be at least 1")
-    users = [lv.users_per_cache for lv in config.levels]
-    total_users = sum(users)
+    n_files, users, _ = _level_arrays(config)
     top = min(max_degree, config.num_caches)
-    candidates = []
-    for degrees in itertools.product(range(1, top + 1), repeat=config.num_levels):
-        avg = sum(u * d for u, d in zip(users, degrees)) / total_users
-        if avg <= avg_degree + 1e-12:
-            candidates.append(degrees)
-    if not candidates:
+    grid = np.array(list(itertools.product(range(1, top + 1), repeat=config.num_levels)))
+    candidates = grid[grid @ users / users.sum() <= avg_degree + 1e-12]
+    if not len(candidates):
         raise ConfigError(
             f"no degree vector satisfies avg degree <= {avg_degree:g} with "
             f"max degree {max_degree}"
         )
     scored = []
-    for degrees in candidates:
-        rate = pama_rate(config.with_degrees(degrees)).exact.total
-        scored.append((round(rate, 9), sum(degrees), degrees, rate))
+    for first in range(0, len(candidates), _ACCESS_BLOCK):
+        degrees = candidates[first : first + _ACCESS_BLOCK]
+        n, u = (np.broadcast_to(column, degrees.shape) for column in (n_files, users))
+        totals = pama_totals(n, u, degrees, config.num_caches, config.memory).total.tolist()
+        scored.extend((round(r, 9), sum(d), tuple(d), r) for d, r in zip(degrees.tolist(), totals))
     _, _, best, best_rate = min(scored)
     return best, best_rate

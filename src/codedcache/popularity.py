@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -145,12 +146,13 @@ def load_counts(source: str | IO[str] | IO[bytes]) -> EmpiricalDistribution:
 
 def fit_zipf(dist: EmpiricalDistribution) -> float:
     """Least-squares Zipf exponent: minus the slope of log p vs log rank
-    over all ranks."""
+    over all ranks.  Fewer than 10 files or a zero probability raises
+    :class:`ConfigError`."""
     if dist.n_files < 10:
-        raise ValueError("need at least 10 files to fit a Zipf exponent")
+        raise ConfigError("need at least 10 files to fit a Zipf exponent")
     p = dist.probabilities
     if np.any(p <= 0):
-        raise ValueError("distribution must be strictly positive to fit")
+        raise ConfigError("distribution must be strictly positive to fit")
     ranks = np.arange(1, dist.n_files + 1, dtype=np.float64)
     slope = np.polyfit(np.log(ranks), np.log(p), 1)[0]
     return float(-slope)
@@ -164,14 +166,14 @@ def zipf_split_heuristic(s: float, n_files: int, num_caches: int, memory: float)
     falls relative to m1 = min(N/K, K^(1/(s-1))) and
     m2 = max(N^(1/s), K^(1/(s-1))); at s = 1 the K^(1/(s-1)) term is
     treated as +inf.  The head size is rounded to the nearest integer and
-    clamped to [1, N-1].  A memory that is not a finite real >= 0 raises
-    :class:`ConfigError`.
+    clamped to [1, N-1].  A memory that is not a finite real >= 0, an
+    exponent s <= 0 or fewer than two files raises :class:`ConfigError`.
     """
     m = _memory(memory)
     if s <= 0:
-        raise ValueError("Zipf exponent must be positive")
+        raise ConfigError("Zipf exponent must be positive")
     if n_files < 2:
-        raise ValueError("need at least two files to split")
+        raise ConfigError("need at least two files to split")
     n = float(n_files)
     k = float(num_caches)
     if s < 1.0:
@@ -192,7 +194,11 @@ def zipf_split_heuristic(s: float, n_files: int, num_caches: int, memory: float)
 
 
 def _check_degrees(degrees: Sequence[int], num_caches: int) -> None:
-    """Refuse a degree above K, which puts a level in I and J at once."""
+    """Refuse a degree that is not a positive integer (bools included),
+    and one above K, which puts a level in I and J at once."""
+    for d in degrees:
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+            raise ConfigError(f"access degree must be a positive integer, got {d!r}")
     if max(degrees, default=0) > num_caches:
         raise ConfigError(f"access degree {max(degrees)} exceeds K = {num_caches}")
 
@@ -213,7 +219,8 @@ def discretize(
     rounds to zero are merged into their less popular neighbour with a
     warning.  The more-files-than-users regularity check is downgraded
     to a warning here, since empirical blocks may violate it; an access
-    degree above K or a bad memory raises :class:`ConfigError`.
+    degree that is not a positive integer or exceeds K, or a bad memory,
+    raises :class:`ConfigError`.
     """
     memory = _memory(memory)
     if partition.n_files != dist.n_files:
@@ -402,9 +409,10 @@ def brute_force_partition(
     each rate bit-identical to ``pama_rate`` of the discretized instance;
     in enumeration order, the first rate below the best so far by more
     than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
-    memory, L < 1, a coarsening below 1, an access degree above K, a cut
-    grid with fewer than L-1 cut points, more candidates than ``budget``,
-    and when every level rounds to zero users.
+    memory, L < 1, a coarsening below 1, an access degree that is not a
+    positive integer or exceeds K, a cut grid with fewer than L-1 cut
+    points, more candidates than ``budget``, and when every level rounds
+    to zero users.
     """
     memory = _memory(memory)
     n = dist.n_files

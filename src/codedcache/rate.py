@@ -8,8 +8,11 @@ The core expression is the single-level multi-access rate
     R(M) = d*U * (N/(d*M) - 1) * (1 - (1 - d*M/N)^(K/d))
 
 for memory M in [0, N/d], which degrades gracefully to K*U at M = 0 and
-to 0 at M = N/d.  K/d is evaluated as a real exponent; divisibility of K
-by d only matters to the bit-exact simulator.
+to 0 at M = N/d.  K/d is evaluated as a real exponent, but the formula
+is the scheme's rate only when d divides K, as the paper assumes.  When
+it does not, the scheme serves the d-1 wrap-around caches' users uncoded
+and the formula undercuts it (0 at full storage where the scheme still
+transmits); ROADMAP item 1 plans to price that layout.
 
 With mu = d*M/N this is d*U times the random-placement coded load
 (1/mu - 1)(1 - (1 - mu)^k) of k = K/d users (Maddah-Ali & Niesen,

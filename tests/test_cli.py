@@ -24,6 +24,7 @@ from codedcache.pama import (
     candidate_partitions,
     pama_allocate,
     pama_rate,
+    total_rate_closed_form,
     total_rate_exact,
 )
 
@@ -164,11 +165,11 @@ def _reference_sweep(config, table, grid):
     for m in grid:
         at = config.with_memory(m)
         res = pama_rate(at, table)
-        closed = res.closed.value
+        closed = total_rate_closed_form(at, res.partition)
         shares = ",".join(_fmt(s) for s in res.allocation.shares)
         rates = ",".join(_fmt(r) for r in res.exact.per_level)
         lines.append(
-            f"{_fmt(m)},{_fmt(res.exact.total)},{_fmt(closed)},"
+            f"{_fmt(m)},{_fmt(res.exact.total)},{_fmt(closed.value)},"
             f"\"{res.partition.label()}\",{shares},{rates}"
         )
         last = {
@@ -176,8 +177,8 @@ def _reference_sweep(config, table, grid):
             "partition": res.partition.label(),
             "shares": list(res.allocation.shares),
             "R_exact": res.exact.total,
-            "R_closed": closed,
-            "closed_in_validity": res.closed.in_validity,
+            "R_closed": closed.value,
+            "closed_in_validity": closed.in_validity,
             "per_level_rates": list(res.exact.per_level),
         }
         totals = [
@@ -357,6 +358,47 @@ def test_discretize_heuristic_rejects_degree_above_k_before_writing(tmp_path, ca
     assert run(["discretize", *argv.split(), "--out", str(out)]) == 2
     assert "access degree 5 exceeds K = 4" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ("1,0", "access degree must be a positive integer, got 0"),
+        ("1,x", "--degrees expects integers, got '1,x'"),
+        ("1.5,1", "--degrees expects integers, got '1.5,1'"),
+    ],
+    ids=["zero", "not-a-number", "fraction"],
+)
+def test_discretize_bad_degrees_are_refused_before_the_search(
+    degrees, message, tmp_path, capsys, monkeypatch
+):
+    def no_pricing(*args):
+        raise AssertionError("a split was priced")
+
+    monkeypatch.setattr("codedcache.popularity._price_splits", no_pricing)
+    out = tmp_path / "instance.json"
+    argv = "--zipf 0.8 --files 100 --caches 4 --users 10 --memory 5 --levels 2 --degrees"
+    assert run(["discretize", *argv.split(), degrees, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("--counts {}", "need at least 10 files to fit a Zipf exponent"),
+        ("--zipf 0 --files 100", "Zipf exponent must be positive"),
+    ],
+    ids=["fit", "split"],
+)
+def test_discretize_heuristic_bad_zipf_input_is_validation_error(
+    source, message, tmp_path, capsys
+):
+    counts = tmp_path / "counts.txt"
+    counts.write_text("5\n3\n1\n")
+    argv = f"discretize {source.format(counts)} --caches 2 --users 4 --memory 3 --heuristic"
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("memory", ["-5", "nan", "inf"])
@@ -563,13 +605,33 @@ ANALYSIS_PINS = [
 ]
 
 
+# sha256 of stdout and of the --summary file, computed when access-opt
+# priced each degree vector with its own pama_rate call.
+ACCESS_OPT_PINS = [
+    ("access-opt --config example1.json --dmax 2 --davg 2",
+     "cd739ac320023bfd5a74b38032ae1e86ab3e6ba7fac55b09d968902afd3826e5",
+     "cc3a5a049d20c0d24ff41990144263961289cd35452d788c7b855ab52838d3e2"),
+    ("access-opt --config example1.json --dmax 3 --davg 2",
+     "01b49556ab4339b769d4ffbb60b56b2ebb90624752f3662fe0d45f65656de901",
+     "cc3a5a049d20c0d24ff41990144263961289cd35452d788c7b855ab52838d3e2"),
+    ("access-opt --config gap3level.json --dmax 3 --davg 2",
+     "570a0977c594b9d6a1956505d1db5aa78765f0224e9bc7a0dc8e7f283259ef2f",
+     "5ca75e233ca54197f9a2280180f1308a7b2947421f17a92f3044961de6bef05c"),
+    ("access-opt --config gap3level.json --dmax 5 --davg 5",
+     "d4d485e80861b79f942190d0c0895f64d556e9d3c908d8142ab0e5ceeadecfb4",
+     "8162d8e16e0b7f4229dcc0ec911a0bfa9c8a7f5da9c220f74a41df434a83c24d"),
+]
+
+
 @pytest.mark.parametrize(
     "args,out_digest,summary_digest",
-    ANALYSIS_PINS,
+    ANALYSIS_PINS + ACCESS_OPT_PINS,
     ids=[
         "sweep-example1", "sweep-gap3level", "sweep-log-example1", "sweep-log-gap3level",
         "sweep-past-full-example1", "sweep-past-full-gap3level",
         "oracle-example1", "oracle-gap3level",
+        "access-opt-example1-d2", "access-opt-example1-d3",
+        "access-opt-gap3level-d3", "access-opt-gap3level-d5",
     ],
 )
 def test_analysis_output_bytes_pinned(
@@ -583,3 +645,23 @@ def test_analysis_output_bytes_pinned(
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == out_digest
     assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest
+
+
+def test_pama_output_at_zero_memory_pinned(tmp_path, capsys, monkeypatch):
+    # At M = 0 the split I = {1} has T_J = 0, so the closed form is inf
+    # and out of validity.  sha256 of stdout and of the --summary file,
+    # computed when pama_rate still priced the closed form itself.
+    config = config_from_json((CONFIGS / "example1.json").read_text()).with_memory(0.0)
+    (tmp_path / "example1-m0.json").write_text(config_to_json(config))
+    monkeypatch.chdir(tmp_path)
+    assert run(["pama", "--config", "example1-m0.json", "--summary", "summary.json"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[2] == '0,80,inf,"H=2;I=1;J=",0,0,72,8'
+    summary = (tmp_path / "summary.json").read_bytes()
+    assert json.loads(summary)["closed_in_validity"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4be2db507f38ea68c1d8576690dca104f885082d598c769221cbc7bd7b11f9c7"
+    )
+    assert hashlib.sha256(summary).hexdigest() == (
+        "9ecd747111b5b1cb9133d6b83e1816999c47f575a7edaadeca6d9e4652dc7d47"
+    )

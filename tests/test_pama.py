@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import codedcache.pama
+from codedcache.acceptance import _any_instance
 from codedcache.model import ConfigError, ValidationWarning, make_config
 from codedcache.pama import (
     Allocation,
+    ClosedFormRate,
     Partition,
     build_threshold_table,
     candidate_partitions,
@@ -17,6 +19,7 @@ from codedcache.pama import (
     optimize_access_structure,
     pama_allocate,
     pama_rate,
+    pama_totals,
     total_rate_closed_form,
     total_rate_exact,
 )
@@ -145,10 +148,10 @@ def test_closed_form_examples():
     assert total_rate_closed_form(cfg250, candidate_partitions(EX1_TABLE, 250.0)[-1]).value == 0.0
 
 
-def test_closed_form_division_by_zero_is_an_error():
+def test_closed_form_division_by_zero_is_inf_and_out_of_validity():
     part = Partition(frozenset({1}), frozenset({0}), frozenset())
-    with pytest.raises(ValueError):
-        total_rate_closed_form(EX1.with_memory(0.0), part)
+    closed = total_rate_closed_form(EX1.with_memory(0.0), part)
+    assert closed == ClosedFormRate(math.inf, False)
 
 
 def test_exact_below_closed_form_when_valid():
@@ -380,16 +383,57 @@ def test_access_opt_single_candidate():
 
 def test_access_opt_scores_each_candidate_once(monkeypatch):
     cfg = make_config(8, 60.0, [(160, 2, 1), (320, 1, 1)])
-    scored = []
+    batches = []
 
-    def counting_pama_rate(config, *args):
-        scored.append(tuple(lv.access_degree for lv in config.levels))
-        return pama_rate(config, *args)
+    def recording_pama_totals(n_files, users, degrees, num_caches, memory):
+        batches.append((n_files.tolist(), users.tolist(), degrees.tolist(), num_caches, memory))
+        return pama_totals(n_files, users, degrees, num_caches, memory)
 
-    monkeypatch.setattr(codedcache.pama, "pama_rate", counting_pama_rate)
+    monkeypatch.setattr(codedcache.pama, "pama_totals", recording_pama_totals)
     degrees, rate = optimize_access_structure(cfg, 2, 2.0)
-    assert sorted(scored) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert len(batches) == 1
+    n_files, users, rows, num_caches, memory = batches[0]
+    assert sorted(map(tuple, rows)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert n_files == [[160, 320]] * 4 and users == [[2, 1]] * 4
+    assert (num_caches, memory) == (8, 60.0)
     assert rate == pama_rate(cfg.with_degrees(degrees)).exact.total
+
+
+def _reference_access_opt(config, max_degree, avg_degree):
+    """optimize_access_structure with one pama_rate call per degree
+    vector, the same candidates and the same tie rule."""
+    users = [lv.users_per_cache for lv in config.levels]
+    scored = []
+    top = min(max_degree, config.num_caches)
+    for degrees in itertools.product(range(1, top + 1), repeat=config.num_levels):
+        if sum(u * d for u, d in zip(users, degrees)) / sum(users) <= avg_degree + 1e-12:
+            rate = pama_rate(config.with_degrees(degrees)).exact.total
+            scored.append((round(rate, 9), sum(degrees), degrees, rate))
+    if not scored:
+        raise ConfigError("no degree vector")
+    _, _, best, best_rate = min(scored)
+    return best, best_rate
+
+
+def test_access_opt_matches_per_vector_pama_rate(monkeypatch):
+    # A block of 5 vectors makes most draws span several pama_totals calls.
+    monkeypatch.setattr(codedcache.pama, "_ACCESS_BLOCK", 5)
+    rng = np.random.default_rng(18)
+    refused = 0
+    for _ in range(120):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            cfg = _any_instance(rng)
+        dmax, davg = int(rng.integers(0, 5)), float(rng.uniform(0.5, 4.0))
+        try:
+            want = _reference_access_opt(cfg, dmax, davg)
+        except ConfigError:
+            refused += 1
+            with pytest.raises(ConfigError):
+                optimize_access_structure(cfg, dmax, davg)
+            continue
+        assert optimize_access_structure(cfg, dmax, davg) == want
+    assert 0 < refused < 60
 
 
 def test_access_opt_infeasible_constraint():

@@ -509,3 +509,25 @@ def test_brute_force_degree_above_cache_count_is_error():
         _reference_rate(dist, (50,), 4, 40, (5, 1), 20.0)
     with pytest.raises(ValueError, match="exceeds K"):
         brute_force_partition(dist, 2, 4, 20.0, (5, 1), 40, coarsening=50)
+
+
+@pytest.mark.parametrize(
+    "degrees", [[1, 0], [1, -1], [True, 1], [1.5, 1]], ids=["zero", "negative", "bool", "fraction"]
+)
+def test_split_search_and_discretize_refuse_a_bad_degree(degrees):
+    # A zero degree would divide by zero in the split search's shares.
+    dist = zipf_distribution(0.8, 100)
+    message = "access degree must be a positive integer"
+    with pytest.raises(ConfigError, match=message):
+        brute_force_partition(dist, 2, 4, 5.0, degrees, 10)
+    with pytest.raises(ConfigError, match=message):
+        discretize(dist, LevelPartition((50,), 100), 4, 10, degrees, 5.0)
+
+
+def test_zipf_helpers_bad_input_is_a_config_error():
+    with pytest.raises(ConfigError, match="at least 10 files"):
+        fit_zipf(zipf_distribution(0.8, 3))
+    with pytest.raises(ConfigError, match="must be positive"):
+        zipf_split_heuristic(0.0, 100, 4, 5.0)
+    with pytest.raises(ConfigError, match="at least two files"):
+        zipf_split_heuristic(0.8, 1, 4, 5.0)
