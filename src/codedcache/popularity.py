@@ -409,16 +409,16 @@ def brute_force_partition(
     each rate bit-identical to ``pama_rate`` of the discretized instance;
     in enumeration order, the first rate below the best so far by more
     than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
-    memory, L < 1, a coarsening below 1, an access degree that is not a
-    positive integer or exceeds K, a cut grid with fewer than L-1 cut
-    points, more candidates than ``budget``, and when every level rounds
-    to zero users.
+    memory, L < 1, a coarsening below 1, a degree count other than L, an
+    access degree that is not a positive integer or exceeds K, a cut grid
+    with fewer than L-1 cut points, more candidates than ``budget``, and
+    when every level rounds to zero users.
     """
     memory = _memory(memory)
     n = dist.n_files
     if num_levels < 1:
         raise ConfigError("num_levels must be positive")
-    if len(degrees) < num_levels:
+    if len(degrees) != num_levels:
         raise ConfigError("need one access degree per level")
     if coarsening is None:
         coarsening = max(1, n // 200)
@@ -426,7 +426,6 @@ def brute_force_partition(
         raise ConfigError("coarsening must be at least 1")
 
     cum = np.concatenate([[0.0], dist.cumulative])
-    degrees = degrees[:num_levels]
     _check_degrees(degrees, num_caches)
 
     cuts = sorted(

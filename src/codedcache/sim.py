@@ -6,7 +6,9 @@ Two simulation modes read one subsystem layout:
   its color, delivery broadcasts XOR-coded segments per (user group,
   color) subsystem, and a counting check per subsystem confirms that the
   broadcast carries at least the bits any member lacks and at most the
-  bits all members lack.  A delivery group holds at most 64 users.
+  bits all members lack.  Placement draws a subfile's bits only when
+  delivery reads them, and a row's bits do not depend on which other
+  rows are drawn.  A delivery group holds at most 64 users.
 
 * expected-size: stochastic user profiles are priced on the same
   layout, but each subsystem contributes its expected coded load
@@ -34,19 +36,19 @@ key, so trials share no slot, group or edge demand.
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
-placement sampling, (2, trial) for stochastic user profiles.  A
-(cache, level) stream fills that level's masks file by file at one
-random byte per bit, and every bit is exactly Bernoulli(mu) for the
-float64 cached fraction mu: the bytes read as a base-256 fraction U,
-and the bit is U < mu.  The 1 in 256 bits whose first byte ties mu's
-first digit are resolved in later rounds (see ``_bernoulli_bits``).
-First bytes come in blocks of at most ``DRAW_BLOCK`` 64-bit outputs,
-and the bits do not depend on the block size.  A trial's stream draws
-its users' cache indices (the LFU baseline draws none), then one
-uniform per user, and a uniform's rank is the one ``Generator.choice``
-would give it, found by an exact table lookup (see ``_RankTable``).
-Identical seeds reproduce every artifact bit-for-bit, whatever the
-block sizes.
+placement sampling, (2, trial) for stochastic user profiles.  File f
+of a level reads the window of its (cache, level) stream that starts
+at output f * 2^64, at one random byte per bit, and every bit is
+exactly Bernoulli(mu) for the float64 cached fraction mu: the bytes
+read as a base-256 fraction U, and the bit is U < mu.  The 1 in 256
+bits whose first byte ties mu's first digit are resolved in later
+rounds (see ``_bernoulli_bits``).  Rows are drawn in batches of at most
+``DRAW_BLOCK`` 64-bit outputs, and the bits do not depend on the batch
+size.  A trial's stream draws its users' cache indices (the LFU
+baseline draws none), then one uniform per user, and a uniform's rank
+is the one ``Generator.choice`` would give it, found by an exact table
+lookup (see ``_RankTable``).  Identical seeds reproduce every artifact
+bit-for-bit, whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ import itertools
 import math
 import numbers
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,33 +85,51 @@ def _subfile_length(file_size: int, degree: int, color: int) -> int:
     return file_size // degree + (1 if color < file_size % degree else 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlacementState:
-    """Bit-exact cache contents for one instance and seed.
+    """Decentralized cache contents for one instance and seed, drawn on
+    demand.
 
-    ``stored[(cache, level)]`` is an ``(N_i, subfile_length)`` bool array
-    whose row f marks the bits of file f's subfile (of the cache's color)
-    that the cache keeps.  Each (cache, level) array comes from one PCG64
-    stream with spawn key ``(1, cache, level)``, filled row-major at one
-    random byte per bit plus tie rounds (see ``_bernoulli_bits``)."""
+    Every cache keeps, for each file of each level, an exact
+    Bernoulli(``fractions[level]``) subset of the bit indices of the
+    subfile matching the cache's color.  The masks of (cache, level) read
+    one PCG64 stream with spawn key ``(1, cache, level)``; file f's row
+    reads the window that starts at output f * 2^64, at one random byte
+    per bit plus tie rounds (see ``_bernoulli_bits``).  So a row depends
+    only on the seed, the cache, the level, the file, the fraction and
+    the subfile length, not on which other rows are drawn or in what
+    order.  Nothing is drawn until :meth:`rows` asks."""
 
     config: SystemConfig
     file_size_bits: int
-    stored: dict[tuple[int, int], np.ndarray]
+    seed: int
+    fractions: tuple[float, ...]
+
+    def rows(self, cache: int, level: int, files: Sequence[int]) -> np.ndarray:
+        """The masks of ``files`` (file indices of ``level``) at
+        ``cache``: a ``(len(files), subfile_length)`` bool array whose
+        row i marks the bits of file ``files[i]``'s subfile that the cache
+        keeps.  Rows are drawn in batches of at most ``DRAW_BLOCK``
+        64-bit outputs."""
+        d = self.config.levels[level].access_degree
+        length = _subfile_length(self.file_size_bits, d, cache % d)
+        masks = np.empty((len(files), length), dtype=bool)
+        bitgen = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(1, cache, level)))
+        batch = max(1, DRAW_BLOCK // -(-length // 8))
+        for start in range(0, len(files), batch):
+            _bernoulli_bits(
+                masks[start : start + batch],
+                self.fractions[level],
+                bitgen,
+                files[start : start + batch],
+            )
+        return masks
 
 
-# 64-bit outputs drawn per call, 8 placed bits each: the bytes of one call
-# and their tie mask hold 1 MiB however large a level's masks are.  Bits
-# read the stream's bytes in position order, so they do not depend on the
-# block size.
+# 64-bit outputs drawn per batch of rows, 8 placed bits each: a batch's
+# bytes and tie mask hold about 1 MiB however many rows are asked for.
+# Each row reads its own window, so the bits do not depend on the batch.
 DRAW_BLOCK = 1 << 16
-
-
-def _stream_bytes(bitgen: np.random.PCG64, count: int) -> np.ndarray:
-    """The next ``count`` bytes of a stream: the little-endian bytes of
-    ceil(count / 8) 64-bit outputs, the unused tail of the last dropped."""
-    raw = bitgen.random_raw(-(-count // 8))
-    return raw.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def _base256_digits(mu: float) -> list[int]:
@@ -123,30 +144,81 @@ def _base256_digits(mu: float) -> list[int]:
     return digits
 
 
-def _bernoulli_bits(flat: np.ndarray, mu: float, bitgen: np.random.PCG64) -> None:
-    """Fill ``flat`` with independent exact Bernoulli(mu) bits: a bit is set
-    when U = 0.b0 b1 b2... (base 256, uniform bytes b_j) is below mu.
+def _bernoulli_bits(
+    masks: np.ndarray,
+    mu: float,
+    bitgen: np.random.PCG64,
+    windows: Sequence[int] | None = None,
+) -> None:
+    """Fill ``masks`` with independent exact Bernoulli(mu) bits: a bit is
+    set when U = 0.b0 b1 b2... (base 256, uniform bytes b_j) is below mu.
+    The bytes of a row are the little-endian bytes of its stream's 64-bit
+    outputs.
 
-    Every bit compares one byte with mu's first digit.  The 1 in 256 bits
-    that tie read one more byte per round, in position order, against the
-    next digit; a tie still open after the last digit means U >= mu."""
+    Without ``windows``, ``masks`` is one row that reads ``bitgen`` from
+    where it stands.  With them, row r of the 2-D ``masks`` reads the
+    stream from output ``windows[r] * 2^64`` of the state ``bitgen`` has
+    at the call, and that state is restored at the end.
+
+    Every bit of a row compares one byte with mu's first digit.  The 1 in
+    256 bits that tie read one byte per round, in position order, from
+    the row's next whole outputs, against the next digit; a tie still
+    open after the last digit means U >= mu.  One draw per row reads its
+    first bytes and a margin for the tie rounds; rows whose ties outrun
+    the margin draw more."""
     if mu <= 0.0 or mu >= 1.0:
-        flat.fill(mu >= 1.0)
+        masks.fill(mu >= 1.0)
         return
+    if windows is None:
+        masks = masks.reshape(1, -1)
+
+        def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
+            return bitgen.random_raw(count)[None]
+
+    else:
+        base = bitgen.state
+
+        def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
+            # Each window is reached by advancing from the last output
+            # read, modulo the 2^128 period.
+            out = np.empty((which.size, count), dtype=np.uint64)
+            at = 0
+            for i, row in enumerate(which.tolist()):
+                window = (int(windows[row]) << 64) + start
+                bitgen.advance((window - at) % 2**128)
+                out[i] = bitgen.random_raw(count)
+                at = window + count
+            bitgen.state = base
+            return out
+
+    n, length = masks.shape
     first, *rest = _base256_digits(mu)
-    ties = []
-    for start in range(0, flat.size, 8 * DRAW_BLOCK):
-        block = flat[start : start + 8 * DRAW_BLOCK]
-        drawn = _stream_bytes(bitgen, block.size)
-        np.less(drawn, first, out=block)
-        ties.append(np.flatnonzero(drawn == first) + start)
-    open_ties = np.concatenate(ties)
+    raw = draw(np.arange(n), 0, -(-length // 8) + length // 1024 + 2)
+    drawn = raw.astype("<u8", copy=False).view(np.uint8)
+    np.less(drawn[:, :length], first, out=masks)
+    open_ties = np.flatnonzero(drawn[:, :length] == first)
+    # Byte at which each row's next round starts: rounds read whole outputs.
+    end = np.full(n, -(-length // 8) * 8)
     for digit in rest:
         if open_ties.size == 0:
             break
-        drawn = _stream_bytes(bitgen, open_ties.size)
-        flat[open_ties[drawn < digit]] = True
-        open_ties = open_ties[drawn == digit]
+        row, col = np.divmod(open_ties, length)
+        count = np.bincount(row, minlength=n)
+        stop = end + 8 * -(-count // 8)
+        if stop.max() > drawn.shape[1]:
+            # Every row still reading gets the same outputs more, so each
+            # keeps all of its outputs below the new width.
+            live = np.flatnonzero(count)
+            more = np.zeros((n, -(-(int(stop.max()) - drawn.shape[1]) // 8)), dtype=np.uint64)
+            more[live] = draw(live, raw.shape[1], more.shape[1])
+            raw = np.hstack([raw, more])
+            drawn = raw.astype("<u8", copy=False).view(np.uint8)
+        rank = np.arange(open_ties.size) - (np.cumsum(count) - count)[row]
+        byte = drawn[row, end[row] + rank]
+        below = byte < digit
+        masks[row[below], col[below]] = True
+        open_ties = open_ties[byte == digit]
+        end = stop
 
 
 def place(
@@ -155,13 +227,13 @@ def place(
     file_size_bits: int,
     seed: int,
 ) -> PlacementState:
-    """Sample cache contents: every cache keeps, for each file of each
+    """Decentralized placement: every cache keeps, for each file of each
     level, an exact Bernoulli(d_i * share_i / N_i) subset of the bit
-    indices of the subfile matching the cache's color, at one random byte
-    per bit (see ``_bernoulli_bits``)."""
+    indices of the subfile matching the cache's color.  Validates the
+    file size and the cached fractions and returns the state that draws
+    the masks when asked (see :class:`PlacementState`)."""
     if file_size_bits < 64:
         raise ValueError("file_size_bits must be at least 64")
-    k = config.num_caches
     fractions = []
     for idx, lv in enumerate(config.levels):
         mu = lv.access_degree * allocation.shares[idx] / lv.n_files
@@ -170,30 +242,9 @@ def place(
                 f"level {idx + 1}: cached fraction {mu:g} exceeds 1; allocation bug"
             )
         fractions.append(min(1.0, max(0.0, mu)))
-
-    stored: dict[tuple[int, int], np.ndarray] = {}
-    for cache in range(k):
-        expected_bits = 0.0
-        actual_bits = 0
-        for lvl_idx, lv in enumerate(config.levels):
-            color = cache % lv.access_degree
-            length = _subfile_length(file_size_bits, lv.access_degree, color)
-            mu = fractions[lvl_idx]
-            bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1, cache, lvl_idx)))
-            masks = np.empty((lv.n_files, length), dtype=bool)
-            _bernoulli_bits(masks.reshape(-1), mu, bitgen)
-            stored[(cache, lvl_idx)] = masks
-            actual_bits += int(np.count_nonzero(masks))
-            expected_bits += mu * masks.size
-        if expected_bits >= 1e4:
-            slack = 0.01 * expected_bits + 5.0 * math.sqrt(expected_bits)
-            if abs(actual_bits - expected_bits) > slack:
-                warnings.warn(
-                    f"cache {cache}: stored {actual_bits} bits vs expected "
-                    f"{expected_bits:.0f}",
-                    ValidationWarning,
-                )
-    return PlacementState(config=config, file_size_bits=file_size_bits, stored=stored)
+    return PlacementState(
+        config=config, file_size_bits=file_size_bits, seed=seed, fractions=tuple(fractions)
+    )
 
 
 def worst_case_demands(config: SystemConfig) -> list[Demand]:
@@ -324,6 +375,51 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
 
 
+def _drawn_rows(
+    placement: PlacementState,
+    members_of: list[np.ndarray],
+    group_levels: np.ndarray,
+    edge_demands: np.ndarray,
+) -> dict[tuple[int, int, int], np.ndarray]:
+    """The placement rows delivery reads, keyed by (cache, level, file):
+    each group's files at every cache in its members' windows, and each
+    edge demand's file at every cache in its window.  Each (cache,
+    level)'s rows are drawn in one call.
+
+    The rows drawn are all the bits that exist, so they carry the stored
+    bits check: a cache whose drawn rows expect at least 1e4 stored bits
+    and hold more than 1% + 5 sqrt(expected) away from it warns."""
+    config, k = placement.config, placement.config.num_caches
+    wanted: dict[tuple[int, int], set[int]] = defaultdict(set)
+    for lvl_idx, members in zip(group_levels.tolist(), members_of):
+        files = set(members[:, 2].tolist())
+        for c in members[:, 0].tolist():
+            for o in range(config.levels[lvl_idx].access_degree):
+                wanted[((c + o) % k, lvl_idx)] |= files
+    for cache, lvl_idx, file in edge_demands.tolist():
+        for o in range(config.levels[lvl_idx].access_degree):
+            wanted[((cache + o) % k, lvl_idx)].add(file)
+
+    stored: dict[tuple[int, int, int], np.ndarray] = {}
+    expected_bits = [0.0] * k
+    actual_bits = [0] * k
+    for (cache, lvl_idx), files in wanted.items():
+        files = sorted(files)
+        masks = placement.rows(cache, lvl_idx, files)
+        stored.update(zip(((cache, lvl_idx, f) for f in files), masks))
+        expected_bits[cache] += placement.fractions[lvl_idx] * masks.size
+        actual_bits[cache] += int(np.count_nonzero(masks))
+    for cache, (expected, actual) in enumerate(zip(expected_bits, actual_bits)):
+        if expected >= 1e4:
+            slack = 0.01 * expected + 5.0 * math.sqrt(expected)
+            if abs(actual - expected) > slack:
+                warnings.warn(
+                    f"cache {cache}: stored {actual} bits vs expected {expected:.0f}",
+                    ValidationWarning,
+                )
+    return stored
+
+
 def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> DeliveryLog:
     """Run coded delivery for the given demand profile and check, per
     subsystem, that the broadcast can serve every member.
@@ -338,6 +434,8 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     the subsystem's broadcast is at least as long as the bits it lacks,
     and no broadcast needs more than the sum of the members' lacked bits
     (unicasting everything); either violation raises ``DecodeError``.
+    Only the placement rows that delivery reads are drawn, and they carry
+    the stored-bits check (see ``_drawn_rows``).
     Groups of more than 64 members raise ``ValueError``, and so do
     demands that are not integer triples or that name a cache, level or
     file the config lacks.  Returns the broadcast size normalized by the
@@ -354,12 +452,14 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             f"a delivery group has {largest} members; at most {MAX_GROUP} fit a signature"
         )
 
+    members_of = [coded_demands[group == g] for g in range(len(group_keys))]
+    stored = _drawn_rows(placement, members_of, group_keys[:, 0], table[edges])
+
     total_bits = 0
     uncoded_bits = 0
     pair_bits: dict[tuple[int, tuple[int, int], int], int] = {}
 
-    for g, (lvl_idx, residue, slot) in enumerate(group_keys.tolist()):
-        members = coded_demands[group == g]
+    for (lvl_idx, residue, slot), members in zip(group_keys.tolist(), members_of):
         d = config.levels[lvl_idx].access_degree
         for color in range(d):
             caches_used = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
@@ -372,7 +472,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
             for f in set(members[:, 2].tolist()):
                 sig = np.zeros(length, dtype=np.uint64)
                 for bit, vc in enumerate(caches_used):
-                    sig |= placement.stored[(vc, lvl_idx)][f].astype(np.uint64) << np.uint64(bit)
+                    sig |= stored[(vc, lvl_idx, f)].astype(np.uint64) << np.uint64(bit)
                 sigs[f] = sig
             bits_here = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
 
@@ -409,7 +509,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
         d = config.levels[lvl_idx].access_degree
         cov = [np.zeros(_subfile_length(f_bits, d, color), dtype=bool) for color in range(d)]
         for c in ((cache + o) % k for o in range(d)):
-            cov[c % d] |= placement.stored[(c, lvl_idx)][file]
+            cov[c % d] |= stored[(c, lvl_idx, file)]
         missing = sum(int(np.count_nonzero(~covered)) for covered in cov)
         total_bits += missing
         uncoded_bits += missing

@@ -366,8 +366,9 @@ def test_discretize_heuristic_rejects_degree_above_k_before_writing(tmp_path, ca
         ("1,0", "access degree must be a positive integer, got 0"),
         ("1,x", "--degrees expects integers, got '1,x'"),
         ("1.5,1", "--degrees expects integers, got '1.5,1'"),
+        ("1,1,1", "need one access degree per level"),
     ],
-    ids=["zero", "not-a-number", "fraction"],
+    ids=["zero", "not-a-number", "fraction", "one-too-many"],
 )
 def test_discretize_bad_degrees_are_refused_before_the_search(
     degrees, message, tmp_path, capsys, monkeypatch

@@ -239,7 +239,7 @@ def test_brute_force_rate_improves_with_levels():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rates = [
-            brute_force_partition(dist, lcount, 4, 60.0, (1, 1, 1), 16, coarsening=10)[1]
+            brute_force_partition(dist, lcount, 4, 60.0, (1,) * lcount, 16, coarsening=10)[1]
             for lcount in (1, 2, 3)
         ]
     assert rates[1] <= rates[0] + 1e-9
@@ -499,7 +499,7 @@ def test_brute_force_all_zero_users_is_error():
     dist = zipf_distribution(0.6, 100)
     for lcount in (1, 2, 3):
         with pytest.raises(ConfigError, match="zero users"):
-            brute_force_partition(dist, lcount, 10, 5.0, (1, 1, 1), 4, coarsening=10)
+            brute_force_partition(dist, lcount, 10, 5.0, (1,) * lcount, 4, coarsening=10)
 
 
 def test_brute_force_degree_above_cache_count_is_error():

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import warnings
 from collections import Counter, defaultdict
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from codedcache import sim
-from codedcache.model import ConfigError, make_config
+from codedcache.model import ConfigError, ValidationWarning, make_config
 from codedcache.pama import Allocation, pama_rate
 from codedcache.popularity import (
     discretize,
@@ -90,14 +91,14 @@ def test_worst_case_demands_distinct_within_groups():
 def test_place_full_fraction_stores_everything():
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(16.0,)), 256, seed=1)
-    assert all(mask.all() for mask in pl.stored.values())
+    assert all(pl.rows(c, 0, range(16)).all() for c in range(2))
     assert deliver_bit_exact(pl, worst_case_demands(cfg)).total_bits == 0
 
 
 def test_place_zero_fraction_stores_nothing():
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(0.0,)), 256, seed=1)
-    assert not any(mask.any() for mask in pl.stored.values())
+    assert not any(pl.rows(c, 0, range(16)).any() for c in range(2))
 
 
 def test_place_rejects_overfull_fraction():
@@ -122,9 +123,8 @@ def test_stored_bits_match_memory_budget():
     expected = sum(res.allocation.shares) * f_bits
     for cache in range(4):
         actual = sum(
-            int(masks.sum())
-            for (c, _), masks in pl.stored.items()
-            if c == cache
+            int(pl.rows(cache, lvl, range(lv.n_files)).sum())
+            for lvl, lv in enumerate(cfg.levels)
         )
         assert actual == pytest.approx(expected, rel=0.01)
 
@@ -134,8 +134,8 @@ def test_part_sizes_concentrate():
     # about a quarter of every file.
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(8.0,)), 100_000, seed=5)
-    m0 = pl.stored[(0, 0)][0]
-    m1 = pl.stored[(1, 0)][0]
+    m0 = pl.rows(0, 0, [0])[0]
+    m1 = pl.rows(1, 0, [0])[0]
     for part in (
         ~m0 & ~m1,
         m0 & ~m1,
@@ -271,8 +271,8 @@ def test_placement_reproducible():
     cfg = make_config(4, 10.0, [(16, 1, 1)])
     a = place(cfg, Allocation(shares=(10.0,)), 4096, seed=42)
     b = place(cfg, Allocation(shares=(10.0,)), 4096, seed=42)
-    for key in a.stored:
-        assert np.array_equal(a.stored[key], b.stored[key])
+    for c in range(4):
+        assert np.array_equal(a.rows(c, 0, range(16)), b.rows(c, 0, range(16)))
     log_a = deliver_bit_exact(a, worst_case_demands(cfg))
     log_b = deliver_bit_exact(b, worst_case_demands(cfg))
     assert log_a.total_bits == log_b.total_bits
@@ -317,17 +317,17 @@ def _reference_bits(bitgen, n, mu):
 @pytest.mark.parametrize(
     "block",
     [
-        131072,  # each level's masks in one block
-        256,  # several rows per block
-        101,  # between one row of each level
-        37,  # every subfile longer than a block
-        1,  # one 64-bit output per block
+        131072,  # every row of a (cache, level) in one batch
+        256,  # two rows per batch at d = 1, four at d = 2
+        101,  # one row per batch, from here on
+        37,
+        1,
     ],
 )
 def test_placement_stream_pinned(monkeypatch, block):
     # F = 1001 gives subfiles of 1001 bits (d = 1) and of 501 and 500 bits
-    # (d = 2, by color); a block holds 8 bits per output, so row and block
-    # edges fall out of step.
+    # (d = 2, by color), 126 or 63 outputs of first bytes per row.  Row f
+    # of (c, lvl) reads the (1, c, lvl) stream from output f * 2^64.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = make_config(3, 3.0, [(5, 1, 1), (6, 1, 2)])
@@ -343,17 +343,76 @@ def test_placement_stream_pinned(monkeypatch, block):
     # 1 - 2^-53 have seven digits, 2^-60 has seven zero digits before its
     # last; 0 and 1 fill without reading the stream.
     for mus in [(1.0 / 5, 2.0 / 3), (0.5, 1.0 / 3), (2.0**-60, 1 - 2.0**-53), (0.0, 1.0)]:
-        built.clear()
-        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
         pl = place(cfg, Allocation(shares=(mus[0] * 5, mus[1] * 3)), 1001, seed=8)
-        monkeypatch.setattr(np.random, "PCG64", pcg64)
-        assert sorted(built) == [(1, c, lvl) for c in range(3) for lvl in range(2)]
-        for (c, lvl), masks in pl.stored.items():
-            length = 1001 if lvl == 0 else 501 - c % 2
-            assert masks.shape == (cfg.levels[lvl].n_files, length)
-            bitgen = pcg64(np.random.SeedSequence(8, spawn_key=(1, c, lvl)))
-            expected = _reference_bits(bitgen, masks.size, mus[lvl])
-            assert np.array_equal(masks.reshape(-1), expected)
+        for c in range(3):
+            for lvl, lv in enumerate(cfg.levels):
+                built.clear()
+                monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+                masks = pl.rows(c, lvl, range(lv.n_files))
+                monkeypatch.setattr(np.random, "PCG64", pcg64)
+                assert built == [(1, c, lvl)]  # one stream per (cache, level), none per file
+                length = 1001 if lvl == 0 else 501 - c % 2
+                assert masks.shape == (lv.n_files, length)
+                for f, row in enumerate(masks):
+                    bitgen = pcg64(np.random.SeedSequence(8, spawn_key=(1, c, lvl)))
+                    bitgen.advance(f << 64)
+                    assert np.array_equal(row, _reference_bits(bitgen, length, mus[lvl]))
+
+
+def test_placement_row_ignores_other_rows():
+    # A row is the same drawn alone, in a shuffled subset or with every
+    # file of its level.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(5, 7.0, [(40, 1, 1), (30, 2, 2)])
+    pl = place(cfg, Allocation(shares=(3.1, 3.9)), 2000, seed=21)
+    rng = np.random.default_rng(3)
+    for c in range(5):
+        for lvl, lv in enumerate(cfg.levels):
+            every = pl.rows(c, lvl, range(lv.n_files))
+            subset = rng.permutation(lv.n_files)[: lv.n_files // 3]
+            assert np.array_equal(pl.rows(c, lvl, subset), every[subset])
+            for f in subset[:3].tolist():
+                assert np.array_equal(pl.rows(c, lvl, [f])[0], every[f])
+
+
+class _NarrowWindows:
+    """A stand-in bit generator whose every byte is drawn from {d - 1, d,
+    d + 1} over mu's base-256 digits d, so that ties stay open for many
+    rounds.  Output p of its 128-bit counter is a hash of p alone, and
+    ``state`` and ``advance`` move the counter as PCG64's do, so windows
+    can be read in any order."""
+
+    def __init__(self, mu):
+        near = {x for d in _digits(mu % 1) for x in (d - 1, d, d + 1)}
+        self.alphabet = sorted(near & set(range(256)))
+        self.state = 0
+
+    def advance(self, delta):
+        self.state = (self.state + delta) % 2**128
+
+    def random_raw(self, size):
+        words = [
+            int.from_bytes(bytes(random.Random(p).choices(self.alphabet, k=8)), "little")
+            for p in range(self.state, self.state + size)
+        ]
+        self.advance(size)
+        return np.array(words, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("mu", [1.0 / 3, 0.5, 1 - 2.0**-53, 2.0**-60, 3.0 / 256, 0.3712345])
+def test_bernoulli_windows_match_reference_through_tie_rounds(mu):
+    # A third of the bytes tie, so the tie rounds outrun the margin of
+    # the first draw and rows draw more from their windows.
+    windows = [5, 0, 2**40, 3, 1]
+    masks = np.empty((len(windows), 300), dtype=bool)
+    stream = _NarrowWindows(mu)
+    sim._bernoulli_bits(masks, mu, stream, windows)
+    assert stream.state == 0
+    for row, window in zip(masks, windows):
+        reference = _NarrowWindows(mu)
+        reference.advance(window << 64)
+        assert np.array_equal(row, _reference_bits(reference, row.size, mu))
 
 
 class _NarrowStream:
@@ -392,8 +451,8 @@ def test_bernoulli_bits_mean(mu):
 
 
 def test_place_scratch_memory_is_bounded():
-    # The K/d = 11 shape of the bit-exact benchmark: 45 MiB of masks.  A
-    # whole-level float64 draw would need 17 MiB on top of them.
+    # The K/d = 11 shape of the bit-exact benchmark: 45 MiB of masks if
+    # every row were drawn.  Delivery draws only the rows it reads.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = make_config(11, 30.0, [(132, 1, 1), (264, 2, 2)])
@@ -401,11 +460,31 @@ def test_place_scratch_memory_is_bounded():
     tracemalloc.start()
     try:
         pl = place(cfg, allocation, 2**14, seed=3)
+        log = deliver_bit_exact(pl, worst_case_demands(cfg))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    stored = sum(masks.nbytes for masks in pl.stored.values())
-    assert peak <= stored + 4 * 2**20
+    assert log.decode_ok
+    assert peak <= 8 * 2**20
+
+
+def test_stored_bits_check_reads_the_drawn_rows(monkeypatch):
+    # Bits drawn at 1.5 mu are far more than the expected share of the
+    # drawn rows, so delivery warns for every cache.
+    cfg = make_config(4, 4.0, [(16, 1, 1)])
+    pl = place(cfg, Allocation(shares=(4.0,)), 2**14, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        deliver_bit_exact(pl, worst_case_demands(cfg))
+    unbiased = sim._bernoulli_bits
+
+    def biased(masks, mu, bitgen, windows=None):
+        unbiased(masks, 1.5 * mu, bitgen, windows)
+
+    monkeypatch.setattr(sim, "_bernoulli_bits", biased)
+    with pytest.warns(ValidationWarning, match="stored") as caught:
+        deliver_bit_exact(pl, worst_case_demands(cfg))
+    assert [str(w.message).split(":")[0] for w in caught] == [f"cache {c}" for c in range(4)]
 
 
 def test_expected_profile_matches_closed_form_exactly():
@@ -749,7 +828,7 @@ def _subset_walk(pl, demands):
             cov = np.zeros(length, dtype=bool)
             for c in window:
                 if c % d == color:
-                    cov |= pl.stored[(c, lvl)][f]
+                    cov |= pl.rows(c, lvl, [f])[0]
             if (lvl, cache, f, color) not in served:
                 served.add((lvl, cache, f, color))
                 total += int((~cov).sum())
@@ -762,7 +841,7 @@ def _subset_walk(pl, demands):
         for color in range(d):
             # held[f][j]: which bits of f the j-th member's cache stores
             held = {
-                f: np.array([pl.stored[((c + (color - c) % d) % k, lvl)][f] for c, _ in members])
+                f: np.array([pl.rows((c + (color - c) % d) % k, lvl, [f])[0] for c, _ in members])
                 for f in {f for _, f in members}
             }
             bits = sum(int((~h.any(axis=0)).sum()) for h in held.values())
