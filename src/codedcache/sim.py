@@ -110,18 +110,37 @@ class PlacementState:
         ``cache``: a ``(len(files), subfile_length)`` bool array whose
         row i marks the bits of file ``files[i]``'s subfile that the cache
         keeps.  Rows are drawn in batches of at most ``DRAW_BLOCK``
-        64-bit outputs."""
-        d = self.config.levels[level].access_degree
+        64-bit outputs.  A cache, level or file that is not an integer,
+        or that the config lacks, raises ``ValueError``."""
+        config = self.config
+        picked = np.asarray(files)
+        if (
+            any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in (cache, level))
+            or (picked.size and (picked.ndim != 1 or picked.dtype.kind not in "iu"))
+            or not {bool, np.bool_}.isdisjoint(map(type, files))
+        ):
+            raise ValueError("cache, level and files must be integer indices")
+        if not 0 <= cache < config.num_caches:
+            raise ValueError(f"cache index {cache} out of range")
+        if not 0 <= level < config.num_levels:
+            raise ValueError(f"level index {level} out of range")
+        outside = (picked < 0) | (picked >= config.levels[level].n_files)
+        if outside.any():
+            raise ValueError(
+                f"file {picked[outside.argmax()]} does not exist in level {level + 1}"
+            )
+        picked = picked.astype(np.int64).reshape(-1)
+        d = config.levels[level].access_degree
         length = _subfile_length(self.file_size_bits, d, cache % d)
-        masks = np.empty((len(files), length), dtype=bool)
+        masks = np.empty((picked.size, length), dtype=bool)
         bitgen = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(1, cache, level)))
         batch = max(1, DRAW_BLOCK // -(-length // 8))
-        for start in range(0, len(files), batch):
+        for start in range(0, picked.size, batch):
             _bernoulli_bits(
                 masks[start : start + batch],
                 self.fractions[level],
                 bitgen,
-                files[start : start + batch],
+                picked[start : start + batch],
             )
         return masks
 
@@ -148,17 +167,14 @@ def _bernoulli_bits(
     masks: np.ndarray,
     mu: float,
     bitgen: np.random.PCG64,
-    windows: Sequence[int] | None = None,
+    windows: Sequence[int],
 ) -> None:
     """Fill ``masks`` with independent exact Bernoulli(mu) bits: a bit is
     set when U = 0.b0 b1 b2... (base 256, uniform bytes b_j) is below mu.
     The bytes of a row are the little-endian bytes of its stream's 64-bit
-    outputs.
-
-    Without ``windows``, ``masks`` is one row that reads ``bitgen`` from
-    where it stands.  With them, row r of the 2-D ``masks`` reads the
-    stream from output ``windows[r] * 2^64`` of the state ``bitgen`` has
-    at the call, and that state is restored at the end.
+    outputs: row r of the 2-D ``masks`` reads the stream from output
+    ``windows[r] * 2^64`` of the state ``bitgen`` has at the call, and
+    that state is restored at the end.
 
     Every bit of a row compares one byte with mu's first digit.  The 1 in
     256 bits that tie read one byte per round, in position order, from
@@ -169,27 +185,20 @@ def _bernoulli_bits(
     if mu <= 0.0 or mu >= 1.0:
         masks.fill(mu >= 1.0)
         return
-    if windows is None:
-        masks = masks.reshape(1, -1)
+    base = bitgen.state
 
-        def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
-            return bitgen.random_raw(count)[None]
-
-    else:
-        base = bitgen.state
-
-        def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
-            # Each window is reached by advancing from the last output
-            # read, modulo the 2^128 period.
-            out = np.empty((which.size, count), dtype=np.uint64)
-            at = 0
-            for i, row in enumerate(which.tolist()):
-                window = (int(windows[row]) << 64) + start
-                bitgen.advance((window - at) % 2**128)
-                out[i] = bitgen.random_raw(count)
-                at = window + count
-            bitgen.state = base
-            return out
+    def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
+        # Each window is reached by advancing from the last output read,
+        # modulo the 2^128 period.
+        out = np.empty((which.size, count), dtype=np.uint64)
+        at = 0
+        for i, row in enumerate(which.tolist()):
+            window = (int(windows[row]) << 64) + start
+            bitgen.advance((window - at) % 2**128)
+            out[i] = bitgen.random_raw(count)
+            at = window + count
+        bitgen.state = base
+        return out
 
     n, length = masks.shape
     first, *rest = _base256_digits(mu)

@@ -415,39 +415,51 @@ def test_bernoulli_windows_match_reference_through_tie_rounds(mu):
         assert np.array_equal(row, _reference_bits(reference, row.size, mu))
 
 
-class _NarrowStream:
-    """A stand-in bit generator whose bytes are each drawn uniformly from
-    {d - 1, d, d + 1} over mu's base-256 digits d, so that ties stay open
-    for many rounds and some outlast the last digit."""
-
-    def __init__(self, seed, mu):
-        self.rng = np.random.default_rng(seed)
-        near = {x for d in _digits(mu % 1) for x in (d - 1, d, d + 1)}
-        self.alphabet = np.array(sorted(near & set(range(256))), dtype=np.uint8)
-
-    def random_raw(self, size):
-        drawn = self.rng.choice(self.alphabet, size=8 * size)
-        return drawn.view("<u8").astype(np.uint64)
-
-
-@pytest.mark.parametrize("block", [1, 5, 1 << 16])
+@pytest.mark.parametrize("window", [1, 5, 1 << 16])
 @pytest.mark.parametrize(
     "mu", [1.0 / 3, 0.5, 1 - 2.0**-53, 2.0**-60, 3.0 / 256, 0.3712345, 0.0, 1.0]
 )
-def test_bernoulli_bits_match_reference_through_tie_rounds(monkeypatch, block, mu):
-    monkeypatch.setattr(sim, "DRAW_BLOCK", block)
-    flat = np.empty(65539, dtype=bool)
-    sim._bernoulli_bits(flat, mu, _NarrowStream(4, mu))
-    assert np.array_equal(flat, _reference_bits(_NarrowStream(4, mu), flat.size, mu))
+def test_bernoulli_bits_match_reference_through_tie_rounds(window, mu):
+    # One long row, so some ties outlast the last digit.
+    masks = np.empty((1, 65539), dtype=bool)
+    sim._bernoulli_bits(masks, mu, _NarrowWindows(mu), [window])
+    reference = _NarrowWindows(mu)
+    reference.advance(window << 64)
+    assert np.array_equal(masks[0], _reference_bits(reference, masks.shape[1], mu))
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0 / 3, 0.3712345, 3.0 / 256, 0.999])
 def test_bernoulli_bits_mean(mu):
     n = 1 << 24
-    flat = np.empty(n, dtype=bool)
-    sim._bernoulli_bits(flat, mu, np.random.PCG64(5))
-    ones = int(np.count_nonzero(flat))
+    masks = np.empty((1, n), dtype=bool)
+    sim._bernoulli_bits(masks, mu, np.random.PCG64(5), [0])
+    ones = int(np.count_nonzero(masks))
     assert abs(ones - mu * n) <= 5 * math.sqrt(n * mu * (1 - mu))
+
+
+@pytest.mark.parametrize(
+    "cache, level, files, message",
+    [
+        (-1, 0, [0], "cache index -1 out of range"),
+        (3, 0, [0], "cache index 3 out of range"),
+        (0, -1, [0], "level index -1 out of range"),
+        (0, 2, [], "level index 2 out of range"),
+        (0, 0, [0, 5], "file 5 does not exist in level 1"),
+        (1, 1, [-1], "file -1 does not exist in level 2"),
+        (0, 1, np.array([2**64 - 1], dtype=np.uint64), "file 18446744073709551615 does not"),
+        (0, 0, [1.0], "integer indices"),
+        (0, 0, [1, True], "integer indices"),
+        (True, 0, [0], "integer indices"),
+    ],
+)
+def test_rows_refuse_indices_the_config_lacks(cache, level, files, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(3, 3.0, [(5, 1, 1), (6, 1, 2)])
+    pl = place(cfg, Allocation(shares=(1.0, 2.0)), 1001, seed=8)
+    with pytest.raises(ValueError, match=message):
+        pl.rows(cache, level, files)
+    assert pl.rows(1, 1, []).shape == (0, 500)
 
 
 def test_place_scratch_memory_is_bounded():
@@ -478,7 +490,7 @@ def test_stored_bits_check_reads_the_drawn_rows(monkeypatch):
         deliver_bit_exact(pl, worst_case_demands(cfg))
     unbiased = sim._bernoulli_bits
 
-    def biased(masks, mu, bitgen, windows=None):
+    def biased(masks, mu, bitgen, windows):
         unbiased(masks, 1.5 * mu, bitgen, windows)
 
     monkeypatch.setattr(sim, "_bernoulli_bits", biased)
