@@ -342,6 +342,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lfu(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be non-negative, got {args.trials}")
     config = load_config(args.config) if args.config else None
     if args.trials > 0:
         dist = _load_distribution(args)
@@ -367,11 +369,22 @@ def _cmd_lfu(args: argparse.Namespace) -> int:
     return 0
 
 
+def _criteria(text: str) -> list[int]:
+    """``--only``'s comma-separated numbers, each one of the criteria."""
+    known = [number for number, _, _ in acceptance.CRITERIA]
+    try:
+        only = [int(x) for x in text.split(",")]
+        if set(only) <= set(known):
+            return only
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expects comma-separated criterion numbers {known[0]}-{known[-1]}, got {text!r}"
+    )
+
+
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    only = None
-    if args.only:
-        only = [int(x) for x in args.only.split(",")]
-    results = acceptance.run_all(only=only, verbose=True)
+    results = acceptance.run_all(only=args.only, verbose=True)
     return 0 if all(r.passed for r in results) else RUNTIME_EXIT
 
 
@@ -454,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lfu)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--only", help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_criteria, help="comma-separated criterion numbers")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -19,7 +19,7 @@ import numbers
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 
 class ConfigError(ValueError):
@@ -127,15 +127,6 @@ class SystemConfig:
         a bool, non-real, non-finite or negative memory raises
         :class:`ConfigError`."""
         return replace(self, memory=_memory(memory))
-
-    def with_degrees(self, degrees: Sequence[int]) -> "SystemConfig":
-        """Copy of this instance with per-level access degrees replaced."""
-        if len(degrees) != self.num_levels:
-            raise ConfigError("need one degree per level")
-        new_levels = tuple(
-            replace(lv, access_degree=int(d)) for lv, d in zip(self.levels, degrees)
-        )
-        return replace(self, levels=new_levels)
 
 
 def validate(config: SystemConfig) -> SystemConfig:

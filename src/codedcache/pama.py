@@ -39,8 +39,10 @@ their candidates with it (one memory, many instances) and ``sweep`` its
 memory grid (one instance, many memories, through :func:`pama_memories`);
 :func:`closed_form_rates` then gives the closed form of each winning
 split.  :func:`grid_search_alpha`, the exhaustive oracle over memory
-splits, prices its simplex points in array blocks with the same
-per-level lane rule.
+splits, prices its simplex points with the same per-level lane rule.
+It shares one walker, ``_first_best``, with the brute-force split
+search: both price candidates ``SEARCH_BLOCK`` at a time in
+enumeration order and keep the first best by the same 1e-15 rule.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -439,24 +441,32 @@ def pama_memories(config: SystemConfig, memory: np.ndarray) -> PamaBatch:
     return pama_totals(n_files, users, degrees, config.num_caches, memory)
 
 
-ORACLE_BLOCK = 1 << 12  # simplex points priced at once by the oracle
+# Candidates priced per array batch by the exhaustive searches: a few MB
+# of scratch at any search size, with the per-batch NumPy cost amortized.
+SEARCH_BLOCK = 4096
 
 
-def _simplex_points(dims: int, total: int, head: np.ndarray) -> Iterator[np.ndarray]:
-    """Every completion of the rows of ``head`` to a point of N^dims with
-    coordinate sum at most ``total``, in lexicographic order, as int
-    arrays of at most ``ORACLE_BLOCK`` rows."""
-    if head.shape[1] == dims:
-        yield head
-        return
-    # Row r continues with 0..room[r]-1; children are cut into windows.
-    room = total + 1 - head.sum(axis=1)
-    ends = np.cumsum(room)
-    for first in range(0, int(ends[-1]), ORACLE_BLOCK):
-        pos = np.arange(first, min(first + ORACLE_BLOCK, int(ends[-1])))
-        row = np.searchsorted(ends, pos, side="right")
-        value = pos - (ends[row] - room[row])
-        yield from _simplex_points(dims, total, np.column_stack([head[row], value]))
+def _first_best(
+    candidates: Iterator[tuple[int, ...]], width: int, price: Callable[[np.ndarray], np.ndarray]
+) -> tuple[tuple[int, ...], float]:
+    """The exhaustive searches' walker: price the ``width``-tuples of
+    ``candidates`` ``SEARCH_BLOCK`` at a time as (rows, width) int64
+    arrays, and return the last candidate whose rate beat every earlier
+    best by more than 1e-15 (the first best in order), with that rate."""
+    best, best_rate = None, math.inf
+    while block := list(itertools.islice(candidates, SEARCH_BLOCK)):
+        rows = np.fromiter(
+            itertools.chain.from_iterable(block), np.int64, len(block) * width
+        ).reshape(len(block), width)
+        rates = price(rows)
+        # A rate that beats the best by 1e-15 is below the best at the
+        # block's start and below every earlier rate of the block.
+        earlier = np.minimum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
+        for i in np.flatnonzero(rates < earlier).tolist():
+            if rates[i] < best_rate - 1e-15:
+                best, best_rate = block[i], float(rates[i])
+    assert best is not None
+    return best, best_rate
 
 
 def grid_search_alpha(
@@ -466,10 +476,10 @@ def grid_search_alpha(
     a simplex grid of the given step (fractions of M), each level capped
     at its full-storage point.  Intended for small level counts.
 
-    The points are enumerated in lexicographic order of the first L-1
-    fractions and priced ``ORACLE_BLOCK`` at a time, each rate bit for
-    bit :func:`total_rate_exact`; the first rate below the best so far
-    by more than 1e-15 becomes the best."""
+    The points go in lexicographic order of the first L-1 fractions, as
+    stars and bars, through the walker shared with the split search,
+    each rate bit for bit :func:`total_rate_exact`; the first rate below
+    the best so far by more than 1e-15 becomes the best."""
     if not 0 < grid_step <= 0.1:
         raise ConfigError("grid_step must lie in (0, 0.1]")
     lcount = config.num_levels
@@ -486,29 +496,27 @@ def grid_search_alpha(
 
     cap = np.array(caps)
     n_files, users, degrees = _level_arrays(config)
-    best_rate = math.inf
-    best_shares: tuple[float, ...] = tuple(0.0 for _ in range(lcount))
-    for head in _simplex_points(lcount - 1, steps, np.zeros((1, 0), dtype=np.int64)):
-        alphas = np.column_stack([head, steps - head.sum(axis=1)])
+
+    def capped_shares(bars: np.ndarray) -> np.ndarray:
+        # Bars b_1 < ... < b_{L-1} in 0..steps+L-2 give alpha_1 = b_1,
+        # alpha_i = b_i - b_{i-1} - 1 and alpha_L = steps + L - 2 - b_{L-1}.
+        alphas = np.diff(bars, axis=1, prepend=-1, append=steps + lcount - 1) - 1
         shares = alphas * m / steps
-        shares = np.where(cap < shares, cap, shares)
+        return np.where(cap < shares, cap, shares)
+
+    def price(bars: np.ndarray) -> np.ndarray:
         lanes = _level_rates(
-            *np.broadcast_arrays(shares, cap, n_files, users, degrees), config.num_caches
+            *np.broadcast_arrays(capped_shares(bars), cap, n_files, users, degrees),
+            config.num_caches,
         )
-        rates = np.zeros(len(shares))
+        rates = np.zeros(len(bars))
         for j in range(lcount):
             rates = rates + lanes[:, j]
-        # A rate that beats the best by 1e-15 is below the best at the
-        # block's start and below every earlier rate of the block.
-        earlier = np.minimum.accumulate(np.concatenate([[best_rate], rates[:-1]]))
-        for i in np.flatnonzero(rates < earlier).tolist():
-            if rates[i] < best_rate - 1e-15:
-                best_rate = float(rates[i])
-                best_shares = tuple(shares[i].tolist())
-    return Allocation(shares=best_shares), best_rate
+        return rates
 
-
-_ACCESS_BLOCK = 1 << 12  # degree vectors priced per pama_totals call
+    bars = itertools.combinations(range(steps + lcount - 1), lcount - 1)
+    best, best_rate = _first_best(bars, lcount - 1, price)
+    return Allocation(shares=tuple(capped_shares(np.array([best]))[0].tolist())), best_rate
 
 
 def optimize_access_structure(
@@ -518,9 +526,9 @@ def optimize_access_structure(
 
     Enumerates every degree vector in {1..max_degree}^L with d_i <= K and
     user-weighted average degree at most ``avg_degree``, and prices them
-    as rows of :func:`pama_totals`, ``_ACCESS_BLOCK`` per call, each rate
-    bit for bit ``pama_rate(config.with_degrees(degrees))``.  Ties are
-    broken by smaller total degree, then lexicographically.
+    as rows of :func:`pama_totals`, ``SEARCH_BLOCK`` per call, each rate
+    bit for bit ``pama_rate`` of the instance with those degrees.  Ties
+    are broken by smaller total degree, then lexicographically.
     """
     if max_degree < 1:
         raise ConfigError("max_degree must be at least 1")
@@ -534,8 +542,8 @@ def optimize_access_structure(
             f"max degree {max_degree}"
         )
     scored = []
-    for first in range(0, len(candidates), _ACCESS_BLOCK):
-        degrees = candidates[first : first + _ACCESS_BLOCK]
+    for first in range(0, len(candidates), SEARCH_BLOCK):
+        degrees = candidates[first : first + SEARCH_BLOCK]
         n, u = (np.broadcast_to(column, degrees.shape) for column in (n_files, users))
         totals = pama_totals(n, u, degrees, config.num_caches, config.memory).total.tolist()
         scored.extend((round(r, 9), sum(d), tuple(d), r) for d, r in zip(degrees.tolist(), totals))

@@ -8,7 +8,10 @@ a constant-time two-level heuristic tuned for Zipf profiles.
 
 The brute-force search discretizes its candidate splits in array
 blocks (user rounding, zero-user merge and level order, one row per
-split) and prices them with :func:`~codedcache.pama.pama_totals`.
+split) and prices them with :func:`~codedcache.pama.pama_totals`.  Its
+blocks come from the walker it shares with the memory-split oracle
+:func:`~codedcache.pama.grid_search_alpha`: one block size, one scan in
+enumeration order and one rule for the best.
 :func:`discretize` is the one-row case of the same array code, so each
 candidate's rate equals ``pama_rate(discretize(...)).exact.total`` bit
 for bit and the search picks the split that discretize then writes.
@@ -26,7 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .model import ConfigError, LevelSpec, SystemConfig, ValidationWarning, _memory
-from .pama import pama_totals
+from .pama import _first_best, pama_totals
 
 
 class CountsError(ValueError):
@@ -276,12 +279,6 @@ def level_map_for_config(config: SystemConfig, n_files: int) -> np.ndarray:
     return np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
 
 
-# Candidate splits priced per array batch by brute_force_partition: a
-# block of this many rows keeps the search's arrays to a few MB at any
-# budget while amortizing the per-batch NumPy overhead.
-SPLIT_BLOCK = 4096
-
-
 def _round_users(
     cum: np.ndarray, edges: np.ndarray, nlev: np.ndarray, per_cache: float
 ) -> np.ndarray:
@@ -405,10 +402,11 @@ def brute_force_partition(
     n_files/200) to tame the O(N^(L-1)) candidate count; ``extra_cuts``
     adds specific off-grid cut points to the candidate set.
 
-    Candidates are priced ``SPLIT_BLOCK`` at a time as one array batch,
-    each rate bit-identical to ``pama_rate`` of the discretized instance;
-    in enumeration order, the first rate below the best so far by more
-    than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
+    Candidates go in ``itertools.combinations`` order through the walker
+    shared with :func:`~codedcache.pama.grid_search_alpha`, priced
+    ``SEARCH_BLOCK`` at a time, each rate bit-identical to ``pama_rate``
+    of the discretized instance; the first rate below the best so far by
+    more than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
     memory, L < 1, a coarsening below 1, a degree count other than L, an
     access degree that is not a positive integer or exceeds K, a cut grid
     with fewer than L-1 cut points, more candidates than ``budget``, and
@@ -440,17 +438,9 @@ def brute_force_partition(
             "increase coarsening"
         )
 
-    best_rate = math.inf
-    best_cuts: tuple[int, ...] | None = None
-    combos = itertools.combinations(cuts, num_levels - 1)
-    while block := list(itertools.islice(combos, SPLIT_BLOCK)):
-        rates = _price_splits(
-            cum, np.array(block, dtype=np.int64), degrees, num_caches, total_users, memory
-        )
-        # Only a rate below the block's starting threshold can improve.
-        for i in np.flatnonzero(rates < best_rate - 1e-15).tolist():
-            if rates[i] < best_rate - 1e-15:
-                best_rate = float(rates[i])
-                best_cuts = block[i]
-    assert best_cuts is not None
+    best_cuts, best_rate = _first_best(
+        itertools.combinations(cuts, num_levels - 1),
+        num_levels - 1,
+        lambda rows: _price_splits(cum, rows, degrees, num_caches, total_users, memory),
+    )
     return LevelPartition(boundaries=best_cuts, n_files=n), best_rate

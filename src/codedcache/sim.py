@@ -120,15 +120,11 @@ class PlacementState:
             or not {bool, np.bool_}.isdisjoint(map(type, files))
         ):
             raise ValueError("cache, level and files must be integer indices")
-        if not 0 <= cache < config.num_caches:
-            raise ValueError(f"cache index {cache} out of range")
-        if not 0 <= level < config.num_levels:
-            raise ValueError(f"level index {level} out of range")
+        # File 0 exists in every level, so this checks the cache and level.
+        _check_demand(config, cache, level, 0)
         outside = (picked < 0) | (picked >= config.levels[level].n_files)
         if outside.any():
-            raise ValueError(
-                f"file {picked[outside.argmax()]} does not exist in level {level + 1}"
-            )
+            _check_demand(config, cache, level, int(picked[outside.argmax()]))
         picked = picked.astype(np.int64).reshape(-1)
         d = config.levels[level].access_degree
         length = _subfile_length(self.file_size_bits, d, cache % d)

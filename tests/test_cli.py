@@ -564,6 +564,21 @@ def test_lfu_simulated(ex1_path, capsys):
     assert len(out) == 2 + 3
 
 
+def test_lfu_negative_trials_is_validation_error(ex1_path, capsys):
+    assert run(["lfu", "--config", ex1_path, "--trials", "-3", "--m", "0:200:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trials must be non-negative, got -3\n"
+
+
+@pytest.mark.parametrize("only", ["99", "0", "x", "2,13", "2,", ""])
+def test_selftest_only_refuses_unknown_criteria(only, capsys):
+    assert run(["selftest", "--only", only]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --only: expects comma-separated criterion numbers 1-12" in captured.err
+
+
 def test_selftest_prints_each_criterion_time(capsys):
     assert run(["selftest", "--only", "2"]) == 0
     line = capsys.readouterr().out.strip()

@@ -194,11 +194,10 @@ def test_invalid_json_text():
         config_from_json("{not json")
 
 
-def test_with_memory_and_degrees():
+def test_with_memory():
     cfg = make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)])
     assert cfg.with_memory(5).memory == 5.0
     assert type(cfg.with_memory(5).memory) is float
-    assert [lv.access_degree for lv in cfg.with_degrees([2, 4]).levels] == [2, 4]
 
 
 @pytest.mark.parametrize("memory", ["5", True, float("nan"), float("inf"), -1.0, None])

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,24 +321,39 @@ def _quiet_config(k, memory, levels):
         return make_config(k, memory, levels)
 
 
-def test_simplex_points_follow_product_order_in_bounded_blocks(monkeypatch):
-    monkeypatch.setattr(codedcache.pama, "ORACLE_BLOCK", 5)
-    for dims in range(1, 5):
-        for total in (0, 1, 4, 7):
-            blocks = list(
-                codedcache.pama._simplex_points(dims, total, np.zeros((1, 0), dtype=np.int64))
-            )
-            assert all(1 <= len(b) <= 5 for b in blocks)
-            points = [tuple(p) for b in blocks for p in b.tolist()]
-            expected = [
-                p for p in itertools.product(range(total + 1), repeat=dims) if sum(p) <= total
-            ]
-            assert points == expected
+def _walk(rates, width=1):
+    """_first_best over one candidate per rate, each priced by its index."""
+    prices = np.array(rates)
+    candidates = ((i,) * width for i in range(len(rates)))
+    return codedcache.pama._first_best(candidates, width, lambda rows: prices[rows[:, 0]])
+
+
+@pytest.mark.parametrize("block", [None, 2])
+def test_first_best_keeps_the_first_of_near_ties(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(codedcache.pama, "SEARCH_BLOCK", block)
+    # Near 1 the float64 spacing (1.1e-16) resolves the 1e-15 margin.
+    assert _walk([1.0, 1.0, 1.0]) == ((0,), 1.0)
+    assert _walk([1.0, 1.0 - 0.9e-15]) == ((0,), 1.0)
+    # The third beats the kept best, 1.0, not the second, by 1e-15.
+    assert _walk([1.0, 1.0 - 0.6e-15, 1.0 - 1.2e-15]) == ((2,), 1.0 - 1.2e-15)
+    assert _walk([7.0, 6.0, 9.0, 6.0, 3.0, 3.0], width=2) == ((4, 4), 3.0)
+
+
+def test_first_best_prices_one_empty_tuple_at_width_zero():
+    blocks = []
+
+    def price(rows):
+        blocks.append(rows.shape)
+        return np.array([4.0])
+
+    assert codedcache.pama._first_best(iter([()]), 0, price) == ((), 4.0)
+    assert blocks == [(1, 0)]
 
 
 def test_grid_search_matches_point_by_point_reference(monkeypatch):
     # A block of 7 points splits every simplex mid-row.
-    monkeypatch.setattr(codedcache.pama, "ORACLE_BLOCK", 7)
+    monkeypatch.setattr(codedcache.pama, "SEARCH_BLOCK", 7)
     same = [(60, 2, 1)] * 3
     caps = [(20, 1, 1), (200, 2, 2), (40, 1, 4)]
     cases = [
@@ -396,7 +412,12 @@ def test_access_opt_scores_each_candidate_once(monkeypatch):
     assert sorted(map(tuple, rows)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
     assert n_files == [[160, 320]] * 4 and users == [[2, 1]] * 4
     assert (num_caches, memory) == (8, 60.0)
-    assert rate == pama_rate(cfg.with_degrees(degrees)).exact.total
+    assert rate == pama_rate(_with_degrees(cfg, degrees)).exact.total
+
+
+def _with_degrees(config, degrees):
+    levels = tuple(replace(lv, access_degree=d) for lv, d in zip(config.levels, degrees))
+    return replace(config, levels=levels)
 
 
 def _reference_access_opt(config, max_degree, avg_degree):
@@ -407,7 +428,7 @@ def _reference_access_opt(config, max_degree, avg_degree):
     top = min(max_degree, config.num_caches)
     for degrees in itertools.product(range(1, top + 1), repeat=config.num_levels):
         if sum(u * d for u, d in zip(users, degrees)) / sum(users) <= avg_degree + 1e-12:
-            rate = pama_rate(config.with_degrees(degrees)).exact.total
+            rate = pama_rate(_with_degrees(config, degrees)).exact.total
             scored.append((round(rate, 9), sum(degrees), degrees, rate))
     if not scored:
         raise ConfigError("no degree vector")
@@ -417,7 +438,7 @@ def _reference_access_opt(config, max_degree, avg_degree):
 
 def test_access_opt_matches_per_vector_pama_rate(monkeypatch):
     # A block of 5 vectors makes most draws span several pama_totals calls.
-    monkeypatch.setattr(codedcache.pama, "_ACCESS_BLOCK", 5)
+    monkeypatch.setattr(codedcache.pama, "SEARCH_BLOCK", 5)
     rng = np.random.default_rng(18)
     refused = 0
     for _ in range(120):

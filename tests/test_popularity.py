@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import codedcache.pama
 from codedcache import popularity
 from codedcache.model import ConfigError, LevelSpec, SystemConfig, ValidationWarning
 from codedcache.pama import (
@@ -400,7 +401,7 @@ def _batch_rates(dist, combos, num_levels, num_caches, total_users, degrees, mem
 
 def test_batch_prices_equal_pama_rate_bit_for_bit(monkeypatch):
     # A small block makes every search below span several blocks.
-    monkeypatch.setattr(popularity, "SPLIT_BLOCK", 7)
+    monkeypatch.setattr(codedcache.pama, "SEARCH_BLOCK", 7)
     rng = np.random.default_rng(20261018)
     merges = {1: 0, 2: 0}
     reorders = multi_block = 0
@@ -439,7 +440,7 @@ def test_batch_prices_equal_pama_rate_bit_for_bit(monkeypatch):
             if merged:
                 merges[min(merged, 2)] += 1
             reorders += any("reordered" in m for m in caught)
-        multi_block += len(combos) > popularity.SPLIT_BLOCK
+        multi_block += len(combos) > codedcache.pama.SEARCH_BLOCK
         seen_levels.add(lcount)
         seen_degrees.update(degrees)
     assert seen_levels == {1, 2, 3, 4} and seen_degrees == {1, 2, 3}
