@@ -47,7 +47,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import SystemConfig, _memory
-from .pama import pama_rate, build_threshold_table
+from .pama import pama_memories
+from .pama import pama_rate  # noqa: F401  unused; perfbench's tracer wraps this name
 
 GAMMA = 1.0 / (1.0 - math.exp(-1.0))
 
@@ -315,28 +316,22 @@ class GapProfile:
 def gap_profile(config: SystemConfig, memory_grid: Sequence[float]) -> GapProfile:
     """Achievable-versus-bound ratio across a memory grid.
 
+    :func:`lower_bounds` checks the grid and prices every bound; one
+    :func:`pama_memories` batch then prices every achievable rate, each
+    bit for bit ``pama_rate(config.with_memory(m)).exact.total``.
     Points where the achievable rate is (numerically) zero report ratio
     1: there is no gap to speak of once nothing is transmitted.
     """
-    # The breakpoint table depends only on (K, N_i, U_i, d_i), so one
-    # build serves the whole sweep.
-    table = build_threshold_table(config)
+    witnesses = lower_bounds(config, memory_grid)
+    grid = np.asarray(memory_grid, dtype=np.float64)
+    achievable = pama_memories(config, grid).total.tolist()
     points = []
-    for m, witness in zip(memory_grid, lower_bounds(config, memory_grid)):
-        achievable = pama_rate(config.with_memory(float(m)), table).exact.total
-        if achievable <= 1e-12:
+    for m, rate, witness in zip(grid.tolist(), achievable, witnesses):
+        if rate <= 1e-12:
             ratio = 1.0
         elif witness.value <= 0.0:
             ratio = math.inf
         else:
-            ratio = achievable / witness.value
-        points.append(
-            GapPoint(
-                memory=float(m),
-                achievable=achievable,
-                lower_bound=witness.value,
-                ratio=ratio,
-                witness=witness,
-            )
-        )
+            ratio = rate / witness.value
+        points.append(GapPoint(m, rate, witness.value, ratio, witness))
     return GapProfile(points=tuple(points))

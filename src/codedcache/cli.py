@@ -73,6 +73,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".9g")
 
 
+# Data-row format strings.  Every float field of these rows is finite
+# and non-negative or +inf, where "{:.9g}" prints what _fmt prints.
+_BOUNDS_ROW = '{:.9g},{:.9g},{},"{}"'
+_GAP_ROW = '{:.9g},{:.9g},{:.9g},{:.9g},{},"{}"'
+
+
 def _parse_mspec(text: str, default_max: float) -> np.ndarray:
     """Parse MIN:MAX:POINTS[:log] into a memory grid."""
     parts = text.split(":")
@@ -172,10 +178,15 @@ def _pama_header(lcount: int) -> str:
     return f"M,R_exact,R_closed,partition,{shares},{rates}"
 
 
+@functools.cache
+def _pama_row(lcount: int) -> str:
+    """Format string of one row of :func:`_pama_header`."""
+    return '{:.9g},{:.9g},{:.9g},"{}"' + ",{:.9g}" * (2 * lcount)
+
+
 def _pama_line(memory, total, closed, label, shares, rates) -> str:
     """One CSV row of :func:`_pama_header`: floats but the split label."""
-    values = ",".join(_fmt(v) for v in [*shares, *rates])
-    return f"{_fmt(memory)},{_fmt(total)},{_fmt(closed)},\"{label}\",{values}"
+    return _pama_row(len(shares)).format(memory, total, closed, label, *shares, *rates)
 
 
 def _pama_summary(memory, total, closed, label, shares, rates, closed_in_validity) -> dict:
@@ -245,7 +256,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = ["# best lower bound per memory point", "M,best_LB,witness_kind,witness_params"]
     witnesses = lower_bounds(config, grid)
     for m, w in zip(grid, witnesses):
-        lines.append(f"{_fmt(m)},{_fmt(w.value)},{w.kind},\"{w.param_str()}\"")
+        lines.append(_BOUNDS_ROW.format(m, w.value, w.kind, w.param_str()))
     m, w = grid[-1], witnesses[-1]
     _emit(args, lines, {"M": float(m), "value": w.value, "kind": w.kind, "params": w.param_str()})
     return 0
@@ -263,9 +274,9 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "M,R_exact,best_LB,ratio,witness_kind,witness_params",
     ]
     for p in profile.points:
+        w = p.witness
         lines.append(
-            f"{_fmt(p.memory)},{_fmt(p.achievable)},{_fmt(p.lower_bound)},"
-            f"{_fmt(p.ratio)},{p.witness.kind},\"{p.witness.param_str()}\""
+            _GAP_ROW.format(p.memory, p.achievable, p.lower_bound, p.ratio, w.kind, w.param_str())
         )
     summary = {"max_ratio": profile.max_ratio, "argmax_M": profile.argmax_memory}
     _emit(args, lines, summary)

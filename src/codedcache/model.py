@@ -211,6 +211,11 @@ def config_from_dict(data: dict[str, Any]) -> SystemConfig:
     for idx, entry in enumerate(raw_levels):
         if not isinstance(entry, dict) or not {"N", "U", "d"} <= entry.keys():
             raise ConfigError(f"levels[{idx}]: expected an object with fields N, U, d")
+        extra = set(entry) - {"N", "U", "d"}
+        if extra:
+            warnings.warn(
+                f"ignoring unknown fields of levels[{idx}]: {sorted(extra)}", ValidationWarning
+            )
         try:
             levels.append(LevelSpec(entry["N"], entry["U"], entry["d"]))
         except ConfigError as exc:

@@ -35,8 +35,9 @@ arrays, each row at its own memory, bit for bit equal to
 :func:`pama_rate`.  Besides the totals it returns each row's winning
 table prefix and that split's capped shares and per-level rates.  The
 brute-force split search and :func:`optimize_access_structure` price
-their candidates with it (one memory, many instances) and ``sweep`` its
-memory grid (one instance, many memories, through :func:`pama_memories`);
+their candidates with it (one memory, many instances), and ``sweep`` and
+``gap`` their memory grids (one instance, many memories, through
+:func:`pama_memories`);
 :func:`closed_form_rates` then gives the closed form of each winning
 split.  :func:`grid_search_alpha`, the exhaustive oracle over memory
 splits, prices its simplex points with the same per-level lane rule.

@@ -200,6 +200,45 @@ def test_gap_profile_max_and_argmax():
     assert profile.max_ratio <= 45.0
 
 
+def test_gap_profile_matches_per_point_pama_rate():
+    # One batch prices the achievable column; each entry must be the
+    # scalar pama_rate bit for bit, d not dividing K included.
+    rng = np.random.default_rng(21)
+    undivided = 0
+    for _ in range(30):
+        lcount = int(rng.integers(1, 5))
+        k = int(rng.integers(2, 16))
+        levels = []
+        for _ in range(lcount):
+            u = int(rng.integers(1, 5))
+            d = int(rng.integers(1, min(4, k) + 1))
+            levels.append((k * u * int(rng.integers(1, 20)) + int(rng.integers(0, k)), u, d))
+        cfg = _quiet(make_config, k, 0.0, levels)
+        undivided += any(k % lv.access_degree for lv in cfg.levels)
+        full = cfg.full_memory
+        grid = [0.0, 1e-300, *rng.uniform(0, 1.05 * full, 12), full, 1.05 * full, 3 * full]
+        for memories in (grid, grid[::-1], np.array(grid)):
+            profile = _quiet(gap_profile, cfg, memories)
+            witnesses = lower_bounds(cfg, memories)
+            assert [p.memory for p in profile.points] == [float(m) for m in memories]
+            for p, w in zip(profile.points, witnesses, strict=True):
+                exact = _quiet(pama_rate, cfg.with_memory(p.memory)).exact.total
+                assert p.achievable == exact, (k, levels, p.memory)
+                assert (p.lower_bound, p.witness) == (w.value, w)
+    assert undivided >= 5
+
+
+def test_gap_profile_of_empty_grid():
+    assert gap_profile(EX1, []).points == ()
+    assert gap_profile(EX1, np.array([])).points == ()
+
+
+@pytest.mark.parametrize("memory", [math.nan, -1.0, math.inf, True])
+def test_gap_profile_refuses_bad_memory(memory):
+    with pytest.raises(ConfigError):
+        gap_profile(EX1, [10.0, memory])
+
+
 def _quiet(build, *args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -258,6 +258,19 @@ def test_sweep_scratch_memory_is_bounded(tmp_path):
     assert peak <= 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "value", [0.0, 1e-300, 1 / 3, 2.5e17, 123456789.5, 7, float("inf"), np.float64(0.1)]
+)
+def test_row_formats_print_what_fmt_prints(value):
+    # Each row field is finite and non-negative or +inf.
+    v = _fmt(value)
+    assert cli._BOUNDS_ROW.format(value, value, "cutset", "v=1") == f'{v},{v},cutset,"v=1"'
+    gap = cli._GAP_ROW.format(value, value, value, value, "cutset", "v=1")
+    assert gap == f'{v},{v},{v},{v},cutset,"v=1"'
+    pama = cli._pama_line(value, value, value, "H=1;I=;J=", (value, 0.5), (value, 2.0))
+    assert pama == f'{v},{v},{v},"H=1;I=;J=",{v},0.5,{v},2'
+
+
 def test_gap_subcommand(ex1_path, tmp_path, capsys):
     summary_path = tmp_path / "gap.json"
     assert (
@@ -639,15 +652,40 @@ ACCESS_OPT_PINS = [
 ]
 
 
+# sha256 of stdout and of the --summary file, computed when gap priced
+# each achievable rate with its own pama_rate call and formatted each
+# field with _fmt.  The third grid runs past full storage; the last one
+# descends.
+GAP_PINS = [
+    ("gap --config example1.json",
+     "8bb2f90712912f0ad3bd568b7d0f468a962fa9c00c9e6ac22a662c61fc40f9ef",
+     "af83d86c193f6100fdd0f62b2efcaf16a8b7fa04dca2c66dbd111e6eb5f42562"),
+    ("gap --config gap3level.json",
+     "6a154f7f377e5d5adebf565a015f6a621e8591166fdf69ff5185778d1c34c3b6",
+     "a4f004b836b05cce1a94ab6d2e82e6a41c70cc44cdbc2f3e99cfcf53b4f580ae"),
+    ("gap --config example1.json --m 0:250:51",
+     "70b4734c512df553dcd4749d71c3cb53903eb7f93c516b38bf4fb8f5dbf52419",
+     "f753981b541bdd8023135ecdebec412e30d436ce277f7b17b12268c771edde1f"),
+    ("gap --config gap3level.json --m 0:2900:59",
+     "ec71880141ec510a5e1fab3895caa0bb6ca5e2024ed589c2be25aa9caec123f8",
+     "775421eba51eba027ef1659c8d201f76ee76593a6302090e0310afe57db38b7c"),
+    ("gap --config gap3level.json --m 2900:0:7",
+     "465adbeac41ea03674ab43845776ee1f6a44353929ed0fe74ba0df4bd4b5be2e",
+     "6faddbda5a2ef7b9cc79aa3ef018b3d943483b257ac2d87e073b618a558c807a"),
+]
+
+
 @pytest.mark.parametrize(
     "args,out_digest,summary_digest",
-    ANALYSIS_PINS + ACCESS_OPT_PINS,
+    ANALYSIS_PINS + ACCESS_OPT_PINS + GAP_PINS,
     ids=[
         "sweep-example1", "sweep-gap3level", "sweep-log-example1", "sweep-log-gap3level",
         "sweep-past-full-example1", "sweep-past-full-gap3level",
         "oracle-example1", "oracle-gap3level",
         "access-opt-example1-d2", "access-opt-example1-d3",
         "access-opt-gap3level-d3", "access-opt-gap3level-d5",
+        "gap-example1", "gap-gap3level", "gap-past-full-example1",
+        "gap-past-full-gap3level", "gap-descending-gap3level",
     ],
 )
 def test_analysis_output_bytes_pinned(

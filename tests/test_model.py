@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +131,19 @@ def test_json_unknown_field_warns():
 
 
 LEVEL = {"N": 100, "U": 1, "d": 1}
+
+
+def test_json_unknown_level_field_warns():
+    # A misplaced "q" and a typo "D" inside a level used to vanish silently.
+    data = {"K": 4, "M": 1, "levels": [LEVEL, {"N": 100, "U": 1, "d": 1, "D": 3, "q": 2}]}
+    with pytest.warns(ValidationWarning, match=r"levels\[1\]: \['D', 'q'\]"):
+        config_from_dict(data)
+
+
+def test_json_known_level_fields_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config_from_dict({"K": 4, "M": 1, "levels": [LEVEL, LEVEL]})
 
 
 @pytest.mark.parametrize(
