@@ -306,11 +306,17 @@ class GapProfile:
 
     @property
     def max_ratio(self) -> float:
-        return max(p.ratio for p in self.points)
+        return self._widest().ratio
 
     @property
     def argmax_memory(self) -> float:
-        return max(self.points, key=lambda p: p.ratio).memory
+        return self._widest().memory
+
+    def _widest(self) -> GapPoint:
+        """The first point of largest ratio; an empty profile has none."""
+        if not self.points:
+            raise ValueError("the gap profile is empty: it has no largest ratio")
+        return max(self.points, key=lambda p: p.ratio)
 
 
 def gap_profile(config: SystemConfig, memory_grid: Sequence[float]) -> GapProfile:

@@ -68,13 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return format(float(value), ".9g")
 
 
-# Data-row format strings.  Every float field of these rows is finite
-# and non-negative or +inf, where "{:.9g}" prints what _fmt prints.
+# Data-row format strings; "{:.9g}" prints what _fmt prints.
 _BOUNDS_ROW = '{:.9g},{:.9g},{},"{}"'
 _GAP_ROW = '{:.9g},{:.9g},{:.9g},{:.9g},{},"{}"'
 

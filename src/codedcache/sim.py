@@ -6,9 +6,15 @@ Two simulation modes read one subsystem layout:
   its color, delivery broadcasts XOR-coded segments per (user group,
   color) subsystem, and a counting check per subsystem confirms that the
   broadcast carries at least the bits any member lacks and at most the
-  bits all members lack.  Placement draws a subfile's bits only when
-  delivery reads them, and a row's bits do not depend on which other
-  rows are drawn.  A delivery group holds at most 64 users.
+  bits all members lack.  A subsystem of m members is priced from how
+  many bits of each demanded file carry each signature, the set of
+  member caches that store the bit: from a table of 2^m counts per file
+  when 2^m is at most L, the subfile length (so the table is never
+  larger than the signatures), and from one ``np.unique`` per member
+  over the signatures that occur otherwise.  Placement draws a
+  subfile's bits only when delivery reads them, and a row's bits do not
+  depend on which other rows are drawn.  A delivery group holds at most
+  64 users.
 
 * expected-size: stochastic user profiles are priced on the same
   layout, but each subsystem contributes its expected coded load
@@ -425,6 +431,74 @@ def _drawn_rows(
     return stored
 
 
+def _count_table(
+    held: dict[int, list[np.ndarray]], member_files: list[int]
+) -> tuple[int, int, list[int]]:
+    """Price one (group, color) subsystem of m members from a table of
+    signature counts: ``counts[f, s]`` is the number of bits of file f
+    that exactly the member caches in s store (bit j of s: the j-th
+    member's cache).  ``held[f][j]`` is the j-th member's row of file f
+    and ``member_files[j]`` the j-th member's file.
+
+    Returns the bits cached nowhere (summed over distinct files), the
+    total length of the XORs, and the bits each member lacks.  The table
+    has 2^m columns per file, so it pays only while 2^m is at most the
+    subfile length."""
+    m = len(member_files)
+    dtype = np.min_scalar_type((1 << m) - 1)
+    files = list(held)
+    counts = np.empty((len(files), 1 << m), dtype=np.int64)
+    for i, rows in enumerate(held.values()):
+        sig = rows[0].astype(dtype)
+        tmp = np.empty_like(sig)
+        for j, row in enumerate(rows[1:], 1):
+            np.left_shift(row, j, out=tmp, dtype=dtype, casting="unsafe")
+            sig |= tmp
+        counts[i] = np.bincount(sig, minlength=1 << m)
+
+    # seg[p, S] for p in S: member p's segment of the XOR for member set
+    # S, the bits of p's file held by exactly the caches of S minus p.
+    sets = np.arange(1 << m)
+    member_bit = 1 << np.arange(m)[:, None]
+    seg = counts[[[files.index(f)] for f in member_files], sets ^ member_bit]
+    seg[sets & member_bit == 0] = 0
+    lacked = seg.sum(axis=1)
+    seg[:, member_bit.ravel()] = 0  # S = {p}: the bits cached nowhere, sent in clear
+    return int(counts[:, 0].sum()), int(seg.max(axis=0).sum()), lacked.tolist()
+
+
+def _per_member(
+    held: dict[int, list[np.ndarray]], member_files: list[int]
+) -> tuple[int, int, list[int]]:
+    """:func:`_count_table`'s prices from one ``np.unique`` per member
+    over the signatures that occur, for groups whose table would have
+    more columns than the subfile has bits."""
+    # sig bit j set: the j-th member's cache stores the bit.
+    sigs: dict[int, np.ndarray] = {}
+    for f, rows in held.items():
+        sig = np.zeros(rows[0].size, dtype=np.uint64)
+        for bit, row in enumerate(rows):
+            sig |= row.astype(np.uint64) << np.uint64(bit)
+        sigs[f] = sig
+    clear_bits = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
+
+    # Segment lengths keyed by the XOR's member set sig | {bit}.
+    keys, counts, lacked = [], [], []
+    for bit, file in enumerate(member_files):
+        sig = sigs[file]
+        lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
+        lacked.append(int(np.count_nonzero(lacking)))
+        key, count = np.unique(
+            sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
+        )
+        keys.append(key)
+        counts.append(count)
+    xor_sets, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    longest = np.zeros(xor_sets.size, dtype=np.int64)
+    np.maximum.at(longest, inverse, np.concatenate(counts))
+    return clear_bits, int(longest.sum()), lacked
+
+
 def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> DeliveryLog:
     """Run coded delivery for the given demand profile and check, per
     subsystem, that the broadcast can serve every member.
@@ -434,11 +508,16 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     nowhere (signature 0) are sent in clear once per distinct demanded
     file.  A bit that participant p wants and that exactly the caches in
     s hold (s non-empty, p not in s) rides in the XOR for s | {p}, which
-    is as long as its longest segment.  So one pass over the signatures
-    that occur prices every transmission.  A member can decode only if
-    the subsystem's broadcast is at least as long as the bits it lacks,
-    and no broadcast needs more than the sum of the members' lacked bits
-    (unicasting everything); either violation raises ``DecodeError``.
+    is as long as its longest segment.  So the number of bits of each
+    file that carry each signature prices every transmission.  A group
+    of m members with subfiles of L bits counts them in a table of 2^m
+    columns per file when 2^m <= L (``_count_table``), and otherwise with
+    one ``np.unique`` per member over the signatures that occur
+    (``_per_member``); both give the same prices.  A member can decode
+    only if the subsystem's broadcast is at least as long as the bits it
+    lacks, and no broadcast needs more than the sum of the members'
+    lacked bits (unicasting everything); either violation raises
+    ``DecodeError``.
     Only the placement rows that delivery reads are drawn, and they carry
     the stored-bits check (see ``_drawn_rows``).
     Groups of more than 64 members raise ``ValueError``, and so do
@@ -466,36 +545,20 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
 
     for (lvl_idx, residue, slot), members in zip(group_keys.tolist(), members_of):
         d = config.levels[lvl_idx].access_degree
+        member_files = members[:, 2].tolist()
         for color in range(d):
             caches_used = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
             if len(set(caches_used)) != len(caches_used):
                 raise DecodeError("group members mapped to a shared cache")
             length = _subfile_length(f_bits, d, color)
 
-            # sig bit j set: the j-th member's cache stores the bit.
-            sigs: dict[int, np.ndarray] = {}
-            for f in set(members[:, 2].tolist()):
-                sig = np.zeros(length, dtype=np.uint64)
-                for bit, vc in enumerate(caches_used):
-                    sig |= stored[(vc, lvl_idx, f)].astype(np.uint64) << np.uint64(bit)
-                sigs[f] = sig
-            bits_here = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
-
-            # Segment lengths keyed by the XOR's member set sig | {bit}.
-            keys, counts, lacked = [], [], []
-            for bit, file in enumerate(members[:, 2].tolist()):
-                sig = sigs[file]
-                lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
-                lacked.append(int(np.count_nonzero(lacking)))
-                key, count = np.unique(
-                    sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
-                )
-                keys.append(key)
-                counts.append(count)
-            xor_sets, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-            longest = np.zeros(xor_sets.size, dtype=np.int64)
-            np.maximum.at(longest, inverse, np.concatenate(counts))
-            bits_here += int(longest.sum())
+            # held[f][j]: the bits of file f that the j-th member's cache stores.
+            held = {
+                f: [stored[(vc, lvl_idx, f)] for vc in caches_used] for f in set(member_files)
+            }
+            price = _count_table if 1 << len(caches_used) <= length else _per_member
+            clear_bits, coded_bits, lacked = price(held, member_files)
+            bits_here = clear_bits + coded_bits
             if bits_here < max(lacked):
                 raise DecodeError(
                     f"{bits_here} broadcast bits cannot carry the {max(lacked)} bits "

@@ -233,6 +233,13 @@ def test_gap_profile_of_empty_grid():
     assert gap_profile(EX1, np.array([])).points == ()
 
 
+def test_empty_gap_profile_has_no_largest_ratio():
+    profile = gap_profile(EX1, [])
+    for field in ("max_ratio", "argmax_memory"):
+        with pytest.raises(ValueError, match="gap profile is empty"):
+            getattr(profile, field)
+
+
 @pytest.mark.parametrize("memory", [math.nan, -1.0, math.inf, True])
 def test_gap_profile_refuses_bad_memory(memory):
     with pytest.raises(ConfigError):

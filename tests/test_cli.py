@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -259,16 +260,20 @@ def test_sweep_scratch_memory_is_bounded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "value", [0.0, 1e-300, 1 / 3, 2.5e17, 123456789.5, 7, float("inf"), np.float64(0.1)]
+    "value",
+    [0.0, 1e-300, 1 / 3, 2.5e17, 123456789.5, 7, float("inf"), -float("inf"), np.float64(0.1)],
 )
 def test_row_formats_print_what_fmt_prints(value):
-    # Each row field is finite and non-negative or +inf.
     v = _fmt(value)
     assert cli._BOUNDS_ROW.format(value, value, "cutset", "v=1") == f'{v},{v},cutset,"v=1"'
     gap = cli._GAP_ROW.format(value, value, value, value, "cutset", "v=1")
     assert gap == f'{v},{v},{v},{v},cutset,"v=1"'
     pama = cli._pama_line(value, value, value, "H=1;I=;J=", (value, 0.5), (value, 2.0))
     assert pama == f'{v},{v},{v},"H=1;I=;J=",{v},0.5,{v},2'
+
+
+def test_fmt_keeps_the_sign_of_infinity():
+    assert [_fmt(v) for v in (math.inf, -math.inf, np.float64(-np.inf))] == ["inf", "-inf", "-inf"]
 
 
 def test_gap_subcommand(ex1_path, tmp_path, capsys):

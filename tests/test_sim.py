@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -893,6 +894,125 @@ def test_delivery_matches_subset_walk():
             log = deliver_bit_exact(pl, demands)
             assert (log.total_bits, log.uncoded_bits, log.pair_bits) == _subset_walk(pl, demands)
             assert log.decode_ok
+        # F = 64 leaves subfiles of 21 to 32 bits, fewer than the 2^5 or
+        # 2^6 member sets of these groups: they are priced per member.
+        # K = 13 and 17 add wrap-around users.
+        for trial, (k, d) in enumerate([(12, 2), (13, 2), (15, 3), (17, 3)] * 3):
+            n = k + int(rng.integers(0, 5))
+            cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, 1, d)])
+            pl = place(cfg, Allocation(shares=(cfg.memory,)), 64, seed=trial)
+            if trial % 2:
+                demands = worst_case_demands(cfg)
+            else:
+                demands = [(c, 0, int(rng.integers(0, n))) for c in range(k)]
+            assert 2 ** (k // d) > 64 // d + 1
+            log = deliver_bit_exact(pl, demands)
+            assert (log.total_bits, log.uncoded_bits, log.pair_bits) == _subset_walk(pl, demands)
+
+
+def _per_member_reference(pl, demands):
+    """Reference pricing: the pass that priced every (group, color)
+    subsystem before the signature-count table.  It ORs one uint64
+    signature per bit and runs one np.unique per member over it.  Returns
+    pair_bits and which side of the 2^m <= L rule each subsystem fell on
+    (m members, L-bit subfiles)."""
+    cfg, k = pl.config, pl.config.num_caches
+    table, coded, group, keys, _, _ = sim._layout(cfg, demands)
+    pair_bits, sides = {}, set()
+    for g, (lvl, residue, slot) in enumerate(keys.tolist()):
+        members = table[coded][group == g]
+        d = cfg.levels[lvl].access_degree
+        for color in range(d):
+            caches = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
+            length = sim._subfile_length(pl.file_size_bits, d, color)
+            sides.add(2 ** len(caches) <= length)
+            sigs = {}
+            for f in set(members[:, 2].tolist()):
+                sig = np.zeros(length, dtype=np.uint64)
+                for bit, vc in enumerate(caches):
+                    sig |= pl.rows(vc, lvl, [f])[0].astype(np.uint64) << np.uint64(bit)
+                sigs[f] = sig
+            bits = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
+            keys_, counts = [], []
+            for bit, file in enumerate(members[:, 2].tolist()):
+                sig = sigs[file]
+                lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
+                key, count = np.unique(
+                    sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
+                )
+                keys_.append(key)
+                counts.append(count)
+            xor_sets, inverse = np.unique(np.concatenate(keys_), return_inverse=True)
+            longest = np.zeros(xor_sets.size, dtype=np.int64)
+            np.maximum.at(longest, inverse, np.concatenate(counts))
+            pair_bits[(lvl, (residue, slot), color)] = bits + int(longest.sum())
+    return pair_bits, sides
+
+
+def test_delivery_matches_per_member_reference():
+    # Groups of 1 to 16 members; F puts the subfile length L within a
+    # factor of 8 of 2^m, so both pricing paths run.
+    rng = np.random.default_rng(22)
+    sides = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(40):
+            m, d = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+            k = m * d + int(rng.integers(0, d))
+            n = k + int(rng.integers(0, 4))
+            f_bits = int(min(max(d * 2 ** (m + int(rng.integers(-3, 4))), 64), 2**15))
+            cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, 1, d)])
+            pl = place(cfg, Allocation(shares=(cfg.memory,)), f_bits, seed=trial)
+            if trial % 2:
+                demands = worst_case_demands(cfg)
+            else:
+                demands = [(c, 0, int(rng.integers(0, n))) for c in range(k)]
+            pair_bits, seen = _per_member_reference(pl, demands)
+            assert deliver_bit_exact(pl, demands).pair_bits == pair_bits
+            sides |= seen
+    assert sides == {True, False}
+
+
+def _pinned_deliveries():
+    """Worst-case groups of 10 to 16 members at F = 4096 (2^m <= L up to
+    m = 12) and one of 16 at F = 2^16; then worst-case and random
+    profiles on two-level instances, one with d not dividing K."""
+    cases = []
+    for k, f_bits in ((10, 4096), (12, 4096), (13, 4096), (16, 4096), (16, 65536)):
+        cfg = make_config(k, k / 3, [(k, 1, 1)])
+        cases.append((place(cfg, pama_rate(cfg).allocation, f_bits, seed=k), worst_case_demands(cfg)))
+    rng = np.random.default_rng(22)
+    for k, levels, f_bits in (
+        (7, [(21, 1, 3), (28, 2, 2)], 3001),
+        (12, [(36, 2, 1), (48, 1, 3)], 1000),
+        (6, [(30, 3, 2)], 200),
+    ):
+        cfg = make_config(k, 0.0, levels)
+        cfg = cfg.with_memory(0.3 * cfg.full_memory)
+        pl = place(cfg, pama_rate(cfg).allocation, f_bits, seed=k)
+        cases.append((pl, worst_case_demands(cfg)))
+        demands = []
+        for _ in range(3 * k):
+            lvl = int(rng.integers(0, cfg.num_levels))
+            demands.append(
+                (int(rng.integers(0, k)), lvl, int(rng.integers(0, cfg.levels[lvl].n_files)))
+            )
+        cases.append((pl, demands))
+    return cases
+
+
+def test_delivery_logs_pinned():
+    # sha256 of every delivery's (total_bits, uncoded_bits, sorted
+    # pair_bits), computed with the per-member np.unique pass.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        logs = []
+        for pl, demands in _pinned_deliveries():
+            log = deliver_bit_exact(pl, demands)
+            logs.append((log.total_bits, log.uncoded_bits, sorted(log.pair_bits.items())))
+    assert hashlib.sha256(repr(logs).encode()).hexdigest() == (
+        "e05ca775f097731c3f731c1e9ee65b37acf18cde2fec6f856ea258d41cd12cc2"
+    )
 
 
 @pytest.mark.parametrize("k", [24, 64])
@@ -914,18 +1034,30 @@ def test_group_over_64_members_is_an_error():
         deliver_bit_exact(pl, worst_case_demands(cfg))
 
 
-def test_dropped_coded_part_is_a_decode_error(monkeypatch):
+@pytest.mark.parametrize(
+    "file_bits,path",
+    [
+        (4096, "_count_table"),  # 2^8 <= 4096: one table of signature counts
+        (128, "_per_member"),  # 2^8 > 128: one np.unique per member
+    ],
+)
+def test_dropped_coded_part_is_a_decode_error(monkeypatch, file_bits, path):
     # A delivery that prices no XOR segment sends only the bits cached
     # nowhere, fewer than a member lacks, so the decode check must fail.
     cfg = make_config(8, 4.0, [(8, 1, 1)])
-    pl = place(cfg, pama_rate(cfg).allocation, 4096, seed=1)
-    unique = np.unique
+    pl = place(cfg, pama_rate(cfg).allocation, file_bits, seed=1)
+    ran = []
 
-    def no_segments(values, *args, **kwargs):
-        if kwargs.get("return_counts"):
-            return np.array([], dtype=np.uint64), np.array([], dtype=np.int64)
-        return unique(values, *args, **kwargs)
+    def no_segments(price):
+        def priced(held, member_files):
+            clear_bits, _, lacked = price(held, member_files)
+            ran.append(price.__name__)
+            return clear_bits, 0, lacked
 
-    monkeypatch.setattr(np, "unique", no_segments)
+        return priced
+
+    for name in ("_count_table", "_per_member"):
+        monkeypatch.setattr(sim, name, no_segments(getattr(sim, name)))
     with pytest.raises(DecodeError, match="bits a member lacks"):
         deliver_bit_exact(pl, worst_case_demands(cfg))
+    assert ran == [path]
