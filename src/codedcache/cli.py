@@ -74,6 +74,9 @@ def _fmt(value: float) -> str:
 # Data-row format strings; "{:.9g}" prints what _fmt prints.
 _BOUNDS_ROW = '{:.9g},{:.9g},{},"{}"'
 _GAP_ROW = '{:.9g},{:.9g},{:.9g},{:.9g},{},"{}"'
+_SIMULATE_ROW = "{},{:.9g},{:.9g},{:.9g},{:.9g}"
+_LFU_ROW = "{},{:.9g},{:.9g}"
+_LFU_WORST_CASE_ROW = "{:.9g},{:.9g}"
 
 
 def _parse_mspec(text: str, default_max: float) -> np.ndarray:
@@ -336,9 +339,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         res = simulate_stochastic(cfg, dist, args.users, args.trials, args.seed)
         for t, rate in enumerate(res.rates):
             ratio = res.theoretical / rate if rate > 0 else math.inf
-            lines.append(
-                f"{t},{_fmt(m)},{_fmt(rate)},{_fmt(res.theoretical)},{_fmt(ratio)}"
-            )
+            lines.append(_SIMULATE_ROW.format(t, m, rate, res.theoretical, ratio))
         last = {
             "M": float(m),
             "mean_empirical": res.mean,
@@ -364,7 +365,7 @@ def _cmd_lfu(args: argparse.Namespace) -> int:
             "trial,M,lfu_rate",
         ]
         for t, rate in enumerate(res.rates):
-            lines.append(f"{t},{_fmt(memory)},{_fmt(rate)}")
+            lines.append(_LFU_ROW.format(t, memory, rate))
         _emit(args, lines, {"M": memory, "mean": res.mean})
         return 0
     if config is None:
@@ -372,7 +373,7 @@ def _cmd_lfu(args: argparse.Namespace) -> int:
     grid = _memory_grid(args, config)
     lines = ["# worst-case lfu rates", "M,lfu_rate"]
     for m in grid:
-        lines.append(f"{_fmt(m)},{_fmt(lfu_rate(config.with_memory(float(m))))}")
+        lines.append(_LFU_WORST_CASE_ROW.format(m, lfu_rate(config.with_memory(float(m)))))
     _emit(args, lines, None)
     return 0
 

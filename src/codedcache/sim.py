@@ -20,10 +20,12 @@ Two simulation modes read one subsystem layout:
   layout, but each subsystem contributes its expected coded load
   (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
   bits.  Trials are priced in blocks of at most ``DEMAND_BLOCK``
-  demands: one layout serves a whole block, ``coded_load`` runs once
-  per distinct (level, file count) in it, and each trial's loads are
-  summed left to right in one row of a zero-padded array.  This scales
-  to catalogue-sized popularity distributions.
+  demands: one layout serves a whole block, one sort of (group, file)
+  keys counts each group's distinct files, ``coded_load`` runs once per
+  (level, file count) that occurs, read back from a small table, and
+  each trial's loads are summed left to right in one row of a
+  zero-padded array.  This scales to catalogue-sized popularity
+  distributions.
 
 Subsystem layout (``_layout``).  A demand's slot is the number of
 earlier demands at its (cache, level).  Caches are colored by index mod
@@ -34,11 +36,21 @@ and cannot see every color once.  Such edge users are served uncoded:
 for each distinct edge demand, the bits missing from every accessible
 cache are sent in clear.  Every other user joins the delivery group
 keyed by (level, c mod d_i, slot), whose members share no cache.
-Groups are numbered in key order and keep the index of their first
-demand; distinct edge demands keep their order of first appearance.
+Groups are numbered in key order and list their members in demand
+order; distinct edge demands keep their order of first appearance.
 Neither order depends on how files are labelled.  A block of trials is
 laid out at once, with the trial as the most significant part of every
-key, so trials share no slot, group or edge demand.
+key, so trials share no slot, group or edge demand.  The layout takes
+counting passes over a few sorts of packed int64 keys, and no argsort:
+one sort by (trial, level, cache, index) puts each (cache, level)
+cell's demands in a run, a slot being a place in its run; one sort of
+the cells by class, a (trial, level, residue), makes each class as
+wide as its widest cell, so its group for slot s is s plus the widths
+of the classes before it; one sort by (group, index) lists the
+members; and one sort of the edge demands by (cell, file, position)
+finds each distinct one's first appearance.  Only cells and classes
+that occur are counted, and each key's bound is checked to fit int64
+(see ``_sort_packed``).
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
@@ -65,7 +77,7 @@ import numbers
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -290,25 +302,50 @@ def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> 
         raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
 
 
+class _Layout(NamedTuple):
+    """Subsystem layout of a block of demands (see :func:`_layout`)."""
+
+    table: np.ndarray  # (n, 3) int64 demands
+    members: np.ndarray  # coded demand indices by group, each group's in demand order
+    group: np.ndarray  # the group of each entry of ``members``, non-decreasing
+    keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in (trial, key) order
+    edges: np.ndarray  # distinct edge demand indices, in order of first appearance
+
+
+def _sort_packed(high: np.ndarray, low: np.ndarray, high_bound: int, low_bits: int) -> np.ndarray:
+    """``np.sort((high << low_bits) | low)`` for ``0 <= high < high_bound``
+    and ``0 <= low < 2**low_bits``: a sort by (high, low) in one int64
+    key, much faster than an argsort.  Bounds whose keys could leave
+    int64 raise ``ValueError``."""
+    if high_bound << low_bits > 2**63:
+        raise ValueError("demand profile too large for 64-bit layout keys")
+    keys = (high << low_bits) | low
+    keys.sort()
+    return keys
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values."""
+    bounds = np.empty(values.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(values[1:], values[:-1], out=bounds[1:-1])
+    bounds = bounds.nonzero()[0]
+    return bounds[:-1], bounds[1:] - bounds[:-1]
+
+
 def _layout(
     config: SystemConfig,
     demands: Sequence[Demand] | np.ndarray,
     trial: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> _Layout:
     """Subsystem layout of a demand profile (see the module docstring).
 
     ``trial`` optionally gives each demand's trial, as a non-decreasing
-    int64 column: the demands of a block of trials, one trial after
-    another.  Without it every demand belongs to trial 0.
+    non-negative int64 column: the demands of a block of trials, one
+    trial after another.  Without it every demand belongs to trial 0.
 
-    Returns the ``(n, 3)`` int64 demand table; a mask of the coded
-    demands (those that join a group) and the group id of each coded
-    demand, in demand order; each group's (level, residue, slot) key and
-    the position of its first demand among the coded ones, with groups
-    numbered in (trial, key) order; and the indices of each trial's
-    distinct edge demands, in order of first appearance.  Demands that
-    are not integer triples, or that name a cache, level or file the
-    config lacks, raise ``ValueError``.
+    Demands that are not integer triples, or that name a cache, level
+    or file the config lacks, raise ``ValueError``.
     """
     table = np.asarray(demands)
     if table.size == 0:
@@ -328,59 +365,96 @@ def _layout(
     table = table.astype(np.int64, copy=False)
     caches, levels, files = table.T
     n = len(table)
-    if trial is None:
-        trial = np.zeros(n, dtype=np.int64)
     k, num_levels = config.num_caches, config.num_levels
+    degrees = np.array([lv.access_degree for lv in config.levels])
     n_files = np.array([lv.n_files for lv in config.levels])
-    level_ok = (levels >= 0) & (levels < num_levels)
-    bad = (
-        ~level_ok
-        | (caches < 0)
-        | (caches >= k)
-        | (files < 0)
-        | (files >= n_files[np.where(level_ok, levels, 0)])
-    )
-    if bad.any():
+    if n and (
+        table.min() < 0
+        or caches.max() >= k
+        or levels.max() >= num_levels
+        or (files >= n_files[levels]).any()
+    ):
+        level_ok = (levels >= 0) & (levels < num_levels)
+        bad = ~level_ok | (caches < 0) | (caches >= k) | (files < 0)
+        bad |= files >= n_files[np.where(level_ok, levels, 0)]
         _check_demand(config, *table[bad.argmax()].tolist())
-
-    # Slots from one sort: sorting (cell, index) pairs packed in one int64
-    # is a stable sort by cell, and much faster than a stable argsort.
     index = np.arange(n)
-    cells = (trial * k + caches) * num_levels + levels
-    by_cell = np.sort(cells * n + index)
-    run_head = np.diff(by_cell // n, prepend=-1) != 0
-    slots = np.empty(n, dtype=np.int64)
-    slots[by_cell % n] = index - np.flatnonzero(run_head)[np.cumsum(run_head) - 1]
+    index_bits = n.bit_length()
 
-    degrees = np.array([lv.access_degree for lv in config.levels])[levels]
-    wraps = (k % degrees != 0) & (caches > k - degrees)
-    coded = ~wraps
-    residues = caches % degrees
-    first, group = _distinct(
-        (((trial * num_levels + levels) * k + residues) * n + slots)[coded]
+    # Cells: the demands in (trial, level, cache) order, each cell's in
+    # demand order, so a demand's slot is its place in its cell's run.
+    cells = levels * k + caches
+    trials = 1
+    if trial is not None and n:
+        trials = int(trial[-1]) + 1
+        cells += trial * (num_levels * k)
+    by_cell = _sort_packed(cells, index, trials * num_levels * k, index_bits)
+    order = by_cell & ((1 << index_bits) - 1)
+    starts, width = _runs(by_cell >> index_bits)
+    trial_level, cache = np.divmod(by_cell[starts] >> index_bits, k)
+    level = trial_level % num_levels
+    residue = cache % degrees[level]
+    last_coded = np.array([k - d if k % d else k for d in degrees.tolist()])
+    wraps = cache > last_coded[level]
+
+    # Classes: a coded cell belongs to its (trial, level, residue) class,
+    # and each edge cell is a class of its own, after all of those.  A
+    # class is as wide as its widest cell, and the demand in slot s of
+    # one of its cells gets the number offset + s, where the offset adds
+    # up the widths of the classes before it.  So a coded demand's number
+    # is its group, and the edge demands get the numbers past the last
+    # group, one each, in cell order.
+    cell_count = starts.size
+    cell_bits = cell_count.bit_length()
+    cell_ids = np.arange(cell_count)
+    max_degree = int(degrees.max())
+    edge_class = trials * num_levels * max_degree
+    by_class = _sort_packed(
+        np.where(wraps, edge_class + cell_ids, trial_level * max_degree + residue),
+        cell_ids,
+        edge_class + cell_count,
+        cell_bits,
     )
-    head = np.flatnonzero(coded)[first]
-    keys = np.column_stack([levels[head], residues[head], slots[head]])
-    edge_first, _ = _distinct((cells * n_files.max() + files)[wraps])
-    edges = np.flatnonzero(wraps)[np.sort(edge_first)]
-    return table, coded, group, keys, first, edges
+    class_cells = by_class & ((1 << cell_bits) - 1)
+    class_starts, class_sizes = _runs(by_class >> cell_bits)
+    class_width = (
+        np.maximum.reduceat(width[class_cells], class_starts) if class_starts.size else class_sizes
+    )
+    class_offset = np.cumsum(class_width) - class_width
+    edge_cells = int(np.count_nonzero(wraps))
+    coded_classes = class_starts.size - edge_cells
+    groups = int(class_width[:coded_classes].sum())
+    coded = n - int(class_width[coded_classes:].sum())
+    numbers = np.empty(cell_count, dtype=np.int64)
+    numbers[class_cells] = class_offset.repeat(class_sizes)
+    numbers -= starts
+    numbers = numbers.repeat(width) + index
+    by_group = _sort_packed(numbers, order, n, index_bits)
+    members = by_group & ((1 << index_bits) - 1)
+    group = by_group[:coded] >> index_bits
 
+    heads = class_cells[class_starts[:coded_classes]]
+    keys = np.array([level[heads], residue[heads], -class_offset[:coded_classes]]).T.repeat(
+        class_width[:coded_classes], axis=0
+    )
+    keys[:, 2] += index[:groups]
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_index=True, return_inverse=True)[1:]``:
-    the index of each distinct value's first occurrence, in value order,
-    and each entry's distinct-value number.  One unstable argsort does
-    it, where ``np.unique`` pays for a stable one."""
-    order = np.argsort(values)
-    ordered = values[order]
-    head = np.empty(ordered.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    first = np.minimum.reduceat(order, starts) if starts.size else starts
-    number = np.empty_like(order)
-    number[order] = np.cumsum(head) - 1
-    return first, number
+    # Distinct edge demands: the first of each (cell, file) run, by
+    # position among the edge demands, which are listed cell by cell in
+    # demand order.
+    edge_demands = members[coded:]
+    edge_bits = edge_demands.size.bit_length()
+    file_bits = int(files.max(initial=0)).bit_length()
+    by_file = _sort_packed(
+        class_cells[cell_count - edge_cells :].repeat(class_width[coded_classes:]) << file_bits
+        | files[edge_demands],
+        index[: edge_demands.size],
+        cell_count << file_bits,
+        edge_bits,
+    )
+    firsts = by_file[_runs(by_file >> edge_bits)[0]] & ((1 << edge_bits) - 1)
+    edges = np.sort(edge_demands[firsts])
+    return _Layout(table, members[:coded], group, keys, edges)
 
 
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
@@ -528,15 +602,15 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     config = placement.config
     k = config.num_caches
     f_bits = placement.file_size_bits
-    table, coded, group, group_keys, _, edges = _layout(config, demands)
-    coded_demands = table[coded]
-    largest = int(np.bincount(group).max(initial=0))
+    table, members, group, group_keys, edges = _layout(config, demands)
+    starts, sizes = _runs(group)
+    largest = int(sizes.max(initial=0))
     if largest > MAX_GROUP:
         raise ValueError(
             f"a delivery group has {largest} members; at most {MAX_GROUP} fit a signature"
         )
 
-    members_of = [coded_demands[group == g] for g in range(len(group_keys))]
+    members_of = np.split(table[members], starts[1:])
     stored = _drawn_rows(placement, members_of, group_keys[:, 0], table[edges])
 
     total_bits = 0
@@ -606,41 +680,42 @@ def _expected_rates(
     per-color terms.  A row-wise ``cumsum`` adds them left to right, as
     a scalar loop would, and the zeros that pad the rows add nothing.
     """
-    table, coded, group, keys, first, edges = _layout(config, demands, trial)
+    table, members, group, keys, edges = _layout(config, demands, trial)
+    n, groups = len(table), len(keys)
     if trial is None:
-        trial = np.zeros(len(table), dtype=np.int64)
+        trial = np.zeros(n, dtype=np.int64)
     k = config.num_caches
     mus = [
         min(1.0, lv.access_degree * shares[idx] / lv.n_files)
         for idx, lv in enumerate(config.levels)
     ]
 
-    file_span = max(lv.n_files for lv in config.levels)
-    pairs = np.sort(group * file_span + table[:, 2][coded])
-    distinct = np.bincount(
-        pairs[np.diff(pairs, prepend=-1) != 0] // file_span, minlength=first.size
-    )
-    # Price each (level, distinct-file count) once, then gather.
-    count_span = len(group) + 1
-    price_keys = keys[:, 0] * count_span + distinct
-    priced, price_of = _distinct(price_keys)
-    values = np.array(
-        [
-            coded_load(mus[key // count_span], key % count_span)
-            for key in price_keys[priced].tolist()
-        ]
-    )
-    order = np.argsort(first)
-    group_loads = values[price_of][order]
-    group_trial = trial[coded][first[order]]
+    # Distinct files per group from one sort of (group, file) keys.
+    file_bits = int(table[:, 2].max(initial=0)).bit_length()
+    pairs = _sort_packed(group, table[members, 2], groups, file_bits)
+    distinct = np.bincount(pairs[_runs(pairs)[0]] >> file_bits, minlength=groups)
+    # Price each (level, distinct-file count) that occurs once, then gather.
+    span = int(distinct.max(initial=0)) + 1
+    priced = keys[:, 0] * span + distinct
+    seen = np.zeros(config.num_levels * span, dtype=bool)
+    seen[priced] = True
+    prices = np.zeros(seen.size)
+    for key in np.flatnonzero(seen).tolist():
+        prices[key] = coded_load(mus[key // span], key % span)
+    # Groups in order of their first demands; they are distinct.
+    group_bits = groups.bit_length()
+    appear = _sort_packed(members[_runs(group)[0]], np.arange(groups), n, group_bits)
+    group_loads = prices[priced[appear & ((1 << group_bits) - 1)]]
+    group_trial = trial[appear >> group_bits]
 
     # Each (cache, level) of an edge demand adds the same per-color
     # terms, padded with zeros to the largest degree.
     width = max(lv.access_degree for lv in config.levels)
-    edge_cells = table[edges, 0] * config.num_levels + table[edges, 1]
-    cells, cell_of = _distinct(edge_cells)
-    terms = np.zeros((cells.size, width))
-    for row, cell in enumerate(edge_cells[cells].tolist()):
+    edge_cells, cell_of = np.unique(
+        table[edges, 0] * config.num_levels + table[edges, 1], return_inverse=True
+    )
+    terms = np.zeros((edge_cells.size, width))
+    for row, cell in enumerate(edge_cells.tolist()):
         cache, lvl_idx = divmod(cell, config.num_levels)
         d = config.levels[lvl_idx].access_degree
         window = [(cache + o) % k for o in range(d)]

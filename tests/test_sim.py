@@ -573,6 +573,76 @@ def test_expected_profile_matches_per_demand_reference():
     assert edge_instances >= 40 and repeated_instances >= 40
 
 
+def test_trial_blocks_match_per_demand_reference():
+    # Blocks of 1 to 5 trials priced at once: each trial's rate must equal
+    # the one-demand-at-a-time reference bit for bit, whatever the other
+    # trials of its block hold.
+    rng = np.random.default_rng(2323)
+    edge_blocks = repeated_blocks = empty_trials = empty_blocks = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for block in range(300):
+            k = int(rng.integers(2, 10))
+            levels = []
+            for _ in range(int(rng.integers(1, 4))):
+                u, d = int(rng.integers(1, 4)), int(rng.integers(1, min(5, k) + 1))
+                levels.append((k * u + int(rng.integers(0, 6)), u, d))
+            cfg = make_config(k, 0.0, levels)
+            shares = [
+                float(rng.choice([0.0, rng.uniform(0, 1.2 * lv.n_files / lv.access_degree)]))
+                for lv in cfg.levels
+            ]
+            trials = int(rng.integers(1, 6))
+            few_files = block % 3 == 0  # forces repeated files within groups
+            profiles = []
+            for _ in range(trials):
+                count = 0 if rng.random() < 0.15 else int(rng.integers(1, 4 * k * cfg.num_levels))
+                profile = []
+                for _ in range(count):
+                    lvl = int(rng.integers(0, cfg.num_levels))
+                    file = int(rng.integers(0, 2 if few_files else cfg.levels[lvl].n_files))
+                    profile.append((int(rng.integers(0, k)), lvl, file))
+                profiles.append(profile)
+            table = np.array([dm for p in profiles for dm in p], dtype=np.int64).reshape(-1, 3)
+            trial = np.repeat(np.arange(trials), [len(p) for p in profiles])
+            rates = sim._expected_rates(cfg, shares, table, trial, trials)
+            assert rates.tolist() == [_per_demand_rate(cfg, shares, p) for p in profiles]
+            edge_blocks += any(
+                k % cfg.levels[lvl].access_degree and c > k - cfg.levels[lvl].access_degree
+                for c, lvl, _ in table.tolist()
+            )
+            repeated_blocks += few_files and len(table) > k
+            empty_trials += sum(not p for p in profiles)
+            empty_blocks += len(table) == 0
+    assert edge_blocks >= 80 and repeated_blocks >= 40
+    assert empty_trials >= 40 and empty_blocks >= 3
+
+
+def test_sparse_key_space_scratch_memory_is_bounded():
+    # 2048 one-user trials in one block on K = 4096 caches: a table
+    # indexed by (trial, cache, level) would take 2048 * 4096 * 2 int64
+    # entries (134 MB); the layout counts only the cells that occur.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(4096, 2000.0, [(4096, 1, 1), (8192, 1, 3)])
+    dist = zipf_distribution(0.8, 12288)
+    tracemalloc.start()
+    try:
+        simulate_stochastic(cfg, dist, 1, 2048, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_layout_keys_that_could_leave_int64_are_refused():
+    # Packed sort keys of (cell, index) need about log2(K) + log2(n) bits.
+    cfg = make_config(2**61, 0.0, [(2**61, 1, 1)])
+    assert expected_profile_rate(cfg, [0.0], [(2**61 - 1, 0, 0), (0, 0, 1)]) == 2.0
+    with pytest.raises(ValueError, match="too large for 64-bit layout keys"):
+        expected_profile_rate(cfg, [0.0], [(2**61 - 1, 0, f) for f in range(4)])
+
+
 def test_expected_profile_ignores_file_labels():
     # Relabelling the files of a level changes no group, no distinct-file
     # count and no first appearance, so it must not change the rate.
@@ -917,10 +987,10 @@ def _per_member_reference(pl, demands):
     pair_bits and which side of the 2^m <= L rule each subsystem fell on
     (m members, L-bit subfiles)."""
     cfg, k = pl.config, pl.config.num_caches
-    table, coded, group, keys, _, _ = sim._layout(cfg, demands)
+    table, members_of, group, keys, _ = sim._layout(cfg, demands)
     pair_bits, sides = {}, set()
     for g, (lvl, residue, slot) in enumerate(keys.tolist()):
-        members = table[coded][group == g]
+        members = table[members_of[group == g]]
         d = cfg.levels[lvl].access_degree
         for color in range(d):
             caches = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
