@@ -60,12 +60,15 @@ at output f * 2^64, at one random byte per bit, and every bit is
 exactly Bernoulli(mu) for the float64 cached fraction mu: the bytes
 read as a base-256 fraction U, and the bit is U < mu.  The 1 in 256
 bits whose first byte ties mu's first digit are resolved in later
-rounds (see ``_bernoulli_bits``).  Rows are drawn in batches of at most
-``DRAW_BLOCK`` 64-bit outputs, and the bits do not depend on the batch
-size.  A trial's stream draws its users' cache indices (the LFU
-baseline draws none), then one uniform per user, and a uniform's rank
-is the one ``Generator.choice`` would give it, found by an exact table
-lookup (see ``_RankTable``).  Identical seeds reproduce every artifact
+rounds (see ``_bernoulli_bits``).  Delivery draws the rows it reads in
+one batched draw per (level, subfile length), across caches: each row
+still reads its own cache's stream, so rows of one cache share one
+generator.  Batches hold at most ``DRAW_BLOCK`` 64-bit outputs, and the
+bits depend neither on the batching nor on the batch size.  A trial's
+stream draws its users' cache indices (the LFU baseline draws none),
+then one uniform per user, and a uniform's rank is the one
+``Generator.choice`` would give it, found by an exact table lookup (see
+``_RankTable``).  Identical seeds reproduce every artifact
 bit-for-bit, whatever the block sizes.
 """
 
@@ -115,8 +118,10 @@ class PlacementState:
     reads the window that starts at output f * 2^64, at one random byte
     per bit plus tie rounds (see ``_bernoulli_bits``).  So a row depends
     only on the seed, the cache, the level, the file, the fraction and
-    the subfile length, not on which other rows are drawn or in what
-    order.  Nothing is drawn until :meth:`rows` asks."""
+    the subfile length, not on which other rows are drawn, in what order
+    or beside which other caches' rows.  Nothing is drawn until delivery
+    or :meth:`rows` asks; delivery draws the rows of all caches of one
+    (level, subfile length) together (see ``_draw``)."""
 
     config: SystemConfig
     file_size_bits: int
@@ -127,9 +132,10 @@ class PlacementState:
         """The masks of ``files`` (file indices of ``level``) at
         ``cache``: a ``(len(files), subfile_length)`` bool array whose
         row i marks the bits of file ``files[i]``'s subfile that the cache
-        keeps.  Rows are drawn in batches of at most ``DRAW_BLOCK``
-        64-bit outputs.  A cache, level or file that is not an integer,
-        or that the config lacks, raises ``ValueError``."""
+        keeps.  This is the one-cache case of the batched draw delivery
+        makes, so the rows equal the ones delivery reads.  A cache, level
+        or file that is not an integer, or that the config lacks, raises
+        ``ValueError``."""
         config = self.config
         picked = np.asarray(files)
         if (
@@ -143,26 +149,41 @@ class PlacementState:
         outside = (picked < 0) | (picked >= config.levels[level].n_files)
         if outside.any():
             _check_demand(config, cache, level, int(picked[outside.argmax()]))
-        picked = picked.astype(np.int64).reshape(-1)
         d = config.levels[level].access_degree
         length = _subfile_length(self.file_size_bits, d, cache % d)
-        masks = np.empty((picked.size, length), dtype=bool)
-        bitgen = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(1, cache, level)))
+        return self._draw(level, length, [(cache, picked.astype(np.int64).reshape(-1))])
+
+    def _draw(
+        self, level: int, length: int, requests: Sequence[tuple[int, np.ndarray]]
+    ) -> np.ndarray:
+        """The masks of every ``(cache, files)`` request of ``level``,
+        stacked in request order: each cache's rows, its files in the
+        order given, then the next cache's.  Every cache must have
+        subfiles of ``length`` bits, and the indices are not checked.
+        Each cache's stream is built once, and the rows are drawn in
+        batches of at most ``DRAW_BLOCK`` 64-bit outputs, whichever
+        caches they belong to."""
+        windows = np.concatenate([files for _, files in requests])
+        bitgens: list[np.random.PCG64] = []
+        for cache, files in requests:
+            seq = np.random.SeedSequence(self.seed, spawn_key=(1, cache, level))
+            bitgens += [np.random.PCG64(seq)] * files.size
+        masks = np.empty((windows.size, length), dtype=bool)
         batch = max(1, DRAW_BLOCK // -(-length // 8))
-        for start in range(0, picked.size, batch):
+        for start in range(0, windows.size, batch):
             _bernoulli_bits(
                 masks[start : start + batch],
                 self.fractions[level],
-                bitgen,
-                picked[start : start + batch],
+                bitgens[start : start + batch],
+                windows[start : start + batch],
             )
         return masks
 
 
 # 64-bit outputs drawn per batch of rows, 8 placed bits each: a batch's
-# bytes and tie mask hold about 1 MiB however many rows are asked for.
+# bytes and tie mask hold about 512 KiB however many rows are asked for.
 # Each row reads its own window, so the bits do not depend on the batch.
-DRAW_BLOCK = 1 << 16
+DRAW_BLOCK = 1 << 15
 
 
 def _base256_digits(mu: float) -> list[int]:
@@ -180,15 +201,16 @@ def _base256_digits(mu: float) -> list[int]:
 def _bernoulli_bits(
     masks: np.ndarray,
     mu: float,
-    bitgen: np.random.PCG64,
+    bitgens: Sequence[np.random.PCG64],
     windows: Sequence[int],
 ) -> None:
     """Fill ``masks`` with independent exact Bernoulli(mu) bits: a bit is
     set when U = 0.b0 b1 b2... (base 256, uniform bytes b_j) is below mu.
     The bytes of a row are the little-endian bytes of its stream's 64-bit
-    outputs: row r of the 2-D ``masks`` reads the stream from output
-    ``windows[r] * 2^64`` of the state ``bitgen`` has at the call, and
-    that state is restored at the end.
+    outputs: row r of the 2-D ``masks`` reads the stream of ``bitgens[r]``
+    from output ``windows[r] * 2^64`` of the state that generator has at
+    the call.  Rows may share a generator; every generator's state is
+    restored at the end.
 
     Every bit of a row compares one byte with mu's first digit.  The 1 in
     256 bits that tie read one byte per round, in position order, from
@@ -199,19 +221,21 @@ def _bernoulli_bits(
     if mu <= 0.0 or mu >= 1.0:
         masks.fill(mu >= 1.0)
         return
-    base = bitgen.state
+    # Each generator's last output read, counted from its state at the call.
+    at = dict.fromkeys(bitgens, 0)
+    saved = [(bitgen, bitgen.state) for bitgen in at]
+    offsets = [window << 64 for window in np.asarray(windows).tolist()]
 
     def draw(which: np.ndarray, start: int, count: int) -> np.ndarray:
-        # Each window is reached by advancing from the last output read,
-        # modulo the 2^128 period.
+        # Each window is reached by advancing its generator from the last
+        # output that generator read, modulo the 2^128 period.
         out = np.empty((which.size, count), dtype=np.uint64)
-        at = 0
         for i, row in enumerate(which.tolist()):
-            window = (int(windows[row]) << 64) + start
-            bitgen.advance((window - at) % 2**128)
+            bitgen = bitgens[row]
+            window = offsets[row] + start
+            bitgen.advance((window - at[bitgen]) % 2**128)
             out[i] = bitgen.random_raw(count)
-            at = window + count
-        bitgen.state = base
+            at[bitgen] = window + count
         return out
 
     n, length = masks.shape
@@ -242,6 +266,8 @@ def _bernoulli_bits(
         masks[row[below], col[below]] = True
         open_ties = open_ties[byte == digit]
         end = stop
+    for bitgen, state in saved:
+        bitgen.state = state
 
 
 def place(
@@ -253,10 +279,17 @@ def place(
     """Decentralized placement: every cache keeps, for each file of each
     level, an exact Bernoulli(d_i * share_i / N_i) subset of the bit
     indices of the subfile matching the cache's color.  Validates the
-    file size and the cached fractions and returns the state that draws
-    the masks when asked (see :class:`PlacementState`)."""
+    file size, the seed and the cached fractions and returns the state
+    that draws the masks when asked (see :class:`PlacementState`).  A
+    file size or seed that is a bool or not an integer, a file size
+    below 64 or a negative seed raises ``ValueError``."""
+    for name, value in (("file_size_bits", file_size_bits), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if file_size_bits < 64:
         raise ValueError("file_size_bits must be at least 64")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     fractions = []
     for idx, lv in enumerate(config.levels):
         mu = lv.access_degree * allocation.shares[idx] / lv.n_files
@@ -266,7 +299,10 @@ def place(
             )
         fractions.append(min(1.0, max(0.0, mu)))
     return PlacementState(
-        config=config, file_size_bits=file_size_bits, seed=seed, fractions=tuple(fractions)
+        config=config,
+        file_size_bits=int(file_size_bits),
+        seed=int(seed),
+        fractions=tuple(fractions),
     )
 
 
@@ -468,8 +504,10 @@ def _drawn_rows(
 ) -> dict[tuple[int, int, int], np.ndarray]:
     """The placement rows delivery reads, keyed by (cache, level, file):
     each group's files at every cache in its members' windows, and each
-    edge demand's file at every cache in its window.  Each (cache,
-    level)'s rows are drawn in one call.
+    edge demand's file at every cache in its window.  The caches of one
+    level whose subfiles have the same length draw their rows together,
+    in one batched draw (see ``PlacementState._draw``); a level has at
+    most two subfile lengths, one per color class.
 
     The rows drawn are all the bits that exist, so they carry the stored
     bits check: a cache whose drawn rows expect at least 1e4 stored bits
@@ -485,15 +523,24 @@ def _drawn_rows(
         for o in range(config.levels[lvl_idx].access_degree):
             wanted[((cache + o) % k, lvl_idx)].add(file)
 
-    stored: dict[tuple[int, int, int], np.ndarray] = {}
+    batches: dict[tuple[int, int], list[tuple[int, np.ndarray]]] = defaultdict(list)
     expected_bits = [0.0] * k
-    actual_bits = [0] * k
     for (cache, lvl_idx), files in wanted.items():
-        files = sorted(files)
-        masks = placement.rows(cache, lvl_idx, files)
-        stored.update(zip(((cache, lvl_idx, f) for f in files), masks))
-        expected_bits[cache] += placement.fractions[lvl_idx] * masks.size
-        actual_bits[cache] += int(np.count_nonzero(masks))
+        d = config.levels[lvl_idx].access_degree
+        length = _subfile_length(placement.file_size_bits, d, cache % d)
+        batches[(lvl_idx, length)].append((cache, np.array(sorted(files), dtype=np.int64)))
+        expected_bits[cache] += placement.fractions[lvl_idx] * (len(files) * length)
+
+    stored: dict[tuple[int, int, int], np.ndarray] = {}
+    actual_bits = [0] * k
+    for (lvl_idx, length), requests in batches.items():
+        masks = placement._draw(lvl_idx, length, requests)
+        start = 0
+        for cache, files in requests:
+            rows = masks[start : start + files.size]
+            start += files.size
+            stored.update(zip(((cache, lvl_idx, f) for f in files.tolist()), rows))
+            actual_bits[cache] += int(np.count_nonzero(rows))
     for cache, (expected, actual) in enumerate(zip(expected_bits, actual_bits)):
         if expected >= 1e4:
             slack = 0.01 * expected + 5.0 * math.sqrt(expected)

@@ -114,6 +114,37 @@ def test_place_rejects_tiny_files():
         place(cfg, Allocation(shares=(8.0,)), 32, seed=1)
 
 
+@pytest.mark.parametrize(
+    "file_bits, seed, message",
+    [
+        (4096, True, "seed must be an integer"),
+        (4096, np.True_, "seed must be an integer"),
+        (4096, 1.5, "seed must be an integer"),
+        (4096, 1.0, "seed must be an integer"),
+        (4096, -1, "seed must be non-negative"),
+        (4096.0, 1, "file_size_bits must be an integer"),
+        (np.float64(4096), 1, "file_size_bits must be an integer"),
+        (True, 1, "file_size_bits must be an integer"),
+        ("4096", 1, "file_size_bits must be an integer"),
+    ],
+)
+def test_place_refuses_bad_seed_and_file_size(file_bits, seed, message):
+    # Refused up front: a bool seed is not read as 0 or 1, and a float
+    # file size does not fail later inside delivery.
+    cfg = make_config(2, 8.0, [(16, 1, 1)])
+    with pytest.raises(ValueError, match=message):
+        place(cfg, Allocation(shares=(4.0,)), file_bits, seed)
+
+
+def test_place_accepts_numpy_integers():
+    cfg = make_config(2, 8.0, [(16, 1, 1)])
+    allocation = Allocation(shares=(4.0,))
+    pl = place(cfg, allocation, np.int64(4097), np.int64(3))
+    assert pl == place(cfg, allocation, 4097, 3)
+    log = deliver_bit_exact(pl, worst_case_demands(cfg))
+    assert log == deliver_bit_exact(place(cfg, allocation, 4097, 3), worst_case_demands(cfg))
+
+
 def test_stored_bits_match_memory_budget():
     # Expected per-cache footprint is share * F bits; at F = 2^14 the
     # realization stays within 1%.
@@ -408,12 +439,62 @@ def test_bernoulli_windows_match_reference_through_tie_rounds(mu):
     windows = [5, 0, 2**40, 3, 1]
     masks = np.empty((len(windows), 300), dtype=bool)
     stream = _NarrowWindows(mu)
-    sim._bernoulli_bits(masks, mu, stream, windows)
+    sim._bernoulli_bits(masks, mu, [stream] * len(windows), windows)
     assert stream.state == 0
     for row, window in zip(masks, windows):
         reference = _NarrowWindows(mu)
         reference.advance(window << 64)
         assert np.array_equal(row, _reference_bits(reference, row.size, mu))
+
+
+@pytest.mark.parametrize("mu", [1.0 / 3, 0.5, 0.7, 0.3712345])
+def test_bernoulli_batch_reads_each_rows_own_stream(mu):
+    # Three streams started far apart, their rows interleaved, and a
+    # third of the bytes tie, so rows of every stream draw past the
+    # margin.  Each row is its own stream's window, and every stream is
+    # left as it was.
+    starts = [0, 7 << 90, (1 << 127) + 5]
+    streams = [_NarrowWindows(mu) for _ in starts]
+    for stream, start in zip(streams, starts):
+        stream.state = start
+    picks = [(0, 5), (1, 0), (0, 2**40), (2, 3), (1, 1), (0, 1), (2, 0), (1, 2**40)]
+    masks = np.empty((len(picks), 300), dtype=bool)
+    sim._bernoulli_bits(masks, mu, [streams[s] for s, _ in picks], [w for _, w in picks])
+    assert [stream.state for stream in streams] == starts
+    for row, (s, window) in zip(masks, picks):
+        reference = _NarrowWindows(mu)
+        reference.state = starts[s]
+        reference.advance(window << 64)
+        assert np.array_equal(row, _reference_bits(reference, row.size, mu))
+
+
+def test_delivery_draws_one_batch_per_level_and_subfile_length(monkeypatch):
+    # Level 1 has one subfile length and level 2, at d = 2 and odd F, two:
+    # three batches in all, one PCG64 per (cache, level) read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(11, 30.0, [(132, 1, 1), (264, 2, 2)])
+    pl = place(cfg, pama_rate(cfg).allocation, 1001, seed=6)
+    pcg64 = np.random.PCG64
+    unbatched = sim._bernoulli_bits
+    built, draws = [], []
+
+    def counting_pcg64(seed_seq):
+        built.append(seed_seq.spawn_key)
+        return pcg64(seed_seq)
+
+    def counting_bits(masks, mu, bitgens, windows):
+        draws.append((mu, masks.shape[1]))
+        unbatched(masks, mu, bitgens, windows)
+
+    monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+    monkeypatch.setattr(sim, "_bernoulli_bits", counting_bits)
+    log = deliver_bit_exact(pl, worst_case_demands(cfg))
+    assert log.decode_ok
+    assert sorted(built) == sorted(set(built))
+    assert set(built) == {(1, c, lvl) for c in range(11) for lvl in range(2)}
+    assert len(draws) == len(set(draws)) <= 3
+    assert {length for _, length in draws} == {1001, 501, 500}
 
 
 @pytest.mark.parametrize("window", [1, 5, 1 << 16])
@@ -423,7 +504,7 @@ def test_bernoulli_windows_match_reference_through_tie_rounds(mu):
 def test_bernoulli_bits_match_reference_through_tie_rounds(window, mu):
     # One long row, so some ties outlast the last digit.
     masks = np.empty((1, 65539), dtype=bool)
-    sim._bernoulli_bits(masks, mu, _NarrowWindows(mu), [window])
+    sim._bernoulli_bits(masks, mu, [_NarrowWindows(mu)], [window])
     reference = _NarrowWindows(mu)
     reference.advance(window << 64)
     assert np.array_equal(masks[0], _reference_bits(reference, masks.shape[1], mu))
@@ -433,7 +514,7 @@ def test_bernoulli_bits_match_reference_through_tie_rounds(window, mu):
 def test_bernoulli_bits_mean(mu):
     n = 1 << 24
     masks = np.empty((1, n), dtype=bool)
-    sim._bernoulli_bits(masks, mu, np.random.PCG64(5), [0])
+    sim._bernoulli_bits(masks, mu, [np.random.PCG64(5)], [0])
     ones = int(np.count_nonzero(masks))
     assert abs(ones - mu * n) <= 5 * math.sqrt(n * mu * (1 - mu))
 
