@@ -217,7 +217,8 @@ def _cmd_pama(args: argparse.Namespace) -> int:
         alloc, oracle = grid_search_alpha(config, args.grid_step)
         summary["oracle_rate"] = oracle
         summary["oracle_shares"] = list(alloc.shares)
-        lines.insert(1, f"# oracle (grid step {_fmt(args.grid_step)}): {_fmt(oracle)}")
+        searched = 1 / round(1 / args.grid_step)
+        lines.insert(1, f"# oracle (grid step {_fmt(searched)}): {_fmt(oracle)}")
     _emit(args, lines, summary)
     return 0
 
@@ -412,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pama", help="allocation and rate at the config memory")
     p.add_argument("--config", required=True)
     p.add_argument("--grid-step", type=float, default=None,
-                   help="also run the exhaustive-search oracle at this step")
+                   help="also run the exhaustive-search oracle on a grid of "
+                   "round(1/GRID_STEP) intervals")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_pama)
 

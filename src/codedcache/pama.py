@@ -40,10 +40,13 @@ their candidates with it (one memory, many instances), and ``sweep`` and
 :func:`pama_memories`);
 :func:`closed_form_rates` then gives the closed form of each winning
 split.  :func:`grid_search_alpha`, the exhaustive oracle over memory
-splits, prices its simplex points with the same per-level lane rule.
-It shares one walker, ``_first_best``, with the brute-force split
-search: both price candidates ``SEARCH_BLOCK`` at a time in
-enumeration order and keep the first best by the same 1e-15 rule.
+splits, uses that the total is a sum of per-level rates, each set by
+its own share alone: it prices every level at each of the grid's
+steps+1 shares once, with the same per-level lane rule, and each
+simplex point gathers its L rates from that table.  It shares one
+walker, ``_first_best``, with the brute-force split search: both price
+candidates ``SEARCH_BLOCK`` at a time in enumeration order and keep the
+first best by the same 1e-15 rule.
 """
 
 from __future__ import annotations
@@ -474,12 +477,17 @@ def grid_search_alpha(
     config: SystemConfig, grid_step: float = 0.01
 ) -> tuple[Allocation, float]:
     """Brute-force oracle: minimize the exact rate over memory splits on
-    a simplex grid of the given step (fractions of M), each level capped
-    at its full-storage point.  Intended for small level counts.
+    a simplex grid of round(1/grid_step) intervals (fractions of M),
+    each level capped at its full-storage point.  Intended for small
+    level counts.
 
-    The points go in lexicographic order of the first L-1 fractions, as
-    stars and bars, through the walker shared with the split search,
-    each rate bit for bit :func:`total_rate_exact`; the first rate below
+    A level's share takes only steps+1 values, min(a*M/steps, N_i/d_i)
+    for a = 0..steps, so one (steps+1, L) table, built ``SEARCH_BLOCK``
+    rows at a time, holds every rate the search needs.  The points go
+    in lexicographic order of the first L-1 fractions, as stars and
+    bars, through the walker shared with the split search; each point
+    gathers its levels' rates from the table and adds them in level
+    order, bit for bit :func:`total_rate_exact`.  The first rate below
     the best so far by more than 1e-15 becomes the best."""
     if not 0 < grid_step <= 0.1:
         raise ConfigError("grid_step must lie in (0, 0.1]")
@@ -497,19 +505,28 @@ def grid_search_alpha(
 
     cap = np.array(caps)
     n_files, users, degrees = _level_arrays(config)
+    levels = np.arange(lcount)
 
-    def capped_shares(bars: np.ndarray) -> np.ndarray:
-        # Bars b_1 < ... < b_{L-1} in 0..steps+L-2 give alpha_1 = b_1,
-        # alpha_i = b_i - b_{i-1} - 1 and alpha_L = steps + L - 2 - b_{L-1}.
-        alphas = np.diff(bars, axis=1, prepend=-1, append=steps + lcount - 1) - 1
+    def capped_shares(alphas: np.ndarray) -> np.ndarray:
         shares = alphas * m / steps
         return np.where(cap < shares, cap, shares)
 
-    def price(bars: np.ndarray) -> np.ndarray:
-        lanes = _level_rates(
-            *np.broadcast_arrays(capped_shares(bars), cap, n_files, users, degrees),
+    def split(bars: np.ndarray) -> np.ndarray:
+        # Bars b_1 < ... < b_{L-1} in 0..steps+L-2 give alpha_1 = b_1,
+        # alpha_i = b_i - b_{i-1} - 1 and alpha_L = steps + L - 2 - b_{L-1}.
+        return np.diff(bars, axis=1, prepend=-1, append=steps + lcount - 1) - 1
+
+    # Row a of the table is every level's rate at share a*M/steps.
+    table = np.empty((steps + 1, lcount))
+    for first in range(0, steps + 1, SEARCH_BLOCK):
+        alphas = np.arange(first, min(first + SEARCH_BLOCK, steps + 1))[:, None]
+        table[first : first + len(alphas)] = _level_rates(
+            *np.broadcast_arrays(capped_shares(alphas), cap, n_files, users, degrees),
             config.num_caches,
         )
+
+    def price(bars: np.ndarray) -> np.ndarray:
+        lanes = table[split(bars), levels]
         rates = np.zeros(len(bars))
         for j in range(lcount):
             rates = rates + lanes[:, j]
@@ -517,7 +534,7 @@ def grid_search_alpha(
 
     bars = itertools.combinations(range(steps + lcount - 1), lcount - 1)
     best, best_rate = _first_best(bars, lcount - 1, price)
-    return Allocation(shares=tuple(capped_shares(np.array([best]))[0].tolist())), best_rate
+    return Allocation(shares=tuple(capped_shares(split(np.array([best])))[0].tolist())), best_rate
 
 
 def optimize_access_structure(

@@ -23,6 +23,7 @@ from codedcache.model import (
 from codedcache.pama import (
     build_threshold_table,
     candidate_partitions,
+    grid_search_alpha,
     pama_allocate,
     pama_rate,
     total_rate_closed_form,
@@ -558,6 +559,17 @@ def test_lfu_bad_memory_is_validation_error(memory, capsys):
     argv = f"lfu --zipf 0.8 --files 200 --memory {memory} --users 40 --trials 2 --seed 1"
     assert run(argv.split()) == 2
     assert capsys.readouterr().err.startswith("error: memory must be a finite non-negative")
+
+
+def test_pama_oracle_header_names_the_grid_it_searched(ex1_path, capsys):
+    # 0.07 gives round(1/0.07) = 14 intervals, a step of 1/14.
+    assert run(["pama", "--config", ex1_path, "--grid-step", "0.07"]) == 0
+    header = capsys.readouterr().out.splitlines()[1]
+    _, oracle = grid_search_alpha(make_config(8, 100.0, [(100, 9, 1), (100, 1, 1)]), 1 / 14)
+    assert header == f"# oracle (grid step 0.0714285714): {_fmt(oracle)}"
+    for step in ("0.01", "0.02", "0.05"):
+        assert run(["pama", "--config", ex1_path, "--grid-step", step]) == 0
+        assert f"# oracle (grid step {step}): " in capsys.readouterr().out
 
 
 def test_pama_grid_step_out_of_range_is_validation_error(ex1_path, capsys):

@@ -390,6 +390,50 @@ def test_grid_search_scratch_memory_is_bounded():
     assert peak <= 4 * 2**20
 
 
+def test_grid_search_prices_each_level_share_once(monkeypatch):
+    # 1,771 points of an L=4 simplex at 20 intervals, but each level's
+    # share takes only 21 values.
+    cfg = _quiet_config(12, 0.0, [(400, 3, 1), (900, 2, 2), (3000, 1, 3), (8000, 1, 5)])
+    cfg = cfg.with_memory(0.6 * cfg.full_memory)
+    lanes = {"level_rates": 0, "coded_load": 0}
+
+    def counted(name, func):
+        def wrapper(first, *args):
+            lanes[name] += np.size(first)
+            return func(first, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        codedcache.pama, "_level_rates", counted("level_rates", codedcache.pama._level_rates)
+    )
+    monkeypatch.setattr(
+        codedcache.pama, "coded_load", counted("coded_load", codedcache.pama.coded_load)
+    )
+    grid_search_alpha(cfg, 0.05)
+    assert 0 < lanes["coded_load"] <= lanes["level_rates"] <= 4 * 21
+
+
+def test_grid_search_fine_step_memory_is_the_table_plus_bounded_scratch():
+    # 100,001 table rows: built in one piece, the per-lane pricing alone
+    # would hold about 20 MiB.  The walk's itertools.combinations keeps
+    # its pool, 100,001 ints, for the whole search; that is not scratch.
+    cfg = _quiet_config(6, 0.0, [(60, 2, 1), (240, 1, 2)])
+    cfg = cfg.with_memory(0.5 * cfg.full_memory)
+    steps = 100_000
+    tracemalloc.start()
+    try:
+        pool = tuple(range(steps + 1))
+        pool_bytes, _ = tracemalloc.get_traced_memory()
+        del pool
+        tracemalloc.reset_peak()
+        grid_search_alpha(cfg, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= pool_bytes + 4 * 2**20 + 8 * 2 * (steps + 1)
+
+
 def test_access_opt_single_candidate():
     cfg = make_config(8, 60.0, [(160, 2, 1), (320, 1, 1)])
     degrees, rate = optimize_access_structure(cfg, 1, 2.0)
