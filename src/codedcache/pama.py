@@ -516,7 +516,7 @@ def grid_search_alpha(
         # alpha_i = b_i - b_{i-1} - 1 and alpha_L = steps + L - 2 - b_{L-1}.
         return np.diff(bars, axis=1, prepend=-1, append=steps + lcount - 1) - 1
 
-    # Row a of the table is every level's rate at share a*M/steps.
+    # Row a of the table is every level's rate at share a*M/steps, capped.
     table = np.empty((steps + 1, lcount))
     for first in range(0, steps + 1, SEARCH_BLOCK):
         alphas = np.arange(first, min(first + SEARCH_BLOCK, steps + 1))[:, None]
