@@ -34,7 +34,8 @@ and the search.  Each candidate is a line in M and the candidate set
 does not depend on M, so it is built once per instance and priced
 against a whole memory grid as one array.  One rule picks each memory's
 witness: the first candidate in enumeration order that reaches the
-maximum, kept only if that maximum is positive.
+maximum, kept only if that maximum is positive.  Its value is read from
+the priced array: the public evaluator's elementwise formula, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .model import SystemConfig, _memory
+from .model import SystemConfig, _memories
 from .pama import pama_memories
 from .pama import pama_rate  # noqa: F401  unused; perfbench's tracer wraps this name
 
@@ -158,17 +159,16 @@ NONCUTSET = ("noncutset", _noncutset_value, _noncutset_args)
 COROLLARY = ("corollary", _corollary_value, _corollary_args)
 
 
-def _witness(config: SystemConfig, family: tuple, checked: tuple, memory: float) -> BoundWitness:
+def _witness(config: SystemConfig, family: tuple, checked: tuple) -> BoundWitness:
     """The bound of a checked candidate (arguments, parameters) at
-    ``memory``, clamped at zero."""
-    kind, formula, _ = family
-    args, params = checked
-    return BoundWitness(float(max(0.0, formula(config, *args, memory))), kind, params)
+    config.memory, clamped at zero."""
+    (kind, formula, _), (args, params) = family, checked
+    return BoundWitness(float(max(0.0, formula(config, *args, config.memory))), kind, params)
 
 
 def cutset_bound(config: SystemConfig, level: int, v: int) -> BoundWitness:
     """Cut-set bound for ``v`` pooled users of one level (0-based index)."""
-    return _witness(config, CUTSET, _cutset_args(config, level, v), config.memory)
+    return _witness(config, CUTSET, _cutset_args(config, level, v))
 
 
 def noncutset_bound(
@@ -177,12 +177,12 @@ def noncutset_bound(
     """Non-cut-set bound for level ``l`` mixed with level set ``a_set``
     (0-based indices), window size ``s`` and batch count ``b``."""
     checked = _noncutset_args(config, l, a_set, s, b)
-    return _witness(config, NONCUTSET, checked, config.memory)
+    return _witness(config, NONCUTSET, checked)
 
 
 def corollary_bound(config: SystemConfig, a_set: Iterable[int], b: int) -> BoundWitness:
     """Simplified bound using only a level set A."""
-    return _witness(config, COROLLARY, _corollary_args(config, a_set, b), config.memory)
+    return _witness(config, COROLLARY, _corollary_args(config, a_set, b))
 
 
 def _cutset_candidates(config: SystemConfig, level: int) -> np.ndarray:
@@ -251,29 +251,36 @@ def _first_maxima(config: SystemConfig, blocks: list[tuple], memories: np.ndarra
     reaches the maximum, or ``trivial_zero`` unless it is > 0.  A block
     (family, fixed, args) holds the candidates i = the family's bound at
     ``(*fixed, *(arg[i] for arg in args))``, priced at once by the
-    family's formula ``(config, *fixed, *args, memory)``.  Consecutive
-    memories won by one candidate check its arguments once; each value
-    is the scalar formula at that memory, as in the public evaluator."""
+    family's formula ``(config, *fixed, *args, memory)``.  Each value is
+    read from that array: the evaluator's own elementwise formula, so bit
+    for bit the public evaluator.  Consecutive memories won by one
+    candidate check its arguments and build its parameters once."""
     starts = np.cumsum([0] + [len(args[0]) for _, _, args in blocks])
     step = max(1, PRICE_BLOCK // int(starts[-1]))
     witnesses = []
-    won = None  # (position, family, checked) of the last winner
+    won = None  # (position, kind, params) of the last winner
     for first in range(0, memories.size, step):
         column = memories[first : first + step, None]
         values = np.hstack(
             [formula(config, *fixed, *args, column) for (_, formula, _), fixed, args in blocks]
         )
-        for row, pos in enumerate(np.argmax(values, axis=1).tolist()):
-            if not values[row, pos] > 0.0:
+        best = np.argmax(values, axis=1)
+        for pos, value in zip(best.tolist(), values[np.arange(best.size), best].tolist()):
+            if not value > 0.0:
                 witnesses.append(BoundWitness(0.0, "trivial_zero"))
                 continue
             if won is None or won[0] != pos:
                 k = int(np.searchsorted(starts, pos, side="right")) - 1
-                family, fixed, args = blocks[k]
+                (kind, _, check), fixed, args = blocks[k]
                 candidate = (int(arg[pos - starts[k]]) for arg in args)
-                won = (pos, family, family[2](config, *fixed, *candidate))
-            witnesses.append(_witness(config, won[1], won[2], float(column[row, 0])))
+                won = (pos, kind, check(config, *fixed, *candidate)[1])
+            witnesses.append(BoundWitness(value, won[1], won[2]))
     return witnesses
+
+
+def _blocks(config: SystemConfig) -> list[tuple]:
+    """Every family's candidate blocks, in enumeration order."""
+    return [*_cutset_blocks(config), *_noncutset_blocks(config), *_corollary_blocks(config)]
 
 
 def lower_bounds(config: SystemConfig, memories: Iterable[float]) -> list[BoundWitness]:
@@ -281,9 +288,7 @@ def lower_bounds(config: SystemConfig, memories: Iterable[float]) -> list[BoundW
     families; the first candidate (cut-set by level, non-cut-set by l,
     corollary) wins ties.  A negative, NaN or infinite memory raises
     :class:`ConfigError` before any is priced."""
-    grid = np.array([_memory(m) for m in memories], dtype=np.float64)
-    blocks = [*_cutset_blocks(config), *_noncutset_blocks(config), *_corollary_blocks(config)]
-    return _first_maxima(config, blocks, grid)
+    return _first_maxima(config, _blocks(config), _memories(memories))
 
 
 def best_lower_bound(config: SystemConfig) -> BoundWitness:
@@ -319,17 +324,17 @@ class GapProfile:
         return max(self.points, key=lambda p: p.ratio)
 
 
-def gap_profile(config: SystemConfig, memory_grid: Sequence[float]) -> GapProfile:
+def gap_profile(config: SystemConfig, memory_grid: Iterable[float]) -> GapProfile:
     """Achievable-versus-bound ratio across a memory grid.
 
-    :func:`lower_bounds` checks the grid and prices every bound; one
-    :func:`pama_memories` batch then prices every achievable rate, each
-    bit for bit ``pama_rate(config.with_memory(m)).exact.total``.
-    Points where the achievable rate is (numerically) zero report ratio
-    1: there is no gap to speak of once nothing is transmitted.
+    The grid is checked once, as :func:`lower_bounds` checks it, and its
+    bounds and, in one :func:`pama_memories` batch, its achievable rates
+    (each bit for bit ``pama_rate(config.with_memory(m)).exact.total``)
+    are priced on that array.  Points where the achievable rate is
+    (numerically) zero report ratio 1: nothing is sent, so there is no gap.
     """
-    witnesses = lower_bounds(config, memory_grid)
-    grid = np.asarray(memory_grid, dtype=np.float64)
+    grid = _memories(memory_grid)
+    witnesses = _first_maxima(config, _blocks(config), grid)
     achievable = pama_memories(config, grid).total.tolist()
     points = []
     for m, rate, witness in zip(grid.tolist(), achievable, witnesses):

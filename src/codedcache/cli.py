@@ -25,6 +25,7 @@ from .bounds import gap_profile, lower_bounds
 from .model import (
     ConfigError,
     SystemConfig,
+    _memories,
     _memory,
     config_to_dict,
     load_config,
@@ -225,18 +226,17 @@ def _cmd_pama(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    grid = [_memory(m) for m in _parse_mspec(args.m, config.full_memory).tolist()]
+    grid = _memories(_parse_mspec(args.m, config.full_memory))
     splits = table_splits(build_threshold_table(config))
     labels = [split.label() for split in splits]
     lines = [f"# sweep over {len(grid)} memory points", _pama_header(config.num_levels)]
     for first in range(0, len(grid), SWEEP_BLOCK):
-        block = grid[first : first + SWEEP_BLOCK]
-        memory = np.array(block)
+        memory = grid[first : first + SWEEP_BLOCK]
         batch = pama_memories(config, memory)
         closed = closed_form_rates(config, splits, batch.prefix, memory)
         rows = list(
             zip(
-                block,
+                memory.tolist(),
                 batch.total.tolist(),
                 closed.tolist(),
                 [labels[t] for t in batch.prefix.tolist()],

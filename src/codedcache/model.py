@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Iterable
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Fatal problem-instance validation failure."""
@@ -48,6 +50,19 @@ def _memory(value: Any) -> float:
     if not math.isfinite(memory) or memory < 0:
         raise ConfigError(f"memory must be a finite non-negative real, got {memory!r}")
     return memory
+
+
+def _memories(values: Iterable[Any]) -> np.ndarray:
+    """A memory grid as float64; a valid 1-D numeric array or list of floats
+    and ints passes at once, else :func:`_memory` raises at the first bad entry."""
+    grid = values if isinstance(values, np.ndarray) else list(values)
+    if isinstance(grid, list) and set(map(type, grid)) <= {float, int} or (
+        isinstance(grid, np.ndarray) and grid.ndim == 1 and grid.dtype.kind in "fiu"
+    ):
+        memories = np.asarray(grid, dtype=np.float64)
+        if ((0.0 <= memories) & (memories < math.inf)).all():
+            return memories
+    return np.array([_memory(m) for m in grid], dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -30,23 +30,23 @@ reachable at the given memory (all table prefixes) and keeps the cheapest,
 which restores monotonicity and continuity of the reported rate; the
 literal table lookup is the last of :func:`candidate_partitions`.
 
-:func:`pama_totals` evaluates that rate for a batch of instances with
-arrays, each row at its own memory, bit for bit equal to
-:func:`pama_rate`.  Besides the totals it returns each row's winning
-table prefix and that split's capped shares and per-level rates.  The
-brute-force split search and :func:`optimize_access_structure` price
-their candidates with it (one memory, many instances), and ``sweep`` and
-``gap`` their memory grids (one instance, many memories, through
-:func:`pama_memories`);
-:func:`closed_form_rates` then gives the closed form of each winning
-split.  :func:`grid_search_alpha`, the exhaustive oracle over memory
-splits, uses that the total is a sum of per-level rates, each set by
-its own share alone: it prices every level at each of the grid's
-steps+1 shares once, with the same per-level lane rule, and each
-simplex point gathers its L rates from that table.  It shares one
-walker, ``_first_best``, with the brute-force split search: both price
-candidates ``SEARCH_BLOCK`` at a time in enumeration order and keep the
-first best by the same 1e-15 rule.
+:func:`pama_totals` evaluates that rate with arrays, bit for bit equal
+to :func:`pama_rate`: per row the total, the winning table prefix, and
+that split's capped shares and per-level rates.  Its (instances, L)
+level arrays take one M for all instances, one M per instance, or, for
+a single (1, L) instance, a (rows,) memory grid; each instance's
+breakpoint structure is built once.  The brute-force split search and
+:func:`optimize_access_structure` price many instances at one memory,
+and ``sweep`` and ``gap`` one instance at a memory grid (through
+:func:`pama_memories`); :func:`closed_form_rates` then gives the closed
+form of each winning split.  :func:`grid_search_alpha`, the exhaustive
+oracle over memory splits, uses that the total is a sum of per-level
+rates, each set by its own share alone: it prices every level at each
+of the grid's steps+1 shares once, with the same per-level lane rule,
+and each simplex point gathers its L rates from that table.  It shares
+one walker, ``_first_best``, with the brute-force split search: both
+price candidates ``SEARCH_BLOCK`` at a time in enumeration order and
+keep the first best by the same 1e-15 rule.
 """
 
 from __future__ import annotations
@@ -361,88 +361,88 @@ def pama_totals(
 ) -> PamaBatch:
     """``pama_rate(config)`` for a batch of instances that share K, equal
     bit for bit: the exact total, the winning split's table prefix, its
-    shares and its per-level rates.
+    shares and its per-level rates (batch shapes: see the module doc).
 
-    Row r of the (rows, L) integer arrays holds the levels (N, U, d) of
-    one instance, most popular first, each with d <= K; ``memory`` is
-    one M for every row or a (rows,) array of per-row M.  Every step
-    follows the scalar path in the same float order: the breakpoint
-    events sorted by (x, kind, level) with running S_I/T_J sums, the
-    prefixes with Y_t <= M, :func:`pama_allocate`'s fresh group sums and
-    capped I shares, :func:`total_rate_exact`'s per-level rates (through
-    :func:`coded_load`) summed in level order, and :func:`pama_rate`'s
-    selection that keeps a later split within 1e-12 of the best.
+    Every step follows the scalar path in the same float order: the moves
+    sorted by (x, kind, level) with running S_I/T_J sums for each Y_t,
+    :func:`pama_allocate`'s fresh group sums and capped I shares, the
+    per-level rates of :func:`total_rate_exact` summed in level order, and
+    :func:`pama_rate`'s selection that keeps a later split within 1e-12 of
+    the best.  The batch axis is last, so each operation runs along it.
     """
-    rows, width = n_files.shape
-    r = np.arange(rows)
-    memory = np.broadcast_to(np.asarray(memory, dtype=np.float64), (rows,))
-    nf = n_files.astype(np.float64)
+    memory = np.asarray(memory, dtype=np.float64)
+    (rows,) = np.broadcast_shapes(n_files.shape[:1], memory.shape)
+    memory = np.broadcast_to(memory, (rows,))
+    n_files, users, degrees = n_files.T, users.T, degrees.T
+    width, count = n_files.shape
+    each = np.arange(count)
     sqrt_nu = np.sqrt((n_files * users).astype(np.float64))
-    full = nf / degrees
-    root = np.sqrt(nf / users)
-    # Events laid out enter-then-store, each by level index, so a stable
-    # sort on x breaks ties by (kind, level) as the table does.
-    x = np.concatenate([root / num_caches, root / degrees], axis=1)
-    order = np.argsort(x, axis=1, kind="stable")
-    x = np.take_along_axis(x, order, axis=1)
-    level, enter = order % width, order < width
-
-    # Prefix t is the split after the first t moves; prefix 0 is all-H.
-    prefixes = 2 * width + 1
-    reach = np.ones((rows, prefixes), dtype=bool)
-    in_i = np.zeros((rows, prefixes, width), dtype=bool)
-    in_j = np.zeros((rows, prefixes, width), dtype=bool)
-    s_i = np.zeros(rows)
-    t_j = np.zeros(rows)
+    full = n_files / degrees
+    root = np.sqrt(n_files / users)
+    # Moves laid out enter-then-store by level, so a stable sort breaks ties
+    # as the table does.  An entry adds sqrt(N*U) to S_I; a store moves it
+    # to T_J as N/d.
+    x = np.concatenate([root / num_caches, root / degrees])
+    order = np.argsort(x, axis=0, kind="stable")
+    x = x[order, each]
+    moves = np.concatenate([sqrt_nu, -sqrt_nu, 0.0 * full, full]).reshape(2, -1, count)
+    moves = moves[:, order, each]
+    y = np.empty((2 * width, count))
+    sums = np.zeros((2, count))  # S_I and T_J before move t
     for t in range(2 * width):
-        lv, ent = level[:, t], enter[:, t]
-        reach[:, t + 1] = x[:, t] * s_i + t_j <= memory
-        step = sqrt_nu[r, lv]
-        s_i = np.where(ent, s_i + step, s_i - step)
-        t_j = np.where(ent, t_j, t_j + full[r, lv])
-        in_i[:, t + 1] = in_i[:, t]
-        in_j[:, t + 1] = in_j[:, t]
-        in_i[r, t + 1, lv] = ent
-        in_j[r, t + 1, lv] = ~ent
+        y[t] = x[t] * sums[0] + sums[1]
+        sums = sums + moves[:, t]
 
+    # Prefix t is the split after the first t moves (0 is all-H): a level
+    # is in J once its store is among them, in I once only its entry is.
+    rank = np.empty_like(order)
+    rank[order, each] = np.arange(2 * width)[:, None]
+    prefixes = np.arange(2 * width + 1)[:, None, None]
+    in_j = rank[width:] < prefixes
+    in_i = (rank[:width] < prefixes) & ~in_j
     # pama_allocate's group sums are fresh sums in level order.
-    s_fresh = np.zeros((rows, prefixes))
-    t_fresh = np.zeros((rows, prefixes))
+    s_fresh = t_fresh = 0.0
     for j in range(width):
-        s_fresh = s_fresh + np.where(in_i[:, :, j], sqrt_nu[:, None, j], 0.0)
-        t_fresh = t_fresh + np.where(in_j[:, :, j], full[:, None, j], 0.0)
-    leftover = memory[:, None] - t_fresh
-    leftover = np.where(leftover > 0.0, leftover, 0.0)
+        s_fresh = s_fresh + np.where(in_i[:, j], sqrt_nu[j], 0.0)
+        t_fresh = t_fresh + np.where(in_j[:, j], full[j], 0.0)
 
-    # J levels are stored (rate 0) and H levels get nothing (rate K*U);
-    # only reachable I lanes need pricing.
-    shares = np.where(in_j, full[:, None, :], 0.0)
-    rate = np.where(in_j, 0.0, (num_caches * users).astype(np.float64)[:, None, :])
-    ri, ti, li = np.nonzero(in_i & reach[:, :, None])
-    cap = full[ri, li]
-    share = sqrt_nu[ri, li] / s_fresh[ri, ti] * leftover[ri, ti]
-    shares[ri, ti, li] = np.where(cap < share, cap, share)
-    rate[ri, ti, li] = _level_rates(
-        shares[ri, ti, li], cap, n_files[ri, li], users[ri, li], degrees[ri, li], num_caches
+    # Column r is now memory row r, on instance r % count.  J levels cost
+    # 0 and H levels K*U; only reachable prefixes' I lanes need pricing.
+    reach = np.concatenate([np.ones((1, rows), dtype=bool), y <= memory])
+    leftover = memory - t_fresh
+    leftover = np.where(leftover > 0.0, leftover, 0.0)
+    ti, li, ri = np.nonzero(in_i & reach[:, None, :])
+    ii = ri % count
+    cap = full[li, ii]
+    share = sqrt_nu[li, ii] / s_fresh[ti, ii] * leftover[ti, ri]
+    share = np.where(cap < share, cap, share)
+    shares = np.where(in_j, full, np.zeros(rows))
+    shares[ti, li, ri] = share
+    rate = np.where(in_j, np.zeros(rows), (num_caches * users).astype(np.float64))
+    rate[ti, li, ri] = _level_rates(
+        share, cap, n_files[li, ii], users[li, ii], degrees[li, ii], num_caches
     )
 
-    total = np.zeros((rows, prefixes))
+    total = 0.0
     for j in range(width):
-        total = total + rate[:, :, j]
-    best = total[:, 0]
+        total = total + rate[:, j]
+    # A later reachable prefix wins if its total lies within the 1e-12
+    # band of the best so far; unreachable ones are +inf and never do.
+    total = np.where(reach, total, np.inf)
+    within = total + 1e-12 * (1.0 + total)
+    band = within[0]
     prefix = np.zeros(rows, dtype=np.intp)
-    for t in range(1, prefixes):
-        take = reach[:, t] & (total[:, t] <= best + 1e-12 * (1.0 + best))
-        best = np.where(take, total[:, t], best)
+    for t in range(1, 2 * width + 1):
+        take = total[t] <= band
+        band = np.where(take, within[t], band)
         prefix = np.where(take, t, prefix)
-    return PamaBatch(best, prefix, shares[r, prefix], rate[r, prefix])
+    r = np.arange(rows)
+    return PamaBatch(total[prefix, r], prefix, shares[prefix, :, r], rate[prefix, :, r])
 
 
 def pama_memories(config: SystemConfig, memory: np.ndarray) -> PamaBatch:
-    """:func:`pama_totals` of one instance at each memory of ``memory``."""
-    shape = (memory.size, config.num_levels)
-    n_files, users, degrees = (np.broadcast_to(column, shape) for column in _level_arrays(config))
-    return pama_totals(n_files, users, degrees, config.num_caches, memory)
+    """:func:`pama_totals` of one instance, as one row, at each memory."""
+    return pama_totals(*_level_arrays(config)[:, None, :], config.num_caches, memory)
 
 
 # Candidates priced per array batch by the exhaustive searches: a few MB

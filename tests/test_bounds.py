@@ -320,6 +320,61 @@ def test_lower_bounds_match_per_point_search(monkeypatch):
             assert (w.kind, w.params, w.value) == (single.kind, single.params, single.value)
 
 
+def _evaluate(cfg, witness):
+    """The public evaluator of a witness's kind at its 1-based parameters."""
+    params = dict(witness.params)
+    a_set = [int(j) - 1 for j in str(params.get("A", "")).split(",") if j]
+    if witness.kind == "cutset":
+        return cutset_bound(cfg, params["level"] - 1, params["v"])
+    if witness.kind == "noncutset":
+        return noncutset_bound(cfg, params["l"] - 1, a_set, params["s"], params["b"])
+    return corollary_bound(cfg, a_set, params["b"])
+
+
+def test_lower_bounds_values_equal_the_public_evaluators(monkeypatch):
+    # Each witness value is read from the priced array.  It must be, bit
+    # for bit and as a float, the public evaluator of its kind and
+    # parameters at that memory.  Blocks of 150 values make every grid
+    # span several blocks, and integral memories sit on many ties.
+    monkeypatch.setattr(codedcache.bounds, "PRICE_BLOCK", 150)
+    rng = np.random.default_rng(26)
+    instances = [(_quiet(make_config, k, m, levels), [m]) for k, levels, m, *_ in PINNED_WITNESSES]
+    for _ in range(200):
+        lcount = int(rng.integers(1, 7))
+        k = int(rng.integers(2, 16))
+        levels = []
+        for _ in range(lcount):
+            u = int(rng.integers(1, 5))
+            d = int(rng.integers(1, min(4, k) + 1))
+            levels.append((k * u * int(rng.integers(1, 20)) + int(rng.integers(0, k)), u, d))
+        cfg = _quiet(make_config, k, 0.0, levels)
+        full = cfg.full_memory
+        grid = [0.0, 1e-300, *rng.uniform(0, 1.05 * full, 8).tolist()]
+        grid += [*np.floor(rng.uniform(0, full, 10)).tolist(), math.floor(full), full]
+        instances.append((cfg, grid))
+    kinds = set()
+    undivided = 0
+    for cfg, grid in instances:
+        undivided += any(cfg.num_caches % lv.access_degree for lv in cfg.levels)
+        for m, w in zip(grid, lower_bounds(cfg, grid), strict=True):
+            assert type(w.value) is float
+            kinds.add(w.kind)
+            if w.kind == "trivial_zero":
+                assert (w.value, w.params) == (0.0, ())
+                continue
+            expected = _evaluate(cfg.with_memory(m), w)
+            assert (expected.value, expected.kind, expected.params) == (w.value, w.kind, w.params)
+            assert math.copysign(1.0, w.value) == 1.0, (cfg, m, w)
+    assert kinds == {"cutset", "noncutset", "corollary", "trivial_zero"}
+    assert undivided >= 50
+
+
+def test_gap_profile_takes_a_one_pass_iterable():
+    grid = [1.0, 50.0, 150.0, 199.0]
+    assert gap_profile(EX1, (m for m in grid)) == gap_profile(EX1, grid)
+    assert gap_profile(EX1, iter(np.array(grid))) == gap_profile(EX1, grid)
+
+
 def test_lower_bounds_of_empty_grid():
     assert lower_bounds(EX1, []) == []
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,8 @@ from codedcache.model import (
     LevelSpec,
     SystemConfig,
     ValidationWarning,
+    _memories,
+    _memory,
     config_from_dict,
     config_from_json,
     config_to_dict,
@@ -219,3 +222,35 @@ def test_with_memory_rejects_non_memory_values(memory):
     cfg = make_config(4, 1.0, [(100, 1, 1)])
     with pytest.raises(ConfigError):
         cfg.with_memory(memory)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [1.0, -2, float("nan")],
+        [3, True],
+        ["5"],
+        [1.0, None],
+        [1.0, float("inf")],
+        [np.float64(2.0), np.float64(-1.0)],
+        np.array([1.0, np.nan, -1.0]),
+        np.array([2, -1]),
+        np.array([True]),
+        np.array([[1.0]]),
+    ],
+)
+def test_memory_grid_refuses_its_first_bad_entry_as_memory_does(grid):
+    with pytest.raises(ConfigError) as expected:
+        [_memory(m) for m in grid]
+    with pytest.raises(ConfigError) as got:
+        _memories(grid)
+    assert str(got.value) == str(expected.value)
+
+
+def test_memory_grid_holds_what_memory_returns():
+    grids = ([0.0, -0.0, 5, 2.5], np.array([3, 0]), np.linspace(0, 1, 4), [np.float64(1.5), 2], [])
+    for grid in grids:
+        got = _memories(grid)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array([_memory(m) for m in grid], dtype=np.float64).tobytes()
+    assert _memories(m for m in (1.0, 2)).tolist() == [1.0, 2.0]

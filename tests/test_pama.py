@@ -14,13 +14,16 @@ from codedcache.pama import (
     Allocation,
     ClosedFormRate,
     Partition,
+    _level_arrays,
     build_threshold_table,
     candidate_partitions,
     grid_search_alpha,
     optimize_access_structure,
     pama_allocate,
     pama_rate,
+    pama_memories,
     pama_totals,
+    table_splits,
     total_rate_closed_form,
     total_rate_exact,
 )
@@ -432,6 +435,51 @@ def test_grid_search_fine_step_memory_is_the_table_plus_bounded_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= pool_bytes + 4 * 2**20 + 8 * 2 * (steps + 1)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_instance_memory_grid_equals_pama_rate_bit_for_bit():
+    # pama_memories passes its instance as one (1, L) row with a (rows,)
+    # memory grid.  Every row must equal pama_rate at that memory (total,
+    # split, shares and per-level rates) and the (rows, L) batch that
+    # repeats the instance once per memory; so must a batch of several
+    # instances, each at its own memory.
+    rng = np.random.default_rng(26)
+    undivided = 0
+    by_width = {}
+    for _ in range(60):
+        cfg = _random_config(rng, max_levels=5)
+        undivided += any(cfg.num_caches % lv.access_degree for lv in cfg.levels)
+        table = build_threshold_table(cfg)
+        splits = table_splits(table)
+        full = cfg.full_memory
+        grid = np.array(
+            [0.0, 1e-300, *(bp.memory for bp in table.breakpoints), *rng.uniform(0, full, 8)]
+            + [full, 1.1 * full]
+        )
+        arrays = _level_arrays(cfg)
+        one = pama_memories(cfg, grid)
+        shape = (grid.size, cfg.num_levels)
+        repeated = pama_totals(*(np.broadcast_to(a, shape) for a in arrays), cfg.num_caches, grid)
+        for field in ("total", "prefix", "shares", "rates"):
+            assert _same_bits(getattr(one, field), getattr(repeated, field)), field
+        for r, m in enumerate(grid.tolist()):
+            want = pama_rate(cfg.with_memory(m), table)
+            assert _same_bits(one.total[r], np.float64(want.exact.total)), (cfg, m)
+            assert splits[one.prefix[r]] == want.partition
+            assert _same_bits(one.shares[r], np.array(want.allocation.shares))
+            assert _same_bits(one.rates[r], np.array(want.exact.per_level))
+        by_width.setdefault((cfg.num_caches, cfg.num_levels), []).append((arrays, grid[-3], one))
+    assert undivided >= 10
+    for (k, _), group in by_width.items():
+        stacked = [np.stack([arrays[i] for arrays, _, _ in group]) for i in range(3)]
+        memory = np.array([m for _, m, _ in group])
+        batch = pama_totals(*stacked, k, memory)
+        assert _same_bits(batch.total, np.array([one.total[-3] for _, _, one in group]))
+        assert _same_bits(batch.shares, np.stack([one.shares[-3] for _, _, one in group]))
 
 
 def test_access_opt_single_candidate():
