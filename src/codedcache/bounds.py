@@ -48,7 +48,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import SystemConfig, _memories
-from .pama import pama_memories
+from .pama import SEARCH_BLOCK, pama_memories
 from .pama import pama_rate  # noqa: F401  unused; perfbench's tracer wraps this name
 
 GAMMA = 1.0 / (1.0 - math.exp(-1.0))
@@ -328,14 +328,17 @@ def gap_profile(config: SystemConfig, memory_grid: Iterable[float]) -> GapProfil
     """Achievable-versus-bound ratio across a memory grid.
 
     The grid is checked once, as :func:`lower_bounds` checks it, and its
-    bounds and, in one :func:`pama_memories` batch, its achievable rates
-    (each bit for bit ``pama_rate(config.with_memory(m)).exact.total``)
-    are priced on that array.  Points where the achievable rate is
-    (numerically) zero report ratio 1: nothing is sent, so there is no gap.
+    bounds and, in :func:`pama_memories` batches of ``SEARCH_BLOCK``
+    memories, its achievable rates (each bit for bit
+    ``pama_rate(config.with_memory(m)).exact.total``) are priced on that
+    array.  Points where the achievable rate is (numerically) zero report
+    ratio 1: nothing is sent, so there is no gap.
     """
     grid = _memories(memory_grid)
     witnesses = _first_maxima(config, _blocks(config), grid)
-    achievable = pama_memories(config, grid).total.tolist()
+    achievable = []
+    for first in range(0, grid.size, SEARCH_BLOCK):
+        achievable += pama_memories(config, grid[first : first + SEARCH_BLOCK]).total.tolist()
     points = []
     for m, rate, witness in zip(grid.tolist(), achievable, witnesses):
         if rate <= 1e-12:

@@ -206,9 +206,8 @@ def _pama_summary(memory, total, closed, label, shares, rates, closed_in_validit
 
 def _cmd_pama(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    table = build_threshold_table(config)
     header = _pama_header(config.num_levels)
-    res = pama_rate(config, table)
+    res = pama_rate(config)
     closed = total_rate_closed_form(config, res.partition)
     exact, label = res.exact, res.partition.label()
     row = (config.memory, exact.total, closed.value, label, res.allocation.shares, exact.per_level)
@@ -354,15 +353,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_lfu(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be non-negative, got {args.trials}")
+    if args.trials > 0:
+        mode = "simulated lfu (--trials > 0)"
+        ignored = ["m"] + ["config"] * (args.memory is not None)
+    else:
+        mode = "worst-case lfu (--trials 0)"
+        ignored = ["memory", "counts", "zipf", "files", "users", "seed"]
+    for name in ignored:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"{mode} ignores --{name}")
     config = load_config(args.config) if args.config else None
     if args.trials > 0:
         dist = _load_distribution(args)
         if config is None and args.memory is None:
             raise ConfigError("lfu needs --config or --memory")
         memory = args.memory if args.memory is not None else config.memory
-        res = lfu_simulate(dist, memory, args.users, args.trials, args.seed)
+        users = 100 if args.users is None else args.users
+        seed = 0 if args.seed is None else args.seed
+        res = lfu_simulate(dist, memory, users, args.trials, seed)
         lines = [
-            f"# lfu simulation seed={args.seed} trials={args.trials} users={args.users}",
+            f"# lfu simulation seed={seed} trials={args.trials} users={users}",
             "trial,M,lfu_rate",
         ]
         for t, rate in enumerate(res.rates):
@@ -470,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     _add_distribution_flags(p)
     p.add_argument("--memory", type=float)
-    p.add_argument("--users", type=int, default=100)
+    p.add_argument("--users", type=int, help="default 100 (simulation only)")
     p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="default 0 (simulation only)")
     p.add_argument("--m", help="MIN:MAX:POINTS[:log]")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_lfu)

@@ -25,10 +25,11 @@ check; :func:`pama_rate` reports only the exact rate.
 Near the low end of each breakpoint interval the table's split can
 violate its own defining inequalities (the normalized memory falls below
 m_lo of the newest member), and there the literal split is not even
-rate-monotone in M.  :func:`pama_rate` therefore evaluates every split
-reachable at the given memory (all table prefixes) and keeps the cheapest,
-which restores monotonicity and continuity of the reported rate; the
-literal table lookup is the last of :func:`candidate_partitions`.
+rate-monotone in M.  ``pama_rate(config)`` therefore builds the table
+and evaluates every split reachable at ``config.memory`` (all table
+prefixes) and keeps the cheapest, which restores monotonicity and
+continuity of the reported rate; the literal table lookup is the last
+of :func:`candidate_partitions`.
 
 :func:`pama_totals` evaluates that rate with arrays, bit for bit equal
 to :func:`pama_rate`: per row the total, the winning table prefix, and
@@ -300,15 +301,14 @@ def candidate_partitions(table: ThresholdTable, memory: float) -> list[Partition
     return candidates
 
 
-def pama_rate(config: SystemConfig, table: ThresholdTable | None = None) -> PamaResult:
+def pama_rate(config: SystemConfig) -> PamaResult:
     """Allocate memory at config.memory and report the achieved rate.
 
     Evaluates the exact rate of every reachable split and keeps the
     cheapest (ties go to the latest split, i.e. the literal lookup),
     which keeps the reported rate non-increasing and continuous in M.
     """
-    if table is None:
-        table = build_threshold_table(config)
+    table = build_threshold_table(config)
     best: tuple[float, Partition, Allocation, ExactRate] | None = None
     for part in candidate_partitions(table, config.memory):
         alloc = pama_allocate(config, part)
@@ -445,8 +445,10 @@ def pama_memories(config: SystemConfig, memory: np.ndarray) -> PamaBatch:
     return pama_totals(*_level_arrays(config)[:, None, :], config.num_caches, memory)
 
 
-# Candidates priced per array batch by the exhaustive searches: a few MB
-# of scratch at any search size, with the per-batch NumPy cost amortized.
+# Candidates priced per array batch by the exhaustive searches, and
+# memories per pama_memories batch in bounds.gap_profile: a few MB of
+# scratch at any search or grid size, with the per-batch NumPy cost
+# amortized.
 SEARCH_BLOCK = 4096
 
 

@@ -21,11 +21,11 @@ Two simulation modes read one subsystem layout:
   (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
   bits.  Trials are priced in blocks of at most ``DEMAND_BLOCK``
   demands: one layout serves a whole block, one sort of (group, file)
-  keys counts each group's distinct files, ``coded_load`` runs once per
-  (level, file count) that occurs, read back from a small table, and
-  each trial's loads are summed left to right in one row of a
-  zero-padded array.  This scales to catalogue-sized popularity
-  distributions.
+  keys counts each group's distinct files, one array ``coded_load``
+  call prices each (level, file count) that occurs into a small table
+  the groups read back, and each trial's loads are summed left to
+  right in one row of a zero-padded array.  This scales to
+  catalogue-sized popularity distributions.
 
 Subsystem layout (``_layout``).  A demand's slot is the number of
 earlier demands at its (cache, level).  Caches are colored by index mod
@@ -41,16 +41,15 @@ order; distinct edge demands keep their order of first appearance.
 Neither order depends on how files are labelled.  A block of trials is
 laid out at once, with the trial as the most significant part of every
 key, so trials share no slot, group or edge demand.  The layout takes
-counting passes over a few sorts of packed int64 keys, and no argsort:
-one sort by (trial, level, cache, index) puts each (cache, level)
-cell's demands in a run, a slot being a place in its run; one sort of
-the cells by class, a (trial, level, residue), makes each class as
-wide as its widest cell, so its group for slot s is s plus the widths
-of the classes before it; one sort by (group, index) lists the
-members; and one sort of the edge demands by (cell, file, position)
-finds each distinct one's first appearance.  Only cells and classes
-that occur are counted, and each key's bound is checked to fit int64
-(see ``_sort_packed``).
+counting passes over three sorts of packed int64 keys: one sort by
+(trial, level, cache, index) puts each (cache, level) cell's demands in
+a run, a slot being a place in its run; one sort of the cells by class,
+a (trial, level, residue), makes each class as wide as its widest cell,
+so its group for slot s is s plus the widths of the classes before it;
+and one sort by (group, index) lists the members.  One ``np.unique``
+of the edge demands' (cell, file) keys finds each distinct one's first
+appearance.  Only cells and classes that occur are counted, and each
+key's bound is checked to fit int64 (see ``_sort_packed``).
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
@@ -120,38 +119,13 @@ class PlacementState:
     only on the seed, the cache, the level, the file, the fraction and
     the subfile length, not on which other rows are drawn, in what order
     or beside which other caches' rows.  Nothing is drawn until delivery
-    or :meth:`rows` asks; delivery draws the rows of all caches of one
-    (level, subfile length) together (see ``_draw``)."""
+    asks; it draws the rows of all caches of one (level, subfile length)
+    together (see ``_draw``)."""
 
     config: SystemConfig
     file_size_bits: int
     seed: int
     fractions: tuple[float, ...]
-
-    def rows(self, cache: int, level: int, files: Sequence[int]) -> np.ndarray:
-        """The masks of ``files`` (file indices of ``level``) at
-        ``cache``: a ``(len(files), subfile_length)`` bool array whose
-        row i marks the bits of file ``files[i]``'s subfile that the cache
-        keeps.  This is the one-cache case of the batched draw delivery
-        makes, so the rows equal the ones delivery reads.  A cache, level
-        or file that is not an integer, or that the config lacks, raises
-        ``ValueError``."""
-        config = self.config
-        picked = np.asarray(files)
-        if (
-            any(isinstance(i, bool) or not isinstance(i, numbers.Integral) for i in (cache, level))
-            or (picked.size and (picked.ndim != 1 or picked.dtype.kind not in "iu"))
-            or not {bool, np.bool_}.isdisjoint(map(type, files))
-        ):
-            raise ValueError("cache, level and files must be integer indices")
-        # File 0 exists in every level, so this checks the cache and level.
-        _check_demand(config, cache, level, 0)
-        outside = (picked < 0) | (picked >= config.levels[level].n_files)
-        if outside.any():
-            _check_demand(config, cache, level, int(picked[outside.argmax()]))
-        d = config.levels[level].access_degree
-        length = _subfile_length(self.file_size_bits, d, cache % d)
-        return self._draw(level, length, [(cache, picked.astype(np.int64).reshape(-1))])
 
     def _draw(
         self, level: int, length: int, requests: Sequence[tuple[int, np.ndarray]]
@@ -475,21 +449,18 @@ def _layout(
     )
     keys[:, 2] += index[:groups]
 
-    # Distinct edge demands: the first of each (cell, file) run, by
+    # Distinct edge demands: the first of each (cell, file) key, by
     # position among the edge demands, which are listed cell by cell in
-    # demand order.
+    # demand order.  A 1-D unique with return_index sorts stably.
     edge_demands = members[coded:]
-    edge_bits = edge_demands.size.bit_length()
     file_bits = int(files.max(initial=0)).bit_length()
-    by_file = _sort_packed(
+    if cell_count << file_bits > 2**63:
+        raise ValueError("demand profile too large for 64-bit layout keys")
+    edge_keys = (
         class_cells[cell_count - edge_cells :].repeat(class_width[coded_classes:]) << file_bits
-        | files[edge_demands],
-        index[: edge_demands.size],
-        cell_count << file_bits,
-        edge_bits,
+        | files[edge_demands]
     )
-    firsts = by_file[_runs(by_file >> edge_bits)[0]] & ((1 << edge_bits) - 1)
-    edges = np.sort(edge_demands[firsts])
+    edges = np.sort(edge_demands[np.unique(edge_keys, return_index=True)[1]])
     return _Layout(table, members[:coded], group, keys, edges)
 
 
@@ -746,9 +717,9 @@ def _expected_rates(
     priced = keys[:, 0] * span + distinct
     seen = np.zeros(config.num_levels * span, dtype=bool)
     seen[priced] = True
+    occurring = np.flatnonzero(seen)
     prices = np.zeros(seen.size)
-    for key in np.flatnonzero(seen).tolist():
-        prices[key] = coded_load(mus[key // span], key % span)
+    prices[occurring] = coded_load(np.array(mus)[occurring // span], occurring % span)
     # Groups in order of their first demands; they are distinct.
     group_bits = groups.bit_length()
     appear = _sort_packed(members[_runs(group)[0]], np.arange(groups), n, group_bits)

@@ -399,6 +399,21 @@ def test_lower_bounds_scratch_memory_is_bounded():
     assert peak <= 8 * 2**20
 
 
+def test_gap_profile_scratch_memory_is_bounded():
+    # 10,000 memories of an L=4 instance: about 21 MiB with the
+    # achievable column priced at once; the profile itself keeps 3 MiB.
+    cfg = _quiet(make_config, 12, 900.0, [(400, 3, 1), (900, 2, 2), (3000, 1, 3), (8000, 1, 5)])
+    grid = np.linspace(0.0, cfg.full_memory, 10_000)
+    tracemalloc.start()
+    try:
+        profile = gap_profile(cfg, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.points) == 10_000
+    assert peak <= 14 * 2**20
+
+
 def test_gap_cli_output_pinned(capsys):
     assert _quiet(run, ["gap", "--config", str(GAP3LEVEL)]) == 0
     out = capsys.readouterr().out

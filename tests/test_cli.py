@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from codedcache import cli
+from codedcache import cli, pama
 from codedcache.cli import _fmt, build_parser, run
 from codedcache.model import (
     ValidationWarning,
@@ -166,7 +166,7 @@ def _reference_sweep(config, table, grid):
     lines, last, decisive = [], None, 0
     for m in grid:
         at = config.with_memory(m)
-        res = pama_rate(at, table)
+        res = pama_rate(at)
         closed = total_rate_closed_form(at, res.partition)
         shares = ",".join(_fmt(s) for s in res.allocation.shares)
         rates = ",".join(_fmt(r) for r in res.exact.per_level)
@@ -572,6 +572,21 @@ def test_pama_oracle_header_names_the_grid_it_searched(ex1_path, capsys):
         assert f"# oracle (grid step {step}): " in capsys.readouterr().out
 
 
+def test_pama_builds_one_threshold_table(monkeypatch, capsys):
+    # Every module that binds the name gets the counting wrapper.
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return build_threshold_table(config)
+
+    monkeypatch.setattr(cli, "build_threshold_table", counting)
+    monkeypatch.setattr(pama, "build_threshold_table", counting)
+    assert run(["pama", "--config", str(CONFIGS / "example1.json")]) == 0
+    assert capsys.readouterr().out.startswith("# pama allocation for ")
+    assert len(built) == 1
+
+
 def test_pama_grid_step_out_of_range_is_validation_error(ex1_path, capsys):
     assert run(["pama", "--config", ex1_path, "--grid-step", "0.5"]) == 2
     assert capsys.readouterr().err == "error: grid_step must lie in (0, 0.1]\n"
@@ -592,6 +607,31 @@ def test_lfu_simulated(ex1_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert len(out) == 2 + 3
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ("--memory 50", "worst-case lfu (--trials 0) ignores --memory"),
+        ("--zipf 0.6 --files 100", "worst-case lfu (--trials 0) ignores --zipf"),
+        ("--counts x.txt", "worst-case lfu (--trials 0) ignores --counts"),
+        ("--users 5", "worst-case lfu (--trials 0) ignores --users"),
+        ("--seed 0", "worst-case lfu (--trials 0) ignores --seed"),
+        (
+            "--zipf 0.6 --files 100 --trials 2 --m 0:100:3",
+            "simulated lfu (--trials > 0) ignores --m",
+        ),
+        (
+            "--zipf 0.6 --files 100 --trials 2 --memory 50",
+            "simulated lfu (--trials > 0) ignores --config",
+        ),
+    ],
+)
+def test_lfu_refuses_flags_its_mode_ignores(ex1_path, capsys, flags, message):
+    assert run(["lfu", "--config", ex1_path, *flags.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_lfu_negative_trials_is_validation_error(ex1_path, capsys):

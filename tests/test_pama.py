@@ -237,7 +237,7 @@ def test_literal_partition_flagged_out_of_validity_in_degenerate_zone():
 
 
 def test_pama_rate_picks_cheaper_split_in_degenerate_zone():
-    res = pama_rate(EX1.with_memory(40.0), EX1_TABLE)
+    res = pama_rate(EX1.with_memory(40.0))
     assert res.partition.label() == "H=2;I=1;J="
     literal = candidate_partitions(EX1_TABLE, 40.0)[-1]
     assert literal.label() == "H=;I=1,2;J="
@@ -249,12 +249,12 @@ def test_pama_rate_picks_cheaper_split_in_degenerate_zone():
 
 def test_reported_rate_non_increasing_and_continuous():
     grid = np.linspace(0.0, 210.0, 841)
-    rates = [pama_rate(EX1.with_memory(float(m)), EX1_TABLE).exact.total for m in grid]
+    rates = [pama_rate(EX1.with_memory(float(m))).exact.total for m in grid]
     assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
     for bp in EX1_TABLE.breakpoints:
         eps = 1e-7
-        left = pama_rate(EX1.with_memory(max(0.0, bp.memory - eps)), EX1_TABLE).exact.total
-        right = pama_rate(EX1.with_memory(bp.memory + eps), EX1_TABLE).exact.total
+        left = pama_rate(EX1.with_memory(max(0.0, bp.memory - eps))).exact.total
+        right = pama_rate(EX1.with_memory(bp.memory + eps)).exact.total
         assert abs(left - right) <= 1e-5 * (1.0 + left)
 
 
@@ -262,9 +262,8 @@ def test_pama_rate_monotone_fuzz():
     rng = np.random.default_rng(11)
     for _ in range(25):
         cfg = _random_config(rng, max_levels=3)
-        table = build_threshold_table(cfg)
         grid = np.linspace(0.0, cfg.full_memory * 1.02, 160)
-        rates = [pama_rate(cfg.with_memory(float(m)), table).exact.total for m in grid]
+        rates = [pama_rate(cfg.with_memory(float(m))).exact.total for m in grid]
         assert all(a >= b - 1e-9 for a, b in zip(rates, rates[1:]))
 
 
@@ -467,7 +466,7 @@ def test_one_instance_memory_grid_equals_pama_rate_bit_for_bit():
         for field in ("total", "prefix", "shares", "rates"):
             assert _same_bits(getattr(one, field), getattr(repeated, field)), field
         for r, m in enumerate(grid.tolist()):
-            want = pama_rate(cfg.with_memory(m), table)
+            want = pama_rate(cfg.with_memory(m))
             assert _same_bits(one.total[r], np.float64(want.exact.total)), (cfg, m)
             assert splits[one.prefix[r]] == want.partition
             assert _same_bits(one.shares[r], np.array(want.allocation.shares))

@@ -468,7 +468,7 @@ def test_batch_keeps_pama_tie_rule_on_breakpoints():
         table = build_threshold_table(cfg)
         for bp in table.breakpoints:
             at = cfg.with_memory(bp.memory)
-            rate = pama_rate(at, table).exact.total
+            rate = pama_rate(at).exact.total
             totals = [
                 total_rate_exact(at, pama_allocate(at, part)).total
                 for part in candidate_partitions(table, bp.memory)

@@ -89,17 +89,25 @@ def test_worst_case_demands_distinct_within_groups():
         assert len(members) == len(set(members))
 
 
+def _rows(placement, cache, level, files):
+    """The masks of ``files`` of ``level`` at ``cache``, from the batched
+    draw delivery makes."""
+    d = placement.config.levels[level].access_degree
+    length = sim._subfile_length(placement.file_size_bits, d, cache % d)
+    return placement._draw(level, length, [(cache, np.asarray(files, dtype=np.int64))])
+
+
 def test_place_full_fraction_stores_everything():
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(16.0,)), 256, seed=1)
-    assert all(pl.rows(c, 0, range(16)).all() for c in range(2))
+    assert all(_rows(pl, c, 0, range(16)).all() for c in range(2))
     assert deliver_bit_exact(pl, worst_case_demands(cfg)).total_bits == 0
 
 
 def test_place_zero_fraction_stores_nothing():
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(0.0,)), 256, seed=1)
-    assert not any(pl.rows(c, 0, range(16)).any() for c in range(2))
+    assert not any(_rows(pl, c, 0, range(16)).any() for c in range(2))
 
 
 def test_place_rejects_overfull_fraction():
@@ -155,7 +163,7 @@ def test_stored_bits_match_memory_budget():
     expected = sum(res.allocation.shares) * f_bits
     for cache in range(4):
         actual = sum(
-            int(pl.rows(cache, lvl, range(lv.n_files)).sum())
+            int(_rows(pl, cache, lvl, range(lv.n_files)).sum())
             for lvl, lv in enumerate(cfg.levels)
         )
         assert actual == pytest.approx(expected, rel=0.01)
@@ -166,8 +174,8 @@ def test_part_sizes_concentrate():
     # about a quarter of every file.
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     pl = place(cfg, Allocation(shares=(8.0,)), 100_000, seed=5)
-    m0 = pl.rows(0, 0, [0])[0]
-    m1 = pl.rows(1, 0, [0])[0]
+    m0 = _rows(pl, 0, 0, [0])[0]
+    m1 = _rows(pl, 1, 0, [0])[0]
     for part in (
         ~m0 & ~m1,
         m0 & ~m1,
@@ -304,7 +312,7 @@ def test_placement_reproducible():
     a = place(cfg, Allocation(shares=(10.0,)), 4096, seed=42)
     b = place(cfg, Allocation(shares=(10.0,)), 4096, seed=42)
     for c in range(4):
-        assert np.array_equal(a.rows(c, 0, range(16)), b.rows(c, 0, range(16)))
+        assert np.array_equal(_rows(a, c, 0, range(16)), _rows(b, c, 0, range(16)))
     log_a = deliver_bit_exact(a, worst_case_demands(cfg))
     log_b = deliver_bit_exact(b, worst_case_demands(cfg))
     assert log_a.total_bits == log_b.total_bits
@@ -380,7 +388,7 @@ def test_placement_stream_pinned(monkeypatch, block):
             for lvl, lv in enumerate(cfg.levels):
                 built.clear()
                 monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
-                masks = pl.rows(c, lvl, range(lv.n_files))
+                masks = _rows(pl, c, lvl, range(lv.n_files))
                 monkeypatch.setattr(np.random, "PCG64", pcg64)
                 assert built == [(1, c, lvl)]  # one stream per (cache, level), none per file
                 length = 1001 if lvl == 0 else 501 - c % 2
@@ -401,11 +409,11 @@ def test_placement_row_ignores_other_rows():
     rng = np.random.default_rng(3)
     for c in range(5):
         for lvl, lv in enumerate(cfg.levels):
-            every = pl.rows(c, lvl, range(lv.n_files))
+            every = _rows(pl, c, lvl, range(lv.n_files))
             subset = rng.permutation(lv.n_files)[: lv.n_files // 3]
-            assert np.array_equal(pl.rows(c, lvl, subset), every[subset])
+            assert np.array_equal(_rows(pl, c, lvl, subset), every[subset])
             for f in subset[:3].tolist():
-                assert np.array_equal(pl.rows(c, lvl, [f])[0], every[f])
+                assert np.array_equal(_rows(pl, c, lvl, [f])[0], every[f])
 
 
 class _NarrowWindows:
@@ -517,31 +525,6 @@ def test_bernoulli_bits_mean(mu):
     sim._bernoulli_bits(masks, mu, [np.random.PCG64(5)], [0])
     ones = int(np.count_nonzero(masks))
     assert abs(ones - mu * n) <= 5 * math.sqrt(n * mu * (1 - mu))
-
-
-@pytest.mark.parametrize(
-    "cache, level, files, message",
-    [
-        (-1, 0, [0], "cache index -1 out of range"),
-        (3, 0, [0], "cache index 3 out of range"),
-        (0, -1, [0], "level index -1 out of range"),
-        (0, 2, [], "level index 2 out of range"),
-        (0, 0, [0, 5], "file 5 does not exist in level 1"),
-        (1, 1, [-1], "file -1 does not exist in level 2"),
-        (0, 1, np.array([2**64 - 1], dtype=np.uint64), "file 18446744073709551615 does not"),
-        (0, 0, [1.0], "integer indices"),
-        (0, 0, [1, True], "integer indices"),
-        (True, 0, [0], "integer indices"),
-    ],
-)
-def test_rows_refuse_indices_the_config_lacks(cache, level, files, message):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = make_config(3, 3.0, [(5, 1, 1), (6, 1, 2)])
-    pl = place(cfg, Allocation(shares=(1.0, 2.0)), 1001, seed=8)
-    with pytest.raises(ValueError, match=message):
-        pl.rows(cache, level, files)
-    assert pl.rows(1, 1, []).shape == (0, 500)
 
 
 def test_place_scratch_memory_is_bounded():
@@ -722,6 +705,15 @@ def test_layout_keys_that_could_leave_int64_are_refused():
     assert expected_profile_rate(cfg, [0.0], [(2**61 - 1, 0, 0), (0, 0, 1)]) == 2.0
     with pytest.raises(ValueError, match="too large for 64-bit layout keys"):
         expected_profile_rate(cfg, [0.0], [(2**61 - 1, 0, f) for f in range(4)])
+    # Edge keys of (cell, file) need about log2(cells) + log2(N) bits; at
+    # K = 3 and d = 2 cache 2's users are edge users.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        cfg = make_config(3, 0.0, [(4, 1, 1), (2**62, 1, 2)])
+    demands = [(0, 1, 0), (2, 1, 2**62 - 1)]
+    assert expected_profile_rate(cfg, [0.0, 0.0], demands) == 2.0
+    with pytest.raises(ValueError, match="too large for 64-bit layout keys"):
+        expected_profile_rate(cfg, [0.0, 0.0], [*demands, (1, 0, 0)])
 
 
 def test_expected_profile_ignores_file_labels():
@@ -992,7 +984,7 @@ def _subset_walk(pl, demands):
             cov = np.zeros(length, dtype=bool)
             for c in window:
                 if c % d == color:
-                    cov |= pl.rows(c, lvl, [f])[0]
+                    cov |= _rows(pl, c, lvl, [f])[0]
             if (lvl, cache, f, color) not in served:
                 served.add((lvl, cache, f, color))
                 total += int((~cov).sum())
@@ -1005,7 +997,7 @@ def _subset_walk(pl, demands):
         for color in range(d):
             # held[f][j]: which bits of f the j-th member's cache stores
             held = {
-                f: np.array([pl.rows((c + (color - c) % d) % k, lvl, [f])[0] for c, _ in members])
+                f: np.array([_rows(pl, (c + (color - c) % d) % k, lvl, [f])[0] for c, _ in members])
                 for f in {f for _, f in members}
             }
             bits = sum(int((~h.any(axis=0)).sum()) for h in held.values())
@@ -1081,7 +1073,7 @@ def _per_member_reference(pl, demands):
             for f in set(members[:, 2].tolist()):
                 sig = np.zeros(length, dtype=np.uint64)
                 for bit, vc in enumerate(caches):
-                    sig |= pl.rows(vc, lvl, [f])[0].astype(np.uint64) << np.uint64(bit)
+                    sig |= _rows(pl, vc, lvl, [f])[0].astype(np.uint64) << np.uint64(bit)
                 sigs[f] = sig
             bits = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
             keys_, counts = [], []
