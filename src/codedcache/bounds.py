@@ -65,7 +65,7 @@ def optimality_gap_envelope(max_degree: int, num_levels: int) -> float:
     return 37.0 * (max_degree + 1) ** 3 * num_levels**3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundWitness:
     """A lower-bound value with the parameters achieving it."""
 
@@ -296,7 +296,7 @@ def best_lower_bound(config: SystemConfig) -> BoundWitness:
     return lower_bounds(config, [config.memory])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapPoint:
     memory: float
     achievable: float

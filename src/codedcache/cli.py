@@ -338,7 +338,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cfg = config.with_memory(float(m))
         res = simulate_stochastic(cfg, dist, args.users, args.trials, args.seed)
         for t, rate in enumerate(res.rates):
-            ratio = res.theoretical / rate if rate > 0 else math.inf
+            if rate > 0:
+                ratio = res.theoretical / rate
+            else:  # nothing sent: no gap when theory sends nothing either
+                ratio = 1.0 if res.theoretical == 0 else math.inf
             lines.append(_SIMULATE_ROW.format(t, m, rate, res.theoretical, ratio))
         last = {
             "M": float(m),

@@ -20,36 +20,40 @@ Two simulation modes read one subsystem layout:
   layout, but each subsystem contributes its expected coded load
   (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
   bits.  Trials are priced in blocks of at most ``DEMAND_BLOCK``
-  demands: one layout serves a whole block, one sort of (group, file)
-  keys counts each group's distinct files, one array ``coded_load``
-  call prices each (level, file count) that occurs into a small table
-  the groups read back, and each trial's loads are summed left to
-  right in one row of a zero-padded array.  This scales to
-  catalogue-sized popularity distributions.
+  demands.  A run prices every (level, distinct-file count) a group can
+  reach once, in one array ``coded_load`` call, and each edge cell's
+  per-color terms once (``_Prices``).  One shared layout step serves a
+  whole block, one sort of (group, file) keys counts each group's
+  distinct files, each group's load is written in the column of its
+  first demand in a zero-padded row per trial, and the row is summed
+  left to right.  This scales to catalogue-sized popularity
+  distributions.
 
-Subsystem layout (``_layout``).  A demand's slot is the number of
-earlier demands at its (cache, level).  Caches are colored by index mod
-d_i, and a level-i user at cache c reads caches c, c+1, ..., c+d_i-1
-(mod K); the one of color j is (c + (j - c) mod d_i) mod K.  When d_i
-does not divide K, a user at c > K - d_i wraps past the cyclic boundary
-and cannot see every color once.  Such edge users are served uncoded:
-for each distinct edge demand, the bits missing from every accessible
-cache are sent in clear.  Every other user joins the delivery group
-keyed by (level, c mod d_i, slot), whose members share no cache.
-Groups are numbered in key order and list their members in demand
-order; distinct edge demands keep their order of first appearance.
-Neither order depends on how files are labelled.  A block of trials is
-laid out at once, with the trial as the most significant part of every
-key, so trials share no slot, group or edge demand.  The layout takes
-counting passes over three sorts of packed int64 keys: one sort by
-(trial, level, cache, index) puts each (cache, level) cell's demands in
-a run, a slot being a place in its run; one sort of the cells by class,
-a (trial, level, residue), makes each class as wide as its widest cell,
-so its group for slot s is s plus the widths of the classes before it;
-and one sort by (group, index) lists the members.  One ``np.unique``
-of the edge demands' (cell, file) keys finds each distinct one's first
-appearance.  Only cells and classes that occur are counted, and each
-key's bound is checked to fit int64 (see ``_sort_packed``).
+Subsystem layout.  A demand's slot is the number of earlier demands at
+its (cache, level).  Caches are colored by index mod d_i, and a level-i
+user at cache c reads caches c, c+1, ..., c+d_i-1 (mod K); the one of
+color j is (c + (j - c) mod d_i) mod K.  When d_i does not divide K, a
+user at c > K - d_i wraps past the cyclic boundary and cannot see every
+color once.  Such edge users are served uncoded: for each distinct edge
+demand, the bits missing from every accessible cache are sent in clear.
+Every other user joins the delivery group keyed by (level, c mod d_i,
+slot), whose members share no cache.  Groups are numbered in key order;
+distinct edge demands keep their order of first appearance.  Neither
+order depends on how files are labelled.  A block of trials is laid out
+at once, with the trial as the most significant part of every key, so
+trials share no slot, group or edge demand.  The shared step
+(``_groups``) takes counting passes over two sorts of packed int64 keys:
+one sort by (trial, level, cache, index) puts each (cache, level)
+cell's demands in a run, a slot being a place in its run, and one sort
+of the cells by class, a (trial, level, residue), makes each class as
+wide as its widest cell, so its group for slot s is s plus the widths
+of the classes before it.  When an edge demand occurs, one
+``np.unique`` of the edge demands' (cell, file) keys finds each distinct
+one's first appearance.  Delivery (``_layout``) then sorts by (group,
+index) to list each group's members in demand order; expected-size
+pricing sorts only (group, file).  Only cells and classes that occur
+are counted, and each key's bound is checked to fit int64 (see
+``_sort_packed``).
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
@@ -67,7 +71,9 @@ bits depend neither on the batching nor on the batch size.  A trial's
 stream draws its users' cache indices (the LFU baseline draws none),
 then one uniform per user, and a uniform's rank is the one
 ``Generator.choice`` would give it, found by an exact table lookup (see
-``_RankTable``).  Identical seeds reproduce every artifact
+``_RankTable``).  The trial streams' states are derived from the run's
+``(2,)`` pool a block of trials at a time, not built per trial (see
+``_TrialStreams``).  Identical seeds reproduce every artifact
 bit-for-bit, whatever the block sizes.
 """
 
@@ -312,13 +318,25 @@ def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> 
         raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
 
 
+class _Groups(NamedTuple):
+    """The step of the subsystem layout that delivery and expected-size
+    pricing share (see :func:`_groups`)."""
+
+    table: np.ndarray  # (n, 3) int64 demands
+    order: np.ndarray  # demand indices in (trial, level, cache, index) order
+    number: np.ndarray  # the group of each entry of ``order``; edge demands number past the last
+    keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in (trial, key) order
+    coded: int  # demands in a group
+    edges: np.ndarray  # distinct edge demand indices, in order of first appearance
+
+
 class _Layout(NamedTuple):
-    """Subsystem layout of a block of demands (see :func:`_layout`)."""
+    """Subsystem layout of a demand profile for delivery (see :func:`_layout`)."""
 
     table: np.ndarray  # (n, 3) int64 demands
     members: np.ndarray  # coded demand indices by group, each group's in demand order
     group: np.ndarray  # the group of each entry of ``members``, non-decreasing
-    keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in (trial, key) order
+    keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in key order
     edges: np.ndarray  # distinct edge demand indices, in order of first appearance
 
 
@@ -343,12 +361,13 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _layout(
+def _groups(
     config: SystemConfig,
     demands: Sequence[Demand] | np.ndarray,
     trial: np.ndarray | None = None,
-) -> _Layout:
-    """Subsystem layout of a demand profile (see the module docstring).
+) -> _Groups:
+    """Each demand's delivery group, or its flag as an edge demand (see
+    the module docstring).
 
     ``trial`` optionally gives each demand's trial, as a non-decreasing
     non-negative int64 column: the demands of a block of trials, one
@@ -439,9 +458,6 @@ def _layout(
     numbers[class_cells] = class_offset.repeat(class_sizes)
     numbers -= starts
     numbers = numbers.repeat(width) + index
-    by_group = _sort_packed(numbers, order, n, index_bits)
-    members = by_group & ((1 << index_bits) - 1)
-    group = by_group[:coded] >> index_bits
 
     heads = class_cells[class_starts[:coded_classes]]
     keys = np.array([level[heads], residue[heads], -class_offset[:coded_classes]]).T.repeat(
@@ -452,16 +468,27 @@ def _layout(
     # Distinct edge demands: the first of each (cell, file) key, by
     # position among the edge demands, which are listed cell by cell in
     # demand order.  A 1-D unique with return_index sorts stably.
-    edge_demands = members[coded:]
-    file_bits = int(files.max(initial=0)).bit_length()
-    if cell_count << file_bits > 2**63:
-        raise ValueError("demand profile too large for 64-bit layout keys")
-    edge_keys = (
-        class_cells[cell_count - edge_cells :].repeat(class_width[coded_classes:]) << file_bits
-        | files[edge_demands]
-    )
-    edges = np.sort(edge_demands[np.unique(edge_keys, return_index=True)[1]])
-    return _Layout(table, members[:coded], group, keys, edges)
+    edges = np.empty(0, dtype=np.int64)
+    if edge_cells:
+        file_bits = int(files.max()).bit_length()
+        if cell_count << file_bits > 2**63:
+            raise ValueError("demand profile too large for 64-bit layout keys")
+        edge_demands = order[wraps.repeat(width)]
+        edge_keys = np.flatnonzero(wraps).repeat(width[wraps]) << file_bits | files[edge_demands]
+        edges = np.sort(edge_demands[np.unique(edge_keys, return_index=True)[1]])
+    return _Groups(table, order, numbers, keys, coded, edges)
+
+
+def _layout(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) -> _Layout:
+    """Subsystem layout of a demand profile (see the module docstring):
+    :func:`_groups`, then one sort by (group, index) that lists each
+    group's members in demand order, the edge demands after them."""
+    table, order, number, keys, coded, edges = _groups(config, demands)
+    n = len(table)
+    index_bits = n.bit_length()
+    by_group = _sort_packed(number, order, n, index_bits)
+    members = by_group[:coded] & ((1 << index_bits) - 1)
+    return _Layout(table, members, by_group[:coded] >> index_bits, keys, edges)
 
 
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
@@ -683,6 +710,92 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     )
 
 
+class _Prices:
+    """Expected-size prices of one instance and allocation, built once
+    per run and read by every block.
+
+    ``loads[level, j]`` is the coded load of a level's group with j
+    distinct files, for every j a group can reach: a group holds at most
+    one member per cache of its residue class and at most the demands of
+    one trial.  One array ``coded_load`` call prices them all.
+    ``edge[level, w]`` holds the per-color terms of an edge demand at
+    cache K - d + 1 + w, padded with zeros to the largest degree."""
+
+    def __init__(self, config: SystemConfig, shares: Sequence[float], most: int) -> None:
+        self.config = config
+        k = config.num_caches
+        mus = [
+            min(1.0, lv.access_degree * shares[idx] / lv.n_files)
+            for idx, lv in enumerate(config.levels)
+        ]
+        degrees = [lv.access_degree for lv in config.levels]
+        span = max(min(most, -(-k // d)) for d in degrees) + 1
+        self.loads = coded_load(np.repeat(mus, span), np.tile(np.arange(span), len(mus)))
+        self.loads.shape = (len(mus), span)
+        width = max(degrees)
+        self.edge = np.zeros((len(mus), width, width))
+        self.first_edge = np.array([k - d + 1 for d in degrees])
+        for lvl_idx, d in enumerate(degrees):
+            for w, cache in enumerate(range(k - d + 1, k) if k % d else ()):
+                window = [(cache + o) % k for o in range(d)]
+                self.edge[lvl_idx, w, :d] = [
+                    (1.0 - mus[lvl_idx]) ** sum(1 for c in window if c % d == color) / d
+                    for color in range(d)
+                ]
+
+    def rates(
+        self,
+        demands: Sequence[Demand] | np.ndarray,
+        trial: np.ndarray | None = None,
+        trials: int = 1,
+    ) -> np.ndarray:
+        """Expected-size rate of each of ``trials`` demand profiles laid
+        out side by side (see :func:`_groups` and
+        :func:`expected_profile_rate`).
+
+        Each trial's row holds each group's load in the column of the
+        group's first demand, its member of least index, so the loads
+        keep their order of first appearance.  Then come, per distinct
+        edge demand in order of first appearance, its per-color terms.
+        A row-wise ``cumsum`` adds them left to right, as a scalar loop
+        would, and the zeros that pad the rows add nothing."""
+        table, order, number, keys, coded, edges = _groups(self.config, demands, trial)
+        n, groups = len(table), len(keys)
+        if trial is None:
+            trial = np.zeros(n, dtype=np.int64)
+        if coded < n:
+            grouped = number < groups
+            number, order = number[grouped], order[grouped]
+
+        # Distinct files per group from one sort of (group, file) keys.
+        files = table[order, 2]
+        file_bits = int(files.max(initial=0)).bit_length()
+        pairs = _sort_packed(number, files, groups, file_bits)
+        distinct = np.bincount(pairs[_runs(pairs)[0]] >> file_bits, minlength=groups)
+        first = np.full(groups, n)
+        np.minimum.at(first, number, order)
+
+        counts = np.bincount(trial, minlength=trials)
+        start = np.cumsum(counts) - counts
+        width = edge_width = int(counts.max(initial=0))
+        depth = self.edge.shape[2]
+        if edges.size:
+            edge_trial = trial[edges]
+            edge_col = _column_in_trial(edge_trial, trials)
+            edge_width += (int(edge_col.max()) + 1) * depth
+        rows = np.zeros((trials, edge_width))
+        group_trial = trial[first]
+        rows[group_trial, first - start[group_trial]] = self.loads[keys[:, 0], distinct]
+        if edges.size:
+            cache, level = table[edges, 0], table[edges, 1]
+            rows[edge_trial[:, None], width + edge_col[:, None] * depth + np.arange(depth)] = (
+                self.edge[level, cache - self.first_edge[level]]
+            )
+        if rows.shape[1] == 0:
+            return np.zeros(trials)
+        return np.cumsum(rows, axis=1, out=rows)[:, -1]
+
+
 def _expected_rates(
     config: SystemConfig,
     shares: Sequence[float],
@@ -690,70 +803,8 @@ def _expected_rates(
     trial: np.ndarray | None = None,
     trials: int = 1,
 ) -> np.ndarray:
-    """Expected-size rate of each of ``trials`` demand profiles laid out
-    side by side (see :func:`_layout` and :func:`expected_profile_rate`).
-
-    Each trial's row holds its group loads in order of first appearance,
-    then, per distinct edge demand in order of first appearance, its
-    per-color terms.  A row-wise ``cumsum`` adds them left to right, as
-    a scalar loop would, and the zeros that pad the rows add nothing.
-    """
-    table, members, group, keys, edges = _layout(config, demands, trial)
-    n, groups = len(table), len(keys)
-    if trial is None:
-        trial = np.zeros(n, dtype=np.int64)
-    k = config.num_caches
-    mus = [
-        min(1.0, lv.access_degree * shares[idx] / lv.n_files)
-        for idx, lv in enumerate(config.levels)
-    ]
-
-    # Distinct files per group from one sort of (group, file) keys.
-    file_bits = int(table[:, 2].max(initial=0)).bit_length()
-    pairs = _sort_packed(group, table[members, 2], groups, file_bits)
-    distinct = np.bincount(pairs[_runs(pairs)[0]] >> file_bits, minlength=groups)
-    # Price each (level, distinct-file count) that occurs once, then gather.
-    span = int(distinct.max(initial=0)) + 1
-    priced = keys[:, 0] * span + distinct
-    seen = np.zeros(config.num_levels * span, dtype=bool)
-    seen[priced] = True
-    occurring = np.flatnonzero(seen)
-    prices = np.zeros(seen.size)
-    prices[occurring] = coded_load(np.array(mus)[occurring // span], occurring % span)
-    # Groups in order of their first demands; they are distinct.
-    group_bits = groups.bit_length()
-    appear = _sort_packed(members[_runs(group)[0]], np.arange(groups), n, group_bits)
-    group_loads = prices[priced[appear & ((1 << group_bits) - 1)]]
-    group_trial = trial[appear >> group_bits]
-
-    # Each (cache, level) of an edge demand adds the same per-color
-    # terms, padded with zeros to the largest degree.
-    width = max(lv.access_degree for lv in config.levels)
-    edge_cells, cell_of = np.unique(
-        table[edges, 0] * config.num_levels + table[edges, 1], return_inverse=True
-    )
-    terms = np.zeros((edge_cells.size, width))
-    for row, cell in enumerate(edge_cells.tolist()):
-        cache, lvl_idx = divmod(cell, config.num_levels)
-        d = config.levels[lvl_idx].access_degree
-        window = [(cache + o) % k for o in range(d)]
-        terms[row, :d] = [
-            (1.0 - mus[lvl_idx]) ** sum(1 for c in window if c % d == color) / d
-            for color in range(d)
-        ]
-    edge_trial = trial[edges]
-
-    group_col = _column_in_trial(group_trial, trials)
-    edge_col = _column_in_trial(edge_trial, trials)
-    group_width = int(group_col.max(initial=-1)) + 1
-    rows = np.zeros((trials, group_width + (int(edge_col.max(initial=-1)) + 1) * width))
-    rows[group_trial, group_col] = group_loads
-    rows[edge_trial[:, None], group_width + edge_col[:, None] * width + np.arange(width)] = (
-        terms[cell_of]
-    )
-    if rows.shape[1] == 0:
-        return np.zeros(trials)
-    return np.cumsum(rows, axis=1, out=rows)[:, -1]
+    """:meth:`_Prices.rates` with prices built for these demands alone."""
+    return _Prices(config, shares, len(demands)).rates(demands, trial, trials)
 
 
 def _column_in_trial(trial: np.ndarray, trials: int) -> np.ndarray:
@@ -794,13 +845,16 @@ class SimulationResult:
 
 def _check_run(total_users: int, trials: int, seed: int) -> None:
     """Raise :class:`ConfigError` unless the user count, trial count and
-    seed are integers (not bools), with at least one trial, no negative
-    user count and a non-negative seed."""
+    seed are integers (not bools), with 1 to 2^32 trials (the keys of
+    :class:`_TrialStreams`), no negative user count and a non-negative
+    seed."""
     for name, value in (("the user count", total_users), ("trials", trials), ("the seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ConfigError(f"trials must be at least 1, got {trials}")
+    if trials > 2**32:
+        raise ConfigError(f"trials must be at most 2^32, got {trials}")
     if total_users < 0:
         raise ConfigError(f"the user count must be non-negative, got {total_users}")
     if seed < 0:
@@ -811,7 +865,7 @@ def _check_run(total_users: int, trials: int, seed: int) -> None:
 # more users is a block of its own).  A block's scratch arrays take a few
 # hundred bytes per demand; on the catalogue benchmark, blocks of 2^14
 # demands raised peak memory and saved no time.  The bound also keeps
-# _layout's packed sort keys far inside int64.
+# the layout's packed sort keys far inside int64.
 DEMAND_BLOCK = 1 << 13
 
 
@@ -822,12 +876,92 @@ def _trial_blocks(trials: int, total_users: int) -> list[range]:
     return [range(t, min(trials, t + per_block)) for t in range(0, trials, per_block)]
 
 
-def _trial_streams(seed: int, block: range) -> list[np.random.Generator]:
-    """The stochastic-profile stream of each trial of ``block``."""
-    return [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, t))))
-        for t in block
-    ]
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+# and the 128-bit PCG64 multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
+    """``count`` successive SeedSequence hash constants from ``first``, as
+    a uint32 column."""
+    consts = [first]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult % 2**32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    """The last step of SeedSequence's hash and mix, in place on uint32 words."""
+    words ^= words >> np.uint32(16)
+    return words
+
+
+class _TrialStreams:
+    """The stochastic-profile streams of one run: trial t reads a PCG64
+    seeded from ``SeedSequence(seed, spawn_key=(2, t))``.
+
+    Building that SeedSequence and PCG64 costs about 20 us a trial, so
+    the states are derived instead, a block of trials at a time, in
+    uint32 arithmetic.  The pool of ``spawn_key=(2,)`` has taken in E =
+    max(4, 32-bit words of the seed) + 1 entropy words, through 16 +
+    4 (E - 4) hashes; t is one word more, which SeedSequence hashes under
+    the next 4 constants and mixes into the 4 pool words.  Eight words
+    hashed from the pool give PCG64's initial state and increment, which
+    it steps as ``pcg_setseq_128_srandom_r`` does.  One PCG64 is
+    re-seeded per trial through its ``state`` setter and draws into
+    arrays allocated once.  Keys must fit one word: t < 2^32."""
+
+    def __init__(self, seed: int, per_block: int, users: int) -> None:
+        base = np.random.SeedSequence(seed, spawn_key=(2,))
+        entropy = max(4, -(-int(seed).bit_length() // 32)) + 1
+        first = _INIT_A * pow(_MULT_A, 16 + 4 * (entropy - 4), 2**32) % 2**32
+        self.key_hash = _hash_constants(first, _MULT_A, 5)
+        # generate_state hashes output word i from pool word i mod 4
+        # under constant i, then multiplies by constant i + 1.
+        self.state_hash = _hash_constants(_INIT_B, _MULT_B, 9)
+        # The mix of a hash h into pool word w is L * w - R * h, hashed.
+        self.scaled_pool = base.pool[:, None] * np.uint32(_MIX_MULT_L)
+        self.bitgen = np.random.PCG64(base)
+        self.rng = np.random.Generator(self.bitgen)
+        self.users = users
+        self.caches = np.empty(per_block * users, dtype=np.int64)
+        self.uniforms = np.empty(per_block * users)
+
+    def states(self, block: range) -> list[tuple[int, int]]:
+        """The (state, increment) of each trial's PCG64."""
+        keys = np.arange(block.start, block.stop, dtype=np.uint32)
+        const = self.key_hash
+        hashed = _xorshift((keys ^ const[:4]) * const[1:])
+        pool = _xorshift(self.scaled_pool - hashed * np.uint32(_MIX_MULT_R))
+        const = self.state_hash
+        words = _xorshift((np.tile(pool, (2, 1)) ^ const[:8]) * const[1:])
+        words = words.astype(np.uint64)
+        halves = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+        states = []
+        for high, low, seq_high, seq_low in zip(*halves):
+            inc = ((seq_high << 64 | seq_low) << 1 | 1) % 2**128
+            states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) % 2**128, inc))
+        return states
+
+    def draw(self, block: range, num_caches: int | None) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's users' cache indices (none when ``num_caches`` is
+        None), then their uniforms, trial after trial."""
+        users, size = self.users, len(block) * self.users
+        for row, (state, inc) in enumerate(self.states(block)):
+            self.bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            lo = row * users
+            if num_caches is not None:
+                self.caches[lo : lo + users] = self.rng.integers(0, num_caches, users)
+            self.rng.random(out=self.uniforms[lo : lo + users])
+        return self.caches[:size], self.uniforms[:size]
 
 
 class _RankTable:
@@ -893,18 +1027,17 @@ def simulate_stochastic(
     file_of_rank = np.arange(popularity.n_files) - starts[level_of_rank]
 
     result = pama_rate(config)
-    shares = result.allocation.shares
+    prices = _Prices(config, result.allocation.shares, total_users)
     rank_of = _RankTable(popularity.probabilities)
+    blocks = _trial_blocks(trials, total_users)
+    streams = _TrialStreams(seed, len(blocks[0]), total_users)
     rates: list[float] = []
-    for block in _trial_blocks(trials, total_users):
-        streams = _trial_streams(seed, block)
-        caches = np.concatenate(
-            [rng.integers(0, config.num_caches, total_users) for rng in streams]
-        )
-        ranks = rank_of(np.concatenate([rng.random(total_users) for rng in streams]))
+    for block in blocks:
+        caches, uniforms = streams.draw(block, config.num_caches)
+        ranks = rank_of(uniforms)
         demands = np.column_stack([caches, level_of_rank[ranks], file_of_rank[ranks]])
         trial = np.repeat(np.arange(len(block)), total_users)
-        rates += _expected_rates(config, shares, demands, trial, len(block)).tolist()
+        rates += prices.rates(demands, trial, len(block)).tolist()
     return SimulationResult(rates=tuple(rates), theoretical=result.exact.total)
 
 
@@ -923,10 +1056,11 @@ def lfu_simulate(
     cached = int(math.floor(_memory(memory)))
     n = popularity.n_files
     rank_of = _RankTable(popularity.probabilities)
+    blocks = _trial_blocks(trials, total_users)
+    streams = _TrialStreams(seed, len(blocks[0]), total_users)
     rates: list[float] = []
-    for block in _trial_blocks(trials, total_users):
-        streams = _trial_streams(seed, block)
-        ranks = rank_of(np.concatenate([rng.random(total_users) for rng in streams]))
+    for block in blocks:
+        ranks = rank_of(streams.draw(block, None)[1])
         trial = np.repeat(np.arange(len(block)), total_users)
         # Distinct missed ranks per trial from one sort of trial-major
         # keys: np.unique takes a much slower hash path here.

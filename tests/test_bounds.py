@@ -414,6 +414,22 @@ def test_gap_profile_scratch_memory_is_bounded():
     assert peak <= 14 * 2**20
 
 
+def test_gap_profile_keeps_few_bytes_per_point():
+    # A point keeps a GapPoint, a BoundWitness and their floats: about
+    # 232 bytes with slots, 312 with a __dict__ on each dataclass.
+    cfg = _quiet(make_config, 12, 900.0, [(400, 3, 1), (900, 2, 2), (3000, 1, 3), (8000, 1, 5)])
+    grid = np.linspace(0.0, cfg.full_memory, 20_000)
+    gap_profile(cfg, grid[:100])
+    tracemalloc.start()
+    try:
+        profile = gap_profile(cfg, grid)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(profile.points) == 20_000
+    assert kept <= 260 * 20_000
+
+
 def test_gap_cli_output_pinned(capsys):
     assert _quiet(run, ["gap", "--config", str(GAP3LEVEL)]) == 0
     out = capsys.readouterr().out

@@ -502,6 +502,26 @@ def test_simulate_stdout_bytes_pinned(args, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_simulate_ratio_of_nothing_sent_against_nothing_owed_is_one(capsys):
+    # At M = 2700 gap3level stores everything: both rates are 0, and the
+    # ratio reads 1, as gap reports R = LB = 0.  With no users nothing is
+    # sent against a positive theoretical rate, which stays inf.
+    argv = "--config {}/gap3level.json --zipf 0.8 --files 10000 --trials 2 --m 2590:2700:2"
+    rows = {}
+    for users in (3, 0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidationWarning)
+            assert run(["simulate", *argv.format(CONFIGS).split(), "--users", str(users)]) == 0
+        out = capsys.readouterr().out.splitlines()[2:]
+        rows[users] = [line.split(",")[1:] for line in out]
+    assert rows[3][2:] == [["2700", "0", "0", "1"]] * 2
+    assert [row[0] for row in rows[3][:2]] == ["2590"] * 2
+    assert all(0.0 < float(row[3]) < math.inf for row in rows[3][:2])
+    assert [row[1:] for row in rows[0]] == [["0", "0.0314453125", "inf"]] * 2 + [
+        ["0", "0", "1"]
+    ] * 2
+
+
 def test_lfu_stdout_bytes_pinned(capsys):
     # sha256 of stdout, computed when each trial drew its ranks with
     # Generator.choice.

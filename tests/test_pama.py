@@ -565,3 +565,17 @@ def test_access_opt_ordering_flips_with_memory():
     assert d_small[0] >= d_small[1] >= d_small[2]
     assert d_large[0] <= d_large[1] <= d_large[2]
     assert rate_large > 0
+
+
+def test_tie_band_keeps_its_absolute_term():
+    # The rate is about 1e-15 here, where a band of 1e-12 * total alone
+    # would lie below the totals' rounding: only the absolute 1e-12 term
+    # lets the later, literal split win.
+    cfg = make_config(17, 407.99999999999994, [(68, 2, 1), (136, 2, 1), (204, 3, 1)])
+    batch = pama_memories(cfg, np.array([cfg.memory]))
+    assert batch.prefix.tolist() == [5]
+    assert 0.0 < batch.total[0] < 1e-14
+    totals = pama_totals(*_level_arrays(cfg)[:, None, :], cfg.num_caches, cfg.memory)
+    assert totals.prefix.tolist() == [5]
+    part = pama_rate(cfg).partition
+    assert (part.h_set, part.i_set, part.j_set) == (set(), {2}, {0, 1})

@@ -682,6 +682,131 @@ def test_trial_blocks_match_per_demand_reference():
     assert empty_trials >= 40 and empty_blocks >= 3
 
 
+# K = 5 and d = 2: level-1 users at cache 4 are edge users.
+EDGE_CONFIG_ARGS = (5, 14.0, [(20, 2, 2), (40, 1, 1)])
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [
+        # Only edge demands: the block has no coded group at all.
+        [[(4, 0, 1), (4, 0, 3), (4, 0, 1)], [(4, 0, 2)], [(4, 0, 5), (4, 0, 5), (4, 0, 0)]],
+        # An empty trial between full ones.
+        [[(0, 0, 1), (1, 1, 3), (4, 0, 2)], [], [(2, 0, 1), (3, 1, 0), (4, 0, 2), (0, 1, 7)]],
+        # One user per trial, edge users among them.
+        [[(c, lvl, f)] for c, lvl, f in [(0, 0, 3), (4, 0, 3), (2, 1, 39), (4, 1, 0), (4, 0, 19)]],
+    ],
+    ids=["edge-only", "empty-between", "one-user"],
+)
+def test_trial_block_corner_cases_match_per_demand_reference(profiles):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(*EDGE_CONFIG_ARGS)
+    shares = pama_rate(cfg).allocation.shares
+    table = np.array([dm for p in profiles for dm in p], dtype=np.int64)
+    trial = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
+    rates = sim._expected_rates(cfg, shares, table, trial, len(profiles))
+    assert rates.tolist() == [_per_demand_rate(cfg, shares, p) for p in profiles]
+
+
+def test_block_without_edge_demands_makes_three_sorts(monkeypatch):
+    # Two sorts of the demands, by (trial, level, cache, index) and by
+    # (group, file), and one of the cells by class; no np.unique.
+    cfg = make_config(6, 30.0, [(60, 2, 2), (120, 1, 3)])
+    shares = pama_rate(cfg).allocation.shares
+    rng = np.random.default_rng(31)
+    levels = rng.integers(0, 2, 800)
+    demands = np.column_stack(
+        [rng.integers(0, 6, 800), levels, rng.integers(0, np.where(levels, 120, 60))]
+    )
+    trial = np.repeat(np.arange(5), 160)
+    sorts, uniques = [], []
+    sort_packed, unique = sim._sort_packed, np.unique
+
+    def counting_sort(high, low, high_bound, low_bits):
+        sorts.append(high.size)
+        return sort_packed(high, low, high_bound, low_bits)
+
+    def counting_unique(*args, **kwargs):
+        uniques.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_sort_packed", counting_sort)
+    monkeypatch.setattr(np, "unique", counting_unique)
+    rates = sim._expected_rates(cfg, shares, demands, trial, 5)
+    monkeypatch.undo()
+    assert len(sorts) <= 3 and sorted(sorts)[-2:] == [800, 800]
+    assert uniques == []
+    profiles = [demands[trial == t].tolist() for t in range(5)]
+    assert rates.tolist() == [_per_demand_rate(cfg, shares, p) for p in profiles]
+
+
+def test_stochastic_run_prices_once(monkeypatch):
+    # Four blocks of two trials (one of one), one coded_load table.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(*EDGE_CONFIG_ARGS)
+    dist = zipf_distribution(0.8, 60)
+    load = sim.coded_load
+    tables = []
+
+    def counting_load(mu, k):
+        if type(mu) is np.ndarray:
+            tables.append(mu.size)
+        return load(mu, k)
+
+    monkeypatch.setattr(sim, "coded_load", counting_load)
+    monkeypatch.setattr(sim, "DEMAND_BLOCK", 60)
+    res = simulate_stochastic(cfg, dist, 30, 7, seed=7)
+    assert len(tables) == 1
+    monkeypatch.undo()
+    assert res.rates == _per_trial_rates(cfg, dist, 30, 7, 7)
+
+
+def test_stochastic_runs_build_one_seed_sequence(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(*EDGE_CONFIG_ARGS)
+    dist = zipf_distribution(0.8, 60)
+    seed_sequence = np.random.SeedSequence
+    keys = []
+
+    def counting_seed_sequence(*args, **kwargs):
+        keys.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(sim, "DEMAND_BLOCK", 90)
+    res = simulate_stochastic(cfg, dist, 30, 40, seed=3)
+    lfu = lfu_simulate(dist, cfg.memory, 30, 40, seed=3)
+    assert keys == [(2,), (2,)]
+    monkeypatch.undo()
+    assert res.rates == _per_trial_rates(cfg, dist, 30, 40, 3)
+    assert lfu.rates == _per_trial_lfu(dist, cfg.memory, 30, 40, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
+def test_trial_stream_states_match_seed_sequence(seed):
+    # 10^4 spawn keys (2, t), the last ten just below 2^32.
+    streams = sim._TrialStreams(seed, 1, 0)
+    blocks = [range(0, 4096), range(4096, 9990), range(2**32 - 10, 2**32)]
+    derived = [state for block in blocks for state in streams.states(block)]
+    expected = []
+    for block in blocks:
+        for t in block:
+            state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, t))).state
+            expected.append((state["state"]["state"], state["state"]["inc"]))
+    assert len(derived) == 10_000
+    assert derived == expected
+
+
+def test_trial_keys_past_one_word_are_refused():
+    # Checked on the arguments alone, so a missing check runs nothing.
+    sim._check_run(1, 2**32, 1)
+    with pytest.raises(ConfigError, match="trials must be at most 2\\^32"):
+        sim._check_run(1, 2**32 + 1, 1)
+
+
 def test_sparse_key_space_scratch_memory_is_bounded():
     # 2048 one-user trials in one block on K = 4096 caches: a table
     # indexed by (trial, cache, level) would take 2048 * 4096 * 2 int64
