@@ -6,27 +6,16 @@ Two simulation modes read one subsystem layout:
   its color, delivery broadcasts XOR-coded segments per (user group,
   color) subsystem, and a counting check per subsystem confirms that the
   broadcast carries at least the bits any member lacks and at most the
-  bits all members lack.  A subsystem of m members is priced from how
-  many bits of each demanded file carry each signature, the set of
-  member caches that store the bit: from a table of 2^m counts per file
-  when 2^m is at most L, the subfile length (so the table is never
-  larger than the signatures), and from one ``np.unique`` per member
-  over the signatures that occur otherwise.  Placement draws a
-  subfile's bits only when delivery reads them, and a row's bits do not
-  depend on which other rows are drawn.  A delivery group holds at most
-  64 users.
+  bits all members lack (see :func:`deliver_bit_exact`).  Placement
+  draws a subfile's bits only when delivery reads them, and a row's bits
+  do not depend on which other rows are drawn.  A delivery group holds
+  at most 64 users.
 
 * expected-size: stochastic user profiles are priced on the same
   layout, but each subsystem contributes its expected coded load
   (Maddah-Ali & Niesen, decentralized coded caching) instead of sampled
-  bits.  Trials are priced in blocks of at most ``DEMAND_BLOCK``
-  demands.  A run prices every (level, distinct-file count) a group can
-  reach once, in one array ``coded_load`` call, and each edge cell's
-  per-color terms once (``_Prices``).  One shared layout step serves a
-  whole block, one sort of (group, file) keys counts each group's
-  distinct files, each group's load is written in the column of its
-  first demand in a zero-padded row per trial, and the row is summed
-  left to right.  This scales to catalogue-sized popularity
+  bits (see :class:`_Prices`).  Trials are priced in blocks of at most
+  ``DEMAND_BLOCK`` demands, which scales to catalogue-sized popularity
   distributions.
 
 Subsystem layout.  A demand's slot is the number of earlier demands at
@@ -41,40 +30,20 @@ slot), whose members share no cache.  Groups are numbered in key order;
 distinct edge demands keep their order of first appearance.  Neither
 order depends on how files are labelled.  A block of trials is laid out
 at once, with the trial as the most significant part of every key, so
-trials share no slot, group or edge demand.  The shared step
-(``_groups``) takes counting passes over two sorts of packed int64 keys:
-one sort by (trial, level, cache, index) puts each (cache, level)
-cell's demands in a run, a slot being a place in its run, and one sort
-of the cells by class, a (trial, level, residue), makes each class as
-wide as its widest cell, so its group for slot s is s plus the widths
-of the classes before it.  When an edge demand occurs, one
-``np.unique`` of the edge demands' (cell, file) keys finds each distinct
-one's first appearance.  Delivery (``_layout``) then sorts by (group,
-index) to list each group's members in demand order; expected-size
-pricing sorts only (group, file).  Only cells and classes that occur
-are counted, and each key's bound is checked to fit int64 (see
-``_sort_packed``).
+trials share no slot, group or edge demand (see :func:`_groups`).
+Demands are checked once, where they enter (``_demand_table``); the
+layout and pricing steps trust their input.
 
 Randomness: one PCG64 stream per purpose, derived from the run seed via
 ``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
 placement sampling, (2, trial) for stochastic user profiles.  File f
 of a level reads the window of its (cache, level) stream that starts
-at output f * 2^64, at one random byte per bit, and every bit is
-exactly Bernoulli(mu) for the float64 cached fraction mu: the bytes
-read as a base-256 fraction U, and the bit is U < mu.  The 1 in 256
-bits whose first byte ties mu's first digit are resolved in later
-rounds (see ``_bernoulli_bits``).  Delivery draws the rows it reads in
-one batched draw per (level, subfile length), across caches: each row
-still reads its own cache's stream, so rows of one cache share one
-generator.  Batches hold at most ``DRAW_BLOCK`` 64-bit outputs, and the
-bits depend neither on the batching nor on the batch size.  A trial's
-stream draws its users' cache indices (the LFU baseline draws none),
-then one uniform per user, and a uniform's rank is the one
-``Generator.choice`` would give it, found by an exact table lookup (see
-``_RankTable``).  The trial streams' states are derived from the run's
-``(2,)`` pool a block of trials at a time, not built per trial (see
-``_TrialStreams``).  Identical seeds reproduce every artifact
-bit-for-bit, whatever the block sizes.
+at output f * 2^64, and every bit is exactly Bernoulli(mu) for the
+float64 cached fraction mu (see ``_bernoulli_bits``).  A trial's stream
+draws its users' cache indices (the LFU baseline draws none), then one
+uniform per user, ranked as ``Generator.choice`` would rank it (see
+``_RankTable`` and ``_TrialStreams``).  Identical seeds reproduce every
+artifact bit-for-bit, whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -300,43 +269,70 @@ def worst_case_demands(config: SystemConfig) -> list[Demand]:
 
 @dataclass
 class DeliveryLog:
+    """What one :func:`deliver_bit_exact` call sends.
+
+    ``total_bits`` is the broadcast's length and ``rate`` that length
+    over the file size.  ``pair_bits`` holds each (group, color)
+    subsystem's bits, keyed by ``(level, (residue, slot), color)``: the
+    group's level, its key's cache residue mod d and slot, and the color
+    of the subfiles it carries.  ``uncoded_bits`` counts only the bits
+    sent in clear to edge (wrap-around) users; the bits a coded group
+    sends in clear because no member's cache holds them count in its
+    ``pair_bits``.  ``decode_ok`` is True on every log returned, since
+    a failed check raises :class:`DecodeError`."""
+
     total_bits: int
     rate: float
-    pair_bits: dict[tuple[int, tuple[int, int], int], int]  # (level, (residue, slot), color) -> bits
+    pair_bits: dict[tuple[int, tuple[int, int], int], int]
     uncoded_bits: int
     decode_ok: bool
 
 
-def _check_demand(config: SystemConfig, cache: int, lvl_idx: int, file: int) -> None:
-    """Raise ``ValueError`` unless the demand names a cache, a level and a
-    file of that level that exist in ``config``."""
-    if not 0 <= cache < config.num_caches:
-        raise ValueError(f"cache index {cache} out of range")
-    if not 0 <= lvl_idx < config.num_levels:
-        raise ValueError(f"level index {lvl_idx} out of range")
-    if not 0 <= file < config.levels[lvl_idx].n_files:
-        raise ValueError(f"file {file} does not exist in level {lvl_idx + 1}")
+def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) -> np.ndarray:
+    """``demands`` as an (n, 3) int64 table of (cache, level, file) rows.
+
+    Demands that are not integer triples (a bool field among them), or
+    that name a cache, level or file the config lacks, raise
+    ``ValueError``."""
+    table = np.asarray(demands)
+    if table.size == 0:
+        table = np.empty((0, 3), dtype=np.int64)
+    # np.asarray reads a bool beside ints as 0 or 1; an integer array
+    # cannot hold one.
+    if (
+        table.ndim != 2
+        or table.shape[1] != 3
+        or table.dtype.kind not in "iu"
+        or (
+            not isinstance(demands, np.ndarray)
+            and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain(*demands)))
+        )
+    ):
+        raise ValueError("demands must be (cache, level, file) integer triples")
+    table = table.astype(np.int64, copy=False)
+    caches, levels, files = table.T
+    n_files = np.array([lv.n_files for lv in config.levels])
+    level_ok = (levels >= 0) & (levels < config.num_levels)
+    bad = ~level_ok | (caches < 0) | (caches >= config.num_caches) | (files < 0)
+    bad |= files >= n_files[np.where(level_ok, levels, 0)]
+    if bad.any():
+        cache, level, file = table[bad.argmax()].tolist()
+        if not 0 <= cache < config.num_caches:
+            raise ValueError(f"cache index {cache} out of range")
+        if not 0 <= level < config.num_levels:
+            raise ValueError(f"level index {level} out of range")
+        raise ValueError(f"file {file} does not exist in level {level + 1}")
+    return table
 
 
 class _Groups(NamedTuple):
-    """The step of the subsystem layout that delivery and expected-size
-    pricing share (see :func:`_groups`)."""
+    """The subsystem layout that delivery and expected-size pricing share
+    (see :func:`_groups`)."""
 
-    table: np.ndarray  # (n, 3) int64 demands
     order: np.ndarray  # demand indices in (trial, level, cache, index) order
     number: np.ndarray  # the group of each entry of ``order``; edge demands number past the last
     keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in (trial, key) order
     coded: int  # demands in a group
-    edges: np.ndarray  # distinct edge demand indices, in order of first appearance
-
-
-class _Layout(NamedTuple):
-    """Subsystem layout of a demand profile for delivery (see :func:`_layout`)."""
-
-    table: np.ndarray  # (n, 3) int64 demands
-    members: np.ndarray  # coded demand indices by group, each group's in demand order
-    group: np.ndarray  # the group of each entry of ``members``, non-decreasing
-    keys: np.ndarray  # (groups, 3) (level, residue, slot), groups in key order
     edges: np.ndarray  # distinct edge demand indices, in order of first appearance
 
 
@@ -361,52 +357,24 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _groups(
-    config: SystemConfig,
-    demands: Sequence[Demand] | np.ndarray,
-    trial: np.ndarray | None = None,
-) -> _Groups:
+def _groups(config: SystemConfig, table: np.ndarray, trial: np.ndarray | None = None) -> _Groups:
     """Each demand's delivery group, or its flag as an edge demand (see
-    the module docstring).
+    the module docstring), for an (n, 3) int64 ``table`` of demands
+    inside ``config``, as :func:`_demand_table` returns.
 
     ``trial`` optionally gives each demand's trial, as a non-decreasing
     non-negative int64 column: the demands of a block of trials, one
     trial after another.  Without it every demand belongs to trial 0.
 
-    Demands that are not integer triples, or that name a cache, level
-    or file the config lacks, raise ``ValueError``.
+    Two sorts of packed int64 keys lay the block out, one of the demands
+    by cell and one of the cells by class, each followed by counting
+    passes; each key's bound is checked to fit int64 (see
+    ``_sort_packed``).
     """
-    table = np.asarray(demands)
-    if table.size == 0:
-        table = np.empty((0, 3), dtype=np.int64)
-    # np.asarray reads a bool beside ints as 0 or 1; an integer array
-    # (as simulate_stochastic passes) cannot hold one.
-    if (
-        table.ndim != 2
-        or table.shape[1] != 3
-        or table.dtype.kind not in "iu"
-        or (
-            not isinstance(demands, np.ndarray)
-            and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain(*demands)))
-        )
-    ):
-        raise ValueError("demands must be (cache, level, file) integer triples")
-    table = table.astype(np.int64, copy=False)
     caches, levels, files = table.T
     n = len(table)
     k, num_levels = config.num_caches, config.num_levels
     degrees = np.array([lv.access_degree for lv in config.levels])
-    n_files = np.array([lv.n_files for lv in config.levels])
-    if n and (
-        table.min() < 0
-        or caches.max() >= k
-        or levels.max() >= num_levels
-        or (files >= n_files[levels]).any()
-    ):
-        level_ok = (levels >= 0) & (levels < num_levels)
-        bad = ~level_ok | (caches < 0) | (caches >= k) | (files < 0)
-        bad |= files >= n_files[np.where(level_ok, levels, 0)]
-        _check_demand(config, *table[bad.argmax()].tolist())
     index = np.arange(n)
     index_bits = n.bit_length()
 
@@ -476,19 +444,7 @@ def _groups(
         edge_demands = order[wraps.repeat(width)]
         edge_keys = np.flatnonzero(wraps).repeat(width[wraps]) << file_bits | files[edge_demands]
         edges = np.sort(edge_demands[np.unique(edge_keys, return_index=True)[1]])
-    return _Groups(table, order, numbers, keys, coded, edges)
-
-
-def _layout(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) -> _Layout:
-    """Subsystem layout of a demand profile (see the module docstring):
-    :func:`_groups`, then one sort by (group, index) that lists each
-    group's members in demand order, the edge demands after them."""
-    table, order, number, keys, coded, edges = _groups(config, demands)
-    n = len(table)
-    index_bits = n.bit_length()
-    by_group = _sort_packed(number, order, n, index_bits)
-    members = by_group[:coded] & ((1 << index_bits) - 1)
-    return _Layout(table, members, by_group[:coded] >> index_bits, keys, edges)
+    return _Groups(order, numbers, keys, coded, edges)
 
 
 MAX_GROUP = 64  # members per delivery group; one bit each in a uint64 signature
@@ -647,8 +603,13 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     config = placement.config
     k = config.num_caches
     f_bits = placement.file_size_bits
-    table, members, group, group_keys, edges = _layout(config, demands)
-    starts, sizes = _runs(group)
+    table = _demand_table(config, demands)
+    order, number, group_keys, coded, edges = _groups(config, table)
+    # Each group's members in demand order; the edge demands sort last.
+    index_bits = len(table).bit_length()
+    by_group = _sort_packed(number, order, len(table), index_bits)[:coded]
+    members = by_group & ((1 << index_bits) - 1)
+    starts, sizes = _runs(by_group >> index_bits)
     largest = int(sizes.max(initial=0))
     if largest > MAX_GROUP:
         raise ValueError(
@@ -744,14 +705,11 @@ class _Prices:
                 ]
 
     def rates(
-        self,
-        demands: Sequence[Demand] | np.ndarray,
-        trial: np.ndarray | None = None,
-        trials: int = 1,
+        self, table: np.ndarray, trial: np.ndarray | None = None, trials: int = 1
     ) -> np.ndarray:
         """Expected-size rate of each of ``trials`` demand profiles laid
-        out side by side (see :func:`_groups` and
-        :func:`expected_profile_rate`).
+        out side by side, for a table and trial column as :func:`_groups`
+        takes them (see :func:`expected_profile_rate`).
 
         Each trial's row holds each group's load in the column of the
         group's first demand, its member of least index, so the loads
@@ -759,7 +717,7 @@ class _Prices:
         edge demand in order of first appearance, its per-color terms.
         A row-wise ``cumsum`` adds them left to right, as a scalar loop
         would, and the zeros that pad the rows add nothing."""
-        table, order, number, keys, coded, edges = _groups(self.config, demands, trial)
+        order, number, keys, coded, edges = _groups(self.config, table, trial)
         n, groups = len(table), len(keys)
         if trial is None:
             trial = np.zeros(n, dtype=np.int64)
@@ -781,7 +739,8 @@ class _Prices:
         depth = self.edge.shape[2]
         if edges.size:
             edge_trial = trial[edges]
-            edge_col = _column_in_trial(edge_trial, trials)
+            edge_counts = np.bincount(edge_trial, minlength=trials)
+            edge_col = np.arange(edges.size) - (np.cumsum(edge_counts) - edge_counts)[edge_trial]
             edge_width += (int(edge_col.max()) + 1) * depth
         rows = np.zeros((trials, edge_width))
         group_trial = trial[first]
@@ -794,24 +753,6 @@ class _Prices:
         if rows.shape[1] == 0:
             return np.zeros(trials)
         return np.cumsum(rows, axis=1, out=rows)[:, -1]
-
-
-def _expected_rates(
-    config: SystemConfig,
-    shares: Sequence[float],
-    demands: Sequence[Demand] | np.ndarray,
-    trial: np.ndarray | None = None,
-    trials: int = 1,
-) -> np.ndarray:
-    """:meth:`_Prices.rates` with prices built for these demands alone."""
-    return _Prices(config, shares, len(demands)).rates(demands, trial, trials)
-
-
-def _column_in_trial(trial: np.ndarray, trials: int) -> np.ndarray:
-    """Each entry's position among the entries of its trial, for a
-    non-decreasing column of trial indices."""
-    counts = np.bincount(trial, minlength=trials)
-    return np.arange(trial.size) - (np.cumsum(counts) - counts)[trial]
 
 
 def expected_profile_rate(
@@ -830,7 +771,8 @@ def expected_profile_rate(
     demand then adds the expected uncovered fraction of each of its
     subfiles, in order of first appearance.
     """
-    return float(_expected_rates(config, shares, demands)[0])
+    table = _demand_table(config, demands)
+    return float(_Prices(config, shares, len(table)).rates(table)[0])
 
 
 @dataclass(frozen=True)

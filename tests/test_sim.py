@@ -669,7 +669,7 @@ def test_trial_blocks_match_per_demand_reference():
                 profiles.append(profile)
             table = np.array([dm for p in profiles for dm in p], dtype=np.int64).reshape(-1, 3)
             trial = np.repeat(np.arange(trials), [len(p) for p in profiles])
-            rates = sim._expected_rates(cfg, shares, table, trial, trials)
+            rates = sim._Prices(cfg, shares, len(table)).rates(table, trial, trials)
             assert rates.tolist() == [_per_demand_rate(cfg, shares, p) for p in profiles]
             edge_blocks += any(
                 k % cfg.levels[lvl].access_degree and c > k - cfg.levels[lvl].access_degree
@@ -705,7 +705,7 @@ def test_trial_block_corner_cases_match_per_demand_reference(profiles):
     shares = pama_rate(cfg).allocation.shares
     table = np.array([dm for p in profiles for dm in p], dtype=np.int64)
     trial = np.repeat(np.arange(len(profiles)), [len(p) for p in profiles])
-    rates = sim._expected_rates(cfg, shares, table, trial, len(profiles))
+    rates = sim._Prices(cfg, shares, len(table)).rates(table, trial, len(profiles))
     assert rates.tolist() == [_per_demand_rate(cfg, shares, p) for p in profiles]
 
 
@@ -733,7 +733,7 @@ def test_block_without_edge_demands_makes_three_sorts(monkeypatch):
 
     monkeypatch.setattr(sim, "_sort_packed", counting_sort)
     monkeypatch.setattr(np, "unique", counting_unique)
-    rates = sim._expected_rates(cfg, shares, demands, trial, 5)
+    rates = sim._Prices(cfg, shares, len(demands)).rates(demands, trial, 5)
     monkeypatch.undo()
     assert len(sorts) <= 3 and sorted(sorts)[-2:] == [800, 800]
     assert uniques == []
@@ -761,6 +761,90 @@ def test_stochastic_run_prices_once(monkeypatch):
     assert len(tables) == 1
     monkeypatch.undo()
     assert res.rates == _per_trial_rates(cfg, dist, 30, 7, 7)
+
+
+def test_demands_are_checked_once_where_they_enter(monkeypatch):
+    # The public entry points check their demands once each; the
+    # stochastic run draws its demands in range and checks none, however
+    # many blocks it lays out.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(*EDGE_CONFIG_ARGS)
+    allocation = pama_rate(cfg).allocation
+    checked, layouts = [], []
+    demand_table, groups = sim._demand_table, sim._groups
+
+    def counting_table(config, demands):
+        checked.append(len(demands))
+        return demand_table(config, demands)
+
+    def counting_groups(config, table, trial=None):
+        layouts.append(len(table))
+        return groups(config, table, trial)
+
+    monkeypatch.setattr(sim, "_demand_table", counting_table)
+    monkeypatch.setattr(sim, "_groups", counting_groups)
+    monkeypatch.setattr(sim, "DEMAND_BLOCK", 60)
+    simulate_stochastic(cfg, zipf_distribution(0.8, 60), 30, 7, seed=7)
+    assert checked == [] and layouts == [60, 60, 60, 30]
+    demands = worst_case_demands(cfg)
+    expected_profile_rate(cfg, allocation.shares, demands)
+    assert checked == [15]
+    deliver_bit_exact(place(cfg, allocation, 256, seed=1), demands)
+    assert checked == [15, 15] and layouts[4:] == [15, 15]
+
+
+def _exact_stochastic_moments(cfg, dist, users, cuts):
+    """Exact mean and variance of ``simulate_stochastic``'s per-trial
+    rate: every (cache, rank) profile of ``users`` users, with its
+    probability, priced through ``_Prices.rates`` with a trial column.
+    ``cuts`` ends the popularity's rank blocks; block i is level i, and a
+    rank's file is its offset in its block."""
+    k, n = cfg.num_caches, dist.n_files
+    level = np.searchsorted(cuts, np.arange(n), side="right")
+    file = np.arange(n) - np.concatenate([[0], cuts])[level]
+    cache, rank = np.divmod(np.indices((k * n,) * users).reshape(users, -1).T, n)
+    prob = np.prod(dist.probabilities[rank] / k, axis=1)
+    prices = sim._Prices(cfg, pama_rate(cfg).allocation.shares, users)
+    rates = []
+    # Blocks of 2^14 profiles keep the layout's scratch near 15 MiB.
+    for lo in range(0, len(prob), 2**14):
+        c, r = cache[lo : lo + 2**14], rank[lo : lo + 2**14]
+        table = np.column_stack([c.ravel(), level[r].ravel(), file[r].ravel()])
+        rates.append(prices.rates(table, np.repeat(np.arange(len(c)), users), len(c)))
+    rates = np.concatenate(rates)
+    mean = float(prob @ rates)
+    return mean, float(prob @ (rates - mean) ** 2)
+
+
+@pytest.mark.parametrize("levels", [[(3, 1, 1), (4, 1, 3)], [(3, 1, 1), (4, 1, 2)]])
+def test_simulate_stochastic_matches_exact_expectation(levels):
+    # 21^4 = 194,481 profiles of 4 users at 3 caches over 7 Zipf files;
+    # the second instance has d = 2 at K = 3, so cache 2 serves edge users.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = make_config(3, 2.0, levels)
+    dist = zipf_distribution(0.8, 7)
+    mean, var = _exact_stochastic_moments(cfg, dist, 4, [3])
+    trials = 20000
+    res = simulate_stochastic(cfg, dist, 4, trials, seed=12)
+    assert abs(res.mean - mean) <= 5 * math.sqrt(var / trials)
+
+
+def test_lfu_simulate_matches_exact_expectation():
+    # 9^5 = 59,049 rank profiles of 5 users; M = 3.5 caches ranks 0-2, and
+    # a profile's rate is its number of distinct ranks past them.
+    dist = zipf_distribution(0.8, 9)
+    ranks = np.indices((9,) * 5).reshape(5, -1).T
+    prob = np.prod(dist.probabilities[ranks], axis=1)
+    requested = np.zeros((len(ranks), 9), dtype=bool)
+    requested[np.arange(len(ranks))[:, None], ranks] = True
+    rates = requested[:, 3:].sum(axis=1)
+    mean = float(prob @ rates)
+    var = float(prob @ (rates - mean) ** 2)
+    trials = 20000
+    res = lfu_simulate(dist, 3.5, 5, trials, seed=12)
+    assert abs(res.mean - mean) <= 5 * math.sqrt(var / trials)
 
 
 def test_stochastic_runs_build_one_seed_sequence(monkeypatch):
@@ -1185,10 +1269,11 @@ def _per_member_reference(pl, demands):
     pair_bits and which side of the 2^m <= L rule each subsystem fell on
     (m members, L-bit subfiles)."""
     cfg, k = pl.config, pl.config.num_caches
-    table, members_of, group, keys, _ = sim._layout(cfg, demands)
+    table = np.array(demands, dtype=np.int64)
+    order, group, keys, _, _ = sim._groups(cfg, table)
     pair_bits, sides = {}, set()
     for g, (lvl, residue, slot) in enumerate(keys.tolist()):
-        members = table[members_of[group == g]]
+        members = table[np.sort(order[group == g])]
         d = cfg.levels[lvl].access_degree
         for color in range(d):
             caches = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
