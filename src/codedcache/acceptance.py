@@ -38,7 +38,7 @@ from .popularity import (
     zipf_distribution,
     zipf_split_heuristic,
 )
-from .rate import RateWarning, lfu_rate, single_level_rate
+from .rate import lfu_rate, single_level_rate
 from .sim import (
     deliver_bit_exact,
     place,
@@ -491,16 +491,15 @@ def criterion_12_determinism() -> tuple[bool, str]:
 
 
 def _quiet(criterion: Callable[[], tuple[bool, str]]) -> Callable[[], tuple[bool, str]]:
-    """``criterion`` with the package's soft warnings silenced: its
-    instances are deliberately irregular, so ``ValidationWarning`` and
-    ``RateWarning`` are expected there.  Every other warning still
-    reaches the caller's filters."""
+    """``criterion`` with ``ValidationWarning`` silenced: its instances
+    are deliberately irregular, so that warning is expected there.  Every
+    other warning, ``RateWarning`` included, still reaches the caller's
+    filters."""
 
     @functools.wraps(criterion)
     def run() -> tuple[bool, str]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidationWarning)
-            warnings.simplefilter("ignore", RateWarning)
             return criterion()
 
     return run

@@ -25,12 +25,12 @@ from .bounds import gap_profile, lower_bounds
 from .model import (
     ConfigError,
     SystemConfig,
-    _memories,
     _memory,
     config_to_dict,
     load_config,
 )
 from .pama import (
+    Allocation,
     build_threshold_table,
     closed_form_rates,
     grid_search_alpha,
@@ -39,6 +39,7 @@ from .pama import (
     pama_rate,
     table_splits,
     total_rate_closed_form,
+    total_rate_exact,
 )
 from .popularity import (
     CountsError,
@@ -50,7 +51,7 @@ from .popularity import (
     zipf_distribution,
     zipf_split_heuristic,
 )
-from .rate import lfu_rate, single_level_rate, small_k_rate
+from .rate import lfu_rate, small_k_rate
 from .sim import lfu_simulate, simulate_stochastic
 
 USAGE_EXIT = 64
@@ -151,14 +152,8 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         f"# rate at M={_fmt(config.memory)} K={config.num_caches}",
         "level,N,U,d,R_single_level",
     ]
-    for idx, lv in enumerate(config.levels):
-        r = single_level_rate(
-            min(config.memory, lv.full_memory),
-            config.num_caches,
-            lv.n_files,
-            lv.users_per_cache,
-            lv.access_degree,
-        )
+    rates = total_rate_exact(config, Allocation((config.memory,) * config.num_levels)).per_level
+    for idx, (lv, r) in enumerate(zip(config.levels, rates)):
         lines.append(
             f"{idx + 1},{lv.n_files},{lv.users_per_cache},{lv.access_degree},{_fmt(r)}"
         )
@@ -225,7 +220,7 @@ def _cmd_pama(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    grid = _memories(_parse_mspec(args.m, config.full_memory))
+    grid = _parse_mspec(args.m, config.full_memory)
     splits = table_splits(build_threshold_table(config))
     labels = [split.label() for split in splits]
     lines = [f"# sweep over {len(grid)} memory points", _pama_header(config.num_levels)]

@@ -54,7 +54,7 @@ import numbers
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -293,7 +293,7 @@ def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) 
 
     Demands that are not integer triples (a bool field among them), or
     that name a cache, level or file the config lacks, raise
-    ``ValueError``."""
+    ``ValueError`` naming the value as passed, before any cast."""
     table = np.asarray(demands)
     if table.size == 0:
         table = np.empty((0, 3), dtype=np.int64)
@@ -309,7 +309,6 @@ def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) 
         )
     ):
         raise ValueError("demands must be (cache, level, file) integer triples")
-    table = table.astype(np.int64, copy=False)
     caches, levels, files = table.T
     n_files = np.array([lv.n_files for lv in config.levels])
     level_ok = (levels >= 0) & (levels < config.num_levels)
@@ -322,7 +321,7 @@ def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) 
         if not 0 <= level < config.num_levels:
             raise ValueError(f"level index {level} out of range")
         raise ValueError(f"file {file} does not exist in level {level + 1}")
-    return table
+    return table.astype(np.int64, copy=False)
 
 
 class _Groups(NamedTuple):
@@ -357,14 +356,14 @@ def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bounds[:-1], bounds[1:] - bounds[:-1]
 
 
-def _groups(config: SystemConfig, table: np.ndarray, trial: np.ndarray | None = None) -> _Groups:
+def _groups(config: SystemConfig, table: np.ndarray, trial: np.ndarray) -> _Groups:
     """Each demand's delivery group, or its flag as an edge demand (see
     the module docstring), for an (n, 3) int64 ``table`` of demands
     inside ``config``, as :func:`_demand_table` returns.
 
-    ``trial`` optionally gives each demand's trial, as a non-decreasing
-    non-negative int64 column: the demands of a block of trials, one
-    trial after another.  Without it every demand belongs to trial 0.
+    ``trial`` gives each demand's trial, as a non-decreasing non-negative
+    int64 column: the demands of a block of trials, one trial after
+    another.  A single profile is trial 0 throughout.
 
     Two sorts of packed int64 keys lay the block out, one of the demands
     by cell and one of the cells by class, each followed by counting
@@ -380,11 +379,8 @@ def _groups(config: SystemConfig, table: np.ndarray, trial: np.ndarray | None = 
 
     # Cells: the demands in (trial, level, cache) order, each cell's in
     # demand order, so a demand's slot is its place in its cell's run.
-    cells = levels * k + caches
-    trials = 1
-    if trial is not None and n:
-        trials = int(trial[-1]) + 1
-        cells += trial * (num_levels * k)
+    cells = (trial * num_levels + levels) * k + caches
+    trials = int(trial[-1]) + 1 if n else 1
     by_cell = _sort_packed(cells, index, trials * num_levels * k, index_bits)
     order = by_cell & ((1 << index_bits) - 1)
     starts, width = _runs(by_cell >> index_bits)
@@ -604,7 +600,7 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     k = config.num_caches
     f_bits = placement.file_size_bits
     table = _demand_table(config, demands)
-    order, number, group_keys, coded, edges = _groups(config, table)
+    order, number, group_keys, coded, edges = _groups(config, table, np.zeros_like(table[:, 0]))
     # Each group's members in demand order; the edge demands sort last.
     index_bits = len(table).bit_length()
     by_group = _sort_packed(number, order, len(table), index_bits)[:coded]
@@ -704,9 +700,7 @@ class _Prices:
                     for color in range(d)
                 ]
 
-    def rates(
-        self, table: np.ndarray, trial: np.ndarray | None = None, trials: int = 1
-    ) -> np.ndarray:
+    def rates(self, table: np.ndarray, trial: np.ndarray, trials: int) -> np.ndarray:
         """Expected-size rate of each of ``trials`` demand profiles laid
         out side by side, for a table and trial column as :func:`_groups`
         takes them (see :func:`expected_profile_rate`).
@@ -719,8 +713,6 @@ class _Prices:
         would, and the zeros that pad the rows add nothing."""
         order, number, keys, coded, edges = _groups(self.config, table, trial)
         n, groups = len(table), len(keys)
-        if trial is None:
-            trial = np.zeros(n, dtype=np.int64)
         if coded < n:
             grouped = number < groups
             number, order = number[grouped], order[grouped]
@@ -772,7 +764,8 @@ def expected_profile_rate(
     subfiles, in order of first appearance.
     """
     table = _demand_table(config, demands)
-    return float(_Prices(config, shares, len(table)).rates(table)[0])
+    zeros = np.zeros(len(table), dtype=np.int64)
+    return float(_Prices(config, shares, len(table)).rates(table, zeros, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -785,37 +778,12 @@ class SimulationResult:
         return float(np.mean(self.rates))
 
 
-def _check_run(total_users: int, trials: int, seed: int) -> None:
-    """Raise :class:`ConfigError` unless the user count, trial count and
-    seed are integers (not bools), with 1 to 2^32 trials (the keys of
-    :class:`_TrialStreams`), no negative user count and a non-negative
-    seed."""
-    for name, value in (("the user count", total_users), ("trials", trials), ("the seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
-    if trials > 2**32:
-        raise ConfigError(f"trials must be at most 2^32, got {trials}")
-    if total_users < 0:
-        raise ConfigError(f"the user count must be non-negative, got {total_users}")
-    if seed < 0:
-        raise ConfigError(f"the seed must be non-negative, got {seed}")
-
-
 # Demands drawn and priced per block of stochastic trials (a trial with
 # more users is a block of its own).  A block's scratch arrays take a few
 # hundred bytes per demand; on the catalogue benchmark, blocks of 2^14
 # demands raised peak memory and saved no time.  The bound also keeps
 # the layout's packed sort keys far inside int64.
 DEMAND_BLOCK = 1 << 13
-
-
-def _trial_blocks(trials: int, total_users: int) -> list[range]:
-    """Consecutive ranges of trials with at most ``DEMAND_BLOCK`` demands
-    each, and at least one trial each."""
-    per_block = max(1, DEMAND_BLOCK // max(total_users, 1))
-    return [range(t, min(trials, t + per_block)) for t in range(0, trials, per_block)]
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -842,8 +810,13 @@ def _xorshift(words: np.ndarray) -> np.ndarray:
 
 
 class _TrialStreams:
-    """The stochastic-profile streams of one run: trial t reads a PCG64
-    seeded from ``SeedSequence(seed, spawn_key=(2, t))``.
+    """The stochastic-profile streams of one run, in blocks of as many
+    trials as fit ``DEMAND_BLOCK`` demands, and at least one: trial t
+    reads a PCG64 seeded from ``SeedSequence(seed, spawn_key=(2, t))``.
+
+    Before anything else, a bool or non-integer user count, trial count
+    or seed, a negative user count or seed, or trials outside 1 to 2^32
+    (a key must fit one word) raise :class:`ConfigError`.
 
     Building that SeedSequence and PCG64 costs about 20 us a trial, so
     the states are derived instead, a block of trials at a time, in
@@ -854,9 +827,20 @@ class _TrialStreams:
     hashed from the pool give PCG64's initial state and increment, which
     it steps as ``pcg_setseq_128_srandom_r`` does.  One PCG64 is
     re-seeded per trial through its ``state`` setter and draws into
-    arrays allocated once.  Keys must fit one word: t < 2^32."""
+    arrays allocated once per run (no cache array for the LFU baseline)."""
 
-    def __init__(self, seed: int, per_block: int, users: int) -> None:
+    def __init__(self, seed: int, users: int, trials: int) -> None:
+        for name, value in (("the user count", users), ("trials", trials), ("the seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {trials}")
+        if trials > 2**32:
+            raise ConfigError(f"trials must be at most 2^32, got {trials}")
+        if users < 0:
+            raise ConfigError(f"the user count must be non-negative, got {users}")
+        if seed < 0:
+            raise ConfigError(f"the seed must be non-negative, got {seed}")
         base = np.random.SeedSequence(seed, spawn_key=(2,))
         entropy = max(4, -(-int(seed).bit_length() // 32)) + 1
         first = _INIT_A * pow(_MULT_A, 16 + 4 * (entropy - 4), 2**32) % 2**32
@@ -868,9 +852,9 @@ class _TrialStreams:
         self.scaled_pool = base.pool[:, None] * np.uint32(_MIX_MULT_L)
         self.bitgen = np.random.PCG64(base)
         self.rng = np.random.Generator(self.bitgen)
-        self.users = users
-        self.caches = np.empty(per_block * users, dtype=np.int64)
-        self.uniforms = np.empty(per_block * users)
+        self.users, self.trials = users, trials
+        self.per_block = min(trials, max(1, DEMAND_BLOCK // max(users, 1)))
+        self.trial = np.repeat(np.arange(self.per_block), users)
 
     def states(self, block: range) -> list[tuple[int, int]]:
         """The (state, increment) of each trial's PCG64."""
@@ -888,22 +872,32 @@ class _TrialStreams:
             states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) % 2**128, inc))
         return states
 
-    def draw(self, block: range, num_caches: int | None) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's users' cache indices (none when ``num_caches`` is
-        None), then their uniforms, trial after trial."""
-        users, size = self.users, len(block) * self.users
-        for row, (state, inc) in enumerate(self.states(block)):
-            self.bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            lo = row * users
-            if num_caches is not None:
-                self.caches[lo : lo + users] = self.rng.integers(0, num_caches, users)
-            self.rng.random(out=self.uniforms[lo : lo + users])
-        return self.caches[:size], self.uniforms[:size]
+    def blocks(
+        self, num_caches: int | None
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray]]:
+        """Per block, in trial order: its trial count, each demand's trial
+        counted from the block's first, the users' cache indices (None
+        when ``num_caches`` is None: the LFU baseline draws none) and their
+        uniforms.  The arrays are reused, so they hold until the next block."""
+        users = self.users
+        caches = None if num_caches is None else np.empty(self.trial.size, dtype=np.int64)
+        uniforms = np.empty(self.trial.size)
+        for start in range(0, self.trials, self.per_block):
+            block = range(start, min(self.trials, start + self.per_block))
+            for row, (state, inc) in enumerate(self.states(block)):
+                self.bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                lo = row * users
+                if caches is not None:
+                    caches[lo : lo + users] = self.rng.integers(0, num_caches, users)
+                self.rng.random(out=uniforms[lo : lo + users])
+            size = len(block) * users
+            drawn = None if caches is None else caches[:size]
+            yield len(block), self.trial[:size], drawn, uniforms[:size]
 
 
 class _RankTable:
@@ -963,7 +957,7 @@ def simulate_stochastic(
     blocks, level order is not rank-block order and ranks land in the
     wrong blocks; the instance format does not record the blocks.
     """
-    _check_run(total_users, trials, seed)
+    streams = _TrialStreams(seed, total_users, trials)
     level_of_rank = level_map_for_config(config, popularity.n_files)
     starts = np.cumsum([0] + [lv.n_files for lv in config.levels])[:-1]
     file_of_rank = np.arange(popularity.n_files) - starts[level_of_rank]
@@ -971,15 +965,11 @@ def simulate_stochastic(
     result = pama_rate(config)
     prices = _Prices(config, result.allocation.shares, total_users)
     rank_of = _RankTable(popularity.probabilities)
-    blocks = _trial_blocks(trials, total_users)
-    streams = _TrialStreams(seed, len(blocks[0]), total_users)
     rates: list[float] = []
-    for block in blocks:
-        caches, uniforms = streams.draw(block, config.num_caches)
+    for count, trial, caches, uniforms in streams.blocks(config.num_caches):
         ranks = rank_of(uniforms)
         demands = np.column_stack([caches, level_of_rank[ranks], file_of_rank[ranks]])
-        trial = np.repeat(np.arange(len(block)), total_users)
-        rates += prices.rates(demands, trial, len(block)).tolist()
+        rates += prices.rates(demands, trial, count).tolist()
     return SimulationResult(rates=tuple(rates), theoretical=result.exact.total)
 
 
@@ -994,19 +984,16 @@ def lfu_simulate(
     distinct requested files outside the floor(M) most popular.  A
     bool, non-real, non-finite or negative memory raises
     :class:`ConfigError`."""
-    _check_run(total_users, trials, seed)
+    streams = _TrialStreams(seed, total_users, trials)
     cached = int(math.floor(_memory(memory)))
     n = popularity.n_files
     rank_of = _RankTable(popularity.probabilities)
-    blocks = _trial_blocks(trials, total_users)
-    streams = _TrialStreams(seed, len(blocks[0]), total_users)
     rates: list[float] = []
-    for block in blocks:
-        ranks = rank_of(streams.draw(block, None)[1])
-        trial = np.repeat(np.arange(len(block)), total_users)
+    for count, trial, _, uniforms in streams.blocks(None):
+        ranks = rank_of(uniforms)
         # Distinct missed ranks per trial from one sort of trial-major
         # keys: np.unique takes a much slower hash path here.
         missed = np.sort((trial * n + ranks)[ranks >= cached])
         heads = missed[np.diff(missed, prepend=-1) != 0] // n
-        rates += np.bincount(heads, minlength=len(block)).astype(np.float64).tolist()
+        rates += np.bincount(heads, minlength=count).astype(np.float64).tolist()
     return SimulationResult(rates=tuple(rates), theoretical=float("nan"))

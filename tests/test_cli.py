@@ -300,6 +300,52 @@ def test_rate_subcommand(ex1_path, capsys):
     assert "R_single_level" in capsys.readouterr().out
 
 
+# sha256 of stdout and of the --summary file, computed when `rate` priced
+# each level with its own single_level_rate call.  None keeps the
+# config's memory; 5000 is past full storage for every level of both.
+RATE_PINS = [
+    ("example1", None,
+     "0693a2321ebe3b0c1f1639d3b9b61438ab4cf4e070ae69b5ecd990c044eb133e",
+     "29a2f2fe6968b4f95eb50e7c7c49641bb5d709663587ad7feaec4babf8a5b218"),
+    ("example1", 0.0,
+     "840c29accd6487e4e6de0d9b3d74de7ac2b131df34608bead96ca34c12a9c8ba",
+     "cbd430e90e703c29971ed121d8e89056640b71b5b35d5186633e152a795491c0"),
+    ("example1", 37.5,
+     "3bf7c541d8e823601f1fc6acaedc120fa0f34ae1fe41d9b0c23598504d4811e8",
+     "1c4c93fa08092a7b5b57702551c99c68d6279f3cf89ceae4130ccbea2ad005b8"),
+    ("example1", 5000.0,
+     "419a7911cf4cfe6366c39cc13ad098a59cf123424364fba01f14b79f489fc8a0",
+     "7179a9178857faf4b0063d0394cb91654e051e26b0e812b04760c4f015ddf542"),
+    ("gap3level", None,
+     "51d1678757932e00fc3963b49c248b97adc0cd84c5d398b0a0b660db9c0b8bd3",
+     "fa3828626be5945c9260d0f783b143bcbe9739b02db7d058b98d74e5384bcb2c"),
+    ("gap3level", 0.0,
+     "8800aeb45c1b225fc903497b072ee4f6849e61bcc3ae116b0c03f1ea39f22ca6",
+     "620ec8d8e4dda7dd60bc227b4323750113a4e53bcee5877652721f949ef790c7"),
+    ("gap3level", 250.0,
+     "d5cce65ee941973fc9f4fe4997c92f888ea6afccbb7a7a6150e30a098100d32d",
+     "9c3fa751aa463916931d6af55b3f673cd2c797f0bfba9f967cb4ca7ef026f098"),
+    ("gap3level", 5000.0,
+     "d5646a006a9373757a1b4454adfcb48e4dd5ebc9143ed163b72c6ef4fe3c00cc",
+     "a5bd725469c2984834e0eda6d59d320616658138e23addf4799ae06b4a2b7b0a"),
+]
+
+
+@pytest.mark.parametrize("name,memory,out_digest,summary_digest", RATE_PINS)
+def test_rate_output_bytes_pinned(name, memory, out_digest, summary_digest, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidationWarning)
+        config = config_from_json((CONFIGS / f"{name}.json").read_text())
+        if memory is not None:
+            config = config.with_memory(memory)
+        path, summary = tmp_path / "config.json", tmp_path / "summary.json"
+        path.write_text(config_to_json(config))
+        assert run(["rate", "--config", str(path), "--summary", str(summary)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == out_digest
+    assert hashlib.sha256(summary.read_bytes()).hexdigest() == summary_digest
+
+
 def test_discretize_emits_loadable_instance(tmp_path, capsys):
     out = tmp_path / "instance.json"
     argv = [

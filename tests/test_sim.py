@@ -778,7 +778,7 @@ def test_demands_are_checked_once_where_they_enter(monkeypatch):
         checked.append(len(demands))
         return demand_table(config, demands)
 
-    def counting_groups(config, table, trial=None):
+    def counting_groups(config, table, trial):
         layouts.append(len(table))
         return groups(config, table, trial)
 
@@ -872,7 +872,7 @@ def test_stochastic_runs_build_one_seed_sequence(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
 def test_trial_stream_states_match_seed_sequence(seed):
     # 10^4 spawn keys (2, t), the last ten just below 2^32.
-    streams = sim._TrialStreams(seed, 1, 0)
+    streams = sim._TrialStreams(seed, 0, 1)
     blocks = [range(0, 4096), range(4096, 9990), range(2**32 - 10, 2**32)]
     derived = [state for block in blocks for state in streams.states(block)]
     expected = []
@@ -884,11 +884,39 @@ def test_trial_stream_states_match_seed_sequence(seed):
     assert derived == expected
 
 
+@pytest.mark.parametrize("users", [0, 1, sim.DEMAND_BLOCK - 1, sim.DEMAND_BLOCK + 1])
+def test_trial_streams_cut_a_run_into_blocks(users):
+    # Blocks cover the trials in order, each with at least one trial and
+    # at most DEMAND_BLOCK demands unless one trial alone exceeds it, and
+    # each trial draws what its own SeedSequence stream draws.
+    per_block = max(1, sim.DEMAND_BLOCK // max(users, 1))
+    for trials in sorted({1, 3, per_block + 2}):
+        for num_caches in (5, None):
+            drawn = []
+            streams = sim._TrialStreams(9, users, trials)
+            for count, trial, caches, uniforms in streams.blocks(num_caches):
+                assert count >= 1 and (count * users <= sim.DEMAND_BLOCK or count == 1)
+                assert np.array_equal(trial, np.repeat(np.arange(count), users))
+                assert (caches is None) == (num_caches is None)
+                for row in range(count):
+                    part = slice(row * users, (row + 1) * users)
+                    kept = None if caches is None else caches[part].tolist()
+                    drawn.append((kept, uniforms[part].tolist()))
+            assert len(drawn) == trials
+            for t, (caches, uniforms) in enumerate(drawn):
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(9, spawn_key=(2, t)))
+                )
+                if num_caches is not None:
+                    assert caches == rng.integers(0, num_caches, users).tolist()
+                assert uniforms == rng.random(users).tolist()
+
+
 def test_trial_keys_past_one_word_are_refused():
     # Checked on the arguments alone, so a missing check runs nothing.
-    sim._check_run(1, 2**32, 1)
+    sim._TrialStreams(1, 1, 2**32)
     with pytest.raises(ConfigError, match="trials must be at most 2\\^32"):
-        sim._check_run(1, 2**32 + 1, 1)
+        sim._TrialStreams(1, 1, 2**32 + 1)
 
 
 def test_sparse_key_space_scratch_memory_is_bounded():
@@ -985,6 +1013,24 @@ def test_expected_profile_rejects_out_of_range_demands(demand, message):
     for demands in ([demand], [(0, 0, 1), demand], np.array([(0, 0, 1), demand])):
         with pytest.raises(ValueError, match=message):
             expected_profile_rate(cfg, shares, demands)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([2**64 - 1, 0, 0], "cache index 18446744073709551615 out of range"),
+        ([0, 2**64 - 1, 0], "level index 18446744073709551615 out of range"),
+        ([0, 0, 2**64 - 1], "file 18446744073709551615 does not exist in level 1"),
+    ],
+)
+def test_uint64_demands_are_reported_as_passed(row, message):
+    # Checked before the int64 cast, which would wrap 2^64 - 1 to -1.
+    cfg = make_config(4, 2.0, [(8, 1, 1)])
+    demands = np.array([row], dtype=np.uint64)
+    with pytest.raises(ValueError, match=message):
+        expected_profile_rate(cfg, [2.0], demands)
+    with pytest.raises(ValueError, match=message):
+        deliver_bit_exact(place(cfg, Allocation((2.0,)), 64, seed=1), demands)
 
 
 def test_simulate_stochastic_reproducible_and_bounded():
@@ -1270,7 +1316,7 @@ def _per_member_reference(pl, demands):
     (m members, L-bit subfiles)."""
     cfg, k = pl.config, pl.config.num_caches
     table = np.array(demands, dtype=np.int64)
-    order, group, keys, _, _ = sim._groups(cfg, table)
+    order, group, keys, _, _ = sim._groups(cfg, table, np.zeros(len(table), dtype=np.int64))
     pair_bits, sides = {}, set()
     for g, (lvl, residue, slot) in enumerate(keys.tolist()):
         members = table[np.sort(order[group == g])]
