@@ -219,6 +219,15 @@ def _bernoulli_bits(
         bitgen.state = state
 
 
+def _check_shares(config: SystemConfig, shares: Sequence[float]) -> None:
+    """Refuse shares that are not one non-negative number per level."""
+    if len(shares) != config.num_levels:
+        raise ValueError(f"need {config.num_levels} memory shares, got {len(shares)}")
+    for idx, share in enumerate(shares):
+        if not share >= 0.0:
+            raise ValueError(f"level {idx + 1}: memory share {share!r} must be non-negative")
+
+
 def place(
     config: SystemConfig,
     allocation: Allocation,
@@ -231,7 +240,8 @@ def place(
     file size, the seed and the cached fractions and returns the state
     that draws the masks when asked (see :class:`PlacementState`).  A
     file size or seed that is a bool or not an integer, a file size
-    below 64 or a negative seed raises ``ValueError``."""
+    below 64 or a negative seed raises ``ValueError``, and so do shares
+    that are not one non-negative number per level or are over-full."""
     for name, value in (("file_size_bits", file_size_bits), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -239,14 +249,15 @@ def place(
         raise ValueError("file_size_bits must be at least 64")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    _check_shares(config, allocation.shares)
     fractions = []
     for idx, lv in enumerate(config.levels):
         mu = lv.access_degree * allocation.shares[idx] / lv.n_files
         if mu > 1.0 + 1e-9:
             raise ValueError(
-                f"level {idx + 1}: cached fraction {mu:g} exceeds 1; allocation bug"
+                f"level {idx + 1}: cached fraction {float(mu)!r} exceeds 1; allocation bug"
             )
-        fractions.append(min(1.0, max(0.0, mu)))
+        fractions.append(min(1.0, mu))
     return PlacementState(
         config=config,
         file_size_bits=int(file_size_bits),
@@ -294,20 +305,20 @@ def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) 
     Demands that are not integer triples (a bool field among them), or
     that name a cache, level or file the config lacks, raise
     ``ValueError`` naming the value as passed, before any cast."""
-    table = np.asarray(demands)
+    table = given = np.asarray(demands)
     if table.size == 0:
         table = np.empty((0, 3), dtype=np.int64)
-    # np.asarray reads a bool beside ints as 0 or 1; an integer array
-    # cannot hold one.
-    if (
-        table.ndim != 2
-        or table.shape[1] != 3
-        or table.dtype.kind not in "iu"
-        or (
-            not isinstance(demands, np.ndarray)
-            and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain(*demands)))
-        )
-    ):
+    triples = table.ndim == 2 and table.shape[1] == 3
+    if triples and not isinstance(demands, np.ndarray):
+        # np.asarray reads a bool beside ints as 0 or 1, and makes a list
+        # with an int outside int64 float64 or object; clipped to int64,
+        # such an int is still out of range.
+        fields = list(itertools.chain(*demands))
+        triples = {bool, np.bool_}.isdisjoint(map(type, fields))
+        if table.dtype.kind not in "iu" and all(isinstance(v, numbers.Integral) for v in fields):
+            given = np.array(demands, dtype=object)
+            table = np.clip(given, -(2**63), 2**63 - 1).astype(np.int64)
+    if not triples or table.dtype.kind not in "iu":
         raise ValueError("demands must be (cache, level, file) integer triples")
     caches, levels, files = table.T
     n_files = np.array([lv.n_files for lv in config.levels])
@@ -315,7 +326,7 @@ def _demand_table(config: SystemConfig, demands: Sequence[Demand] | np.ndarray) 
     bad = ~level_ok | (caches < 0) | (caches >= config.num_caches) | (files < 0)
     bad |= files >= n_files[np.where(level_ok, levels, 0)]
     if bad.any():
-        cache, level, file = table[bad.argmax()].tolist()
+        cache, level, file = given[bad.argmax()].tolist()
         if not 0 <= cache < config.num_caches:
             raise ValueError(f"cache index {cache} out of range")
         if not 0 <= level < config.num_levels:
@@ -502,66 +513,44 @@ def _drawn_rows(
     return stored
 
 
-def _count_table(
-    held: dict[int, list[np.ndarray]], member_files: list[int]
-) -> tuple[int, int, list[int]]:
+def _count_table(sigs: np.ndarray, which: np.ndarray) -> tuple[int, int, list[int]]:
     """Price one (group, color) subsystem of m members from a table of
-    signature counts: ``counts[f, s]`` is the number of bits of file f
-    that exactly the member caches in s store (bit j of s: the j-th
-    member's cache).  ``held[f][j]`` is the j-th member's row of file f
-    and ``member_files[j]`` the j-th member's file.
+    signature counts: ``counts[i, s]`` is the number of bits in row i of
+    the signature matrix ``sigs`` that exactly the member caches in s
+    store (bit j of s: the j-th member's cache).  Row ``which[j]`` holds
+    the j-th member's file.
 
     Returns the bits cached nowhere (summed over distinct files), the
     total length of the XORs, and the bits each member lacks.  The table
     has 2^m columns per file, so it pays only while 2^m is at most the
     subfile length."""
-    m = len(member_files)
-    dtype = np.min_scalar_type((1 << m) - 1)
-    files = list(held)
-    counts = np.empty((len(files), 1 << m), dtype=np.int64)
-    for i, rows in enumerate(held.values()):
-        sig = rows[0].astype(dtype)
-        tmp = np.empty_like(sig)
-        for j, row in enumerate(rows[1:], 1):
-            np.left_shift(row, j, out=tmp, dtype=dtype, casting="unsafe")
-            sig |= tmp
-        counts[i] = np.bincount(sig, minlength=1 << m)
+    sets = np.arange(1 << which.size)
+    counts = np.empty((len(sigs), sets.size), dtype=np.int64)
+    for row, sig in zip(counts, sigs):
+        row[:] = np.bincount(sig, minlength=sets.size)
 
     # seg[p, S] for p in S: member p's segment of the XOR for member set
     # S, the bits of p's file held by exactly the caches of S minus p.
-    sets = np.arange(1 << m)
-    member_bit = 1 << np.arange(m)[:, None]
-    seg = counts[[[files.index(f)] for f in member_files], sets ^ member_bit]
+    member_bit = 1 << np.arange(which.size)[:, None]
+    seg = counts[which[:, None], sets ^ member_bit]
     seg[sets & member_bit == 0] = 0
     lacked = seg.sum(axis=1)
     seg[:, member_bit.ravel()] = 0  # S = {p}: the bits cached nowhere, sent in clear
     return int(counts[:, 0].sum()), int(seg.max(axis=0).sum()), lacked.tolist()
 
 
-def _per_member(
-    held: dict[int, list[np.ndarray]], member_files: list[int]
-) -> tuple[int, int, list[int]]:
+def _per_member(sigs: np.ndarray, which: np.ndarray) -> tuple[int, int, list[int]]:
     """:func:`_count_table`'s prices from one ``np.unique`` per member
-    over the signatures that occur, for groups whose table would have
-    more columns than the subfile has bits."""
-    # sig bit j set: the j-th member's cache stores the bit.
-    sigs: dict[int, np.ndarray] = {}
-    for f, rows in held.items():
-        sig = np.zeros(rows[0].size, dtype=np.uint64)
-        for bit, row in enumerate(rows):
-            sig |= row.astype(np.uint64) << np.uint64(bit)
-        sigs[f] = sig
-    clear_bits = sum(int(np.count_nonzero(sig == 0)) for sig in sigs.values())
-
-    # Segment lengths keyed by the XOR's member set sig | {bit}.
+    over the signatures that occur in its row of ``sigs``, for groups
+    whose table would have more columns than the subfile has bits."""
+    clear_bits = int(np.count_nonzero(sigs == 0))
+    # Segment lengths keyed by the XOR's member set sig | {j}.
     keys, counts, lacked = [], [], []
-    for bit, file in enumerate(member_files):
-        sig = sigs[file]
-        lacking = (sig >> np.uint64(bit)) & np.uint64(1) == 0
+    for j, row in enumerate(which.tolist()):
+        sig, flag = sigs[row], sigs.dtype.type(1 << j)
+        lacking = sig & flag == 0
         lacked.append(int(np.count_nonzero(lacking)))
-        key, count = np.unique(
-            sig[lacking & (sig != 0)] | np.uint64(1 << bit), return_counts=True
-        )
+        key, count = np.unique(sig[lacking & (sig != 0)] | flag, return_counts=True)
         keys.append(key)
         counts.append(count)
     xor_sets, inverse = np.unique(np.concatenate(keys), return_inverse=True)
@@ -581,10 +570,12 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
     s hold (s non-empty, p not in s) rides in the XOR for s | {p}, which
     is as long as its longest segment.  So the number of bits of each
     file that carry each signature prices every transmission.  A group
-    of m members with subfiles of L bits counts them in a table of 2^m
-    columns per file when 2^m <= L (``_count_table``), and otherwise with
-    one ``np.unique`` per member over the signatures that occur
-    (``_per_member``); both give the same prices.  A member can decode
+    of m members fills one signature matrix per color, a row of m-bit
+    signatures (smallest unsigned dtype) per distinct file; ``which[j]``
+    is the j-th member's row.  With L-bit subfiles, ``_count_table``
+    counts each row in 2^m columns when 2^m <= L, and otherwise
+    ``_per_member`` runs one ``np.unique`` per member over the
+    signatures that occur; both give the same prices.  A member can decode
     only if the subsystem's broadcast is at least as long as the bits it
     lacks, and no broadcast needs more than the sum of the members'
     lacked bits (unicasting everything); either violation raises
@@ -621,19 +612,25 @@ def deliver_bit_exact(placement: PlacementState, demands: Sequence[Demand]) -> D
 
     for (lvl_idx, residue, slot), members in zip(group_keys.tolist(), members_of):
         d = config.levels[lvl_idx].access_degree
-        member_files = members[:, 2].tolist()
+        files, which = np.unique(members[:, 2], return_inverse=True)
+        dtype = np.min_scalar_type((1 << len(members)) - 1)
         for color in range(d):
             caches_used = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
             if len(set(caches_used)) != len(caches_used):
                 raise DecodeError("group members mapped to a shared cache")
             length = _subfile_length(f_bits, d, color)
 
-            # held[f][j]: the bits of file f that the j-th member's cache stores.
-            held = {
-                f: [stored[(vc, lvl_idx, f)] for vc in caches_used] for f in set(member_files)
-            }
+            # sigs[i, b], bit j set: the j-th member's cache stores bit b of files[i].
+            sigs = np.empty((files.size, length), dtype=dtype)
+            tmp = np.empty(length, dtype=dtype)
+            for sig, f in zip(sigs, files.tolist()):
+                sig[:] = stored[(caches_used[0], lvl_idx, f)]
+                for j, vc in enumerate(caches_used[1:], 1):
+                    row = stored[(vc, lvl_idx, f)]
+                    np.left_shift(row, j, out=tmp, dtype=dtype, casting="unsafe")
+                    sig |= tmp
             price = _count_table if 1 << len(caches_used) <= length else _per_member
-            clear_bits, coded_bits, lacked = price(held, member_files)
+            clear_bits, coded_bits, lacked = price(sigs, which)
             bits_here = clear_bits + coded_bits
             if bits_here < max(lacked):
                 raise DecodeError(
@@ -761,8 +758,10 @@ def expected_profile_rate(
     of distinct files.  Group loads are summed left to right in the
     order the groups first appear among the demands.  Each distinct edge
     demand then adds the expected uncovered fraction of each of its
-    subfiles, in order of first appearance.
+    subfiles, in order of first appearance.  Shares that are not one
+    non-negative number per level raise ``ValueError``; over-full ones clip.
     """
+    _check_shares(config, shares)
     table = _demand_table(config, demands)
     zeros = np.zeros(len(table), dtype=np.int64)
     return float(_Prices(config, shares, len(table)).rates(table, zeros, 1)[0])

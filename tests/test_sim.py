@@ -116,6 +116,33 @@ def test_place_rejects_overfull_fraction():
         place(cfg, Allocation(shares=(17.0,)), 256, seed=1)
 
 
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ((-1.0,), "level 1: memory share -1.0 must be non-negative"),
+        ((float("nan"),), "level 1: memory share nan must be non-negative"),
+        ((), "need 1 memory shares, got 0"),
+        ((1.0, 2.0), "need 1 memory shares, got 2"),
+    ],
+)
+def test_shares_that_are_not_one_non_negative_number_per_level_are_refused(shares, message):
+    # Unchecked, a NaN share is priced as full storage (rate 0 here), and
+    # place caches nothing for it or for a negative share.
+    cfg = make_config(4, 2.0, [(8, 1, 2)])
+    demands = worst_case_demands(cfg)
+    with pytest.raises(ValueError, match=message):
+        expected_profile_rate(cfg, shares, demands)
+    with pytest.raises(ValueError, match=message):
+        place(cfg, Allocation(shares=shares), 64, seed=1)
+
+
+def test_place_prints_an_overfull_fraction_in_full():
+    # 2 * 4.00000001 / 8 would print as 1 under :g.
+    cfg = make_config(4, 2.0, [(8, 1, 2)])
+    with pytest.raises(ValueError, match=r"cached fraction 1\.0000000025 exceeds 1"):
+        place(cfg, Allocation(shares=(4.00000001,)), 64, seed=1)
+
+
 def test_place_rejects_tiny_files():
     cfg = make_config(2, 8.0, [(16, 1, 1)])
     with pytest.raises(ValueError):
@@ -230,6 +257,27 @@ def test_boolean_demand_fields_are_refused():
             deliver_bit_exact(pl, demands)
         with pytest.raises(ValueError, match="integer triples"):
             expected_profile_rate(cfg, allocation.shares, demands)
+
+
+@pytest.mark.parametrize(
+    "demands, message",
+    [
+        ([(2**63, 0, 0)], "cache index 9223372036854775808 out of range"),
+        ([(-(2**63) - 1, 0, 0)], "cache index -9223372036854775809 out of range"),
+        ([(0, 0, 2**64)], "file 18446744073709551616 does not exist in level 1"),
+        ([(9, 0, 0), (2**63, 0, 0)], "cache index 9 out of range"),
+        ([(True, 0, 2**64)], "integer triples"),
+        ([(0.5, 0, 2**64)], "integer triples"),
+    ],
+)
+def test_list_demands_outside_int64_are_reported_as_passed(demands, message):
+    # np.asarray makes these lists float64 or object arrays; an int field
+    # is still reported as out of range, as the same uint64 array row is.
+    cfg = make_config(4, 2.0, [(8, 1, 1)])
+    with pytest.raises(ValueError, match=message):
+        expected_profile_rate(cfg, [2.0], demands)
+    with pytest.raises(ValueError, match=message):
+        deliver_bit_exact(place(cfg, Allocation((2.0,)), 64, seed=1), demands)
 
 
 def test_decode_fuzz_small_instances():
@@ -1313,13 +1361,14 @@ def _per_member_reference(pl, demands):
     subsystem before the signature-count table.  It ORs one uint64
     signature per bit and runs one np.unique per member over it.  Returns
     pair_bits and which side of the 2^m <= L rule each subsystem fell on
-    (m members, L-bit subfiles)."""
+    (m members, L-bit subfiles), and the group sizes."""
     cfg, k = pl.config, pl.config.num_caches
     table = np.array(demands, dtype=np.int64)
     order, group, keys, _, _ = sim._groups(cfg, table, np.zeros(len(table), dtype=np.int64))
-    pair_bits, sides = {}, set()
+    pair_bits, sides, sizes = {}, set(), set()
     for g, (lvl, residue, slot) in enumerate(keys.tolist()):
         members = table[np.sort(order[group == g])]
+        sizes.add(len(members))
         d = cfg.levels[lvl].access_degree
         for color in range(d):
             caches = [(c + (color - c) % d) % k for c in members[:, 0].tolist()]
@@ -1345,31 +1394,43 @@ def _per_member_reference(pl, demands):
             longest = np.zeros(xor_sets.size, dtype=np.int64)
             np.maximum.at(longest, inverse, np.concatenate(counts))
             pair_bits[(lvl, (residue, slot), color)] = bits + int(longest.sum())
-    return pair_bits, sides
+    return pair_bits, sides, sizes
 
 
 def test_delivery_matches_per_member_reference():
     # Groups of 1 to 16 members; F puts the subfile length L within a
-    # factor of 8 of 2^m, so both pricing paths run.
+    # factor of 8 of 2^m, so both pricing paths run.  Then groups of 17
+    # to 40 members with subfiles of 64 to 256 bits, priced per member,
+    # so signature matrices of every unsigned dtype meet the reference.
     rng = np.random.default_rng(22)
-    sides = set()
+    sides, sizes = set(), set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for trial in range(40):
-            m, d = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+        for trial in range(46):
+            if trial < 40:
+                m, d = int(rng.integers(1, 17)), int(rng.integers(1, 4))
+            else:
+                m, d = int(rng.integers(17, 41)), int(rng.integers(1, 3))
             k = m * d + int(rng.integers(0, d))
             n = k + int(rng.integers(0, 4))
-            f_bits = int(min(max(d * 2 ** (m + int(rng.integers(-3, 4))), 64), 2**15))
+            if trial < 40:
+                f_bits = int(min(max(d * 2 ** (m + int(rng.integers(-3, 4))), 64), 2**15))
+            else:
+                f_bits = d * 2 ** int(rng.integers(6, 9))
             cfg = make_config(k, float(rng.uniform(0, n / d)), [(n, 1, d)])
             pl = place(cfg, Allocation(shares=(cfg.memory,)), f_bits, seed=trial)
             if trial % 2:
                 demands = worst_case_demands(cfg)
             else:
                 demands = [(c, 0, int(rng.integers(0, n))) for c in range(k)]
-            pair_bits, seen = _per_member_reference(pl, demands)
+            pair_bits, seen, members = _per_member_reference(pl, demands)
             assert deliver_bit_exact(pl, demands).pair_bits == pair_bits
             sides |= seen
+            sizes |= members
     assert sides == {True, False}
+    assert {np.min_scalar_type((1 << m) - 1) for m in sizes} == set(
+        map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64))
+    )
 
 
 def _pinned_deliveries():
