@@ -196,14 +196,21 @@ def zipf_split_heuristic(s: float, n_files: int, num_caches: int, memory: float)
     return LevelPartition(boundaries=(head_count,), n_files=n_files)
 
 
-def _check_degrees(degrees: Sequence[int], num_caches: int) -> None:
-    """Refuse a degree that is not a positive integer (bools included),
-    and one above K, which puts a level in I and J at once."""
+def _check_counts(degrees: Sequence[int], num_caches: int, total_users: int) -> None:
+    """Refuse a K or user total that is not an integer, a degree that is
+    not a positive integer (bools are neither), a degree above K, which
+    puts a level in I and J at once, and a user total below 1.  Every
+    level has a degree, so a K below 1 is refused as below a degree."""
+    for name, value in (("K", num_caches), ("total_users", total_users)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     for d in degrees:
         if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
             raise ConfigError(f"access degree must be a positive integer, got {d!r}")
     if max(degrees, default=0) > num_caches:
         raise ConfigError(f"access degree {max(degrees)} exceeds K = {num_caches}")
+    if total_users < 1:
+        raise ConfigError("total_users must be positive")
 
 
 def discretize(
@@ -221,18 +228,17 @@ def discretize(
     remainder assigned to the last level.  Levels whose user count
     rounds to zero are merged into their less popular neighbour with a
     warning.  The more-files-than-users regularity check is downgraded
-    to a warning here, since empirical blocks may violate it; an access
-    degree that is not a positive integer or exceeds K, or a bad memory,
-    raises :class:`ConfigError`.
+    to a warning here, since empirical blocks may violate it; a K or user
+    total that is not a positive integer, an access degree that is not a
+    positive integer or exceeds K, or a bad memory, raises
+    :class:`ConfigError`.
     """
     memory = _memory(memory)
     if partition.n_files != dist.n_files:
         raise ConfigError("partition and distribution disagree on the file count")
     if len(degrees) != partition.num_levels:
         raise ConfigError("need one access degree per level")
-    _check_degrees(degrees, num_caches)
-    if total_users < 1:
-        raise ConfigError("total_users must be positive")
+    _check_counts(degrees, num_caches, total_users)
 
     cum = np.concatenate([[0.0], dist.cumulative])
     edges = np.array([[0, *partition.boundaries, partition.n_files]], dtype=np.int64)
@@ -356,8 +362,6 @@ def _price_splits(
 ) -> np.ndarray:
     """``pama_rate(discretize(...)).exact.total`` for each row of cut
     points, equal bit for bit, priced as one array batch."""
-    if total_users < 1:
-        raise ConfigError("total_users must be positive")
     count = len(cut_rows)
     n_files = cum.size - 1
     edges = np.column_stack(
@@ -407,8 +411,9 @@ def brute_force_partition(
     ``SEARCH_BLOCK`` at a time, each rate bit-identical to ``pama_rate``
     of the discretized instance; the first rate below the best so far by
     more than 1e-15 becomes the best.  Raises :class:`ConfigError` for a bad
-    memory, L < 1, a coarsening below 1, a degree count other than L, an
-    access degree that is not a positive integer or exceeds K, a cut grid
+    memory, L < 1, a coarsening below 1, a degree count other than L, a K
+    or user total that is not a positive integer, an access degree that
+    is not a positive integer or exceeds K, a cut grid
     with fewer than L-1 cut points, more candidates than ``budget``, and
     when every level rounds to zero users.
     """
@@ -424,7 +429,7 @@ def brute_force_partition(
         raise ConfigError("coarsening must be at least 1")
 
     cum = np.concatenate([[0.0], dist.cumulative])
-    _check_degrees(degrees, num_caches)
+    _check_counts(degrees, num_caches, total_users)
 
     cuts = sorted(
         set(range(coarsening, n, coarsening)) | {c for c in extra_cuts if 0 < c < n}

@@ -34,16 +34,17 @@ trials share no slot, group or edge demand (see :func:`_groups`).
 Demands are checked once, where they enter (``_demand_table``); the
 layout and pricing steps trust their input.
 
-Randomness: one PCG64 stream per purpose, derived from the run seed via
-``numpy.random.SeedSequence`` spawn keys — (1, cache, level) for
-placement sampling, (2, trial) for stochastic user profiles.  File f
-of a level reads the window of its (cache, level) stream that starts
-at output f * 2^64, and every bit is exactly Bernoulli(mu) for the
-float64 cached fraction mu (see ``_bernoulli_bits``).  A trial's stream
-draws its users' cache indices (the LFU baseline draws none), then one
-uniform per user, ranked as ``Generator.choice`` would rank it (see
-``_RankTable`` and ``_TrialStreams``).  Identical seeds reproduce every
-artifact bit-for-bit, whatever the block sizes.
+Randomness: one PCG64 stream per purpose, seeded by a
+``numpy.random.SeedSequence`` of the run seed and an explicit spawn key
+— (1, cache, level) for placement sampling, (2, trial) for stochastic
+user profiles.  File f of a level reads the window of its (cache,
+level) stream that starts at output f * 2^64, and every bit is exactly
+Bernoulli(mu) for the float64 cached fraction mu (see
+``_bernoulli_bits``).  A trial's stream draws its users' cache indices
+(the LFU baseline draws none), then one uniform per user, ranked as
+``Generator.choice`` would rank it (see ``_RankTable`` and
+``_TrialStreams``).  Identical seeds reproduce every artifact
+bit-for-bit, whatever the block sizes.
 """
 
 from __future__ import annotations
@@ -220,10 +221,13 @@ def _bernoulli_bits(
 
 
 def _check_shares(config: SystemConfig, shares: Sequence[float]) -> None:
-    """Refuse shares that are not one non-negative number per level."""
+    """Refuse shares that are not one non-negative real number per level;
+    a bool is not a number here."""
     if len(shares) != config.num_levels:
         raise ValueError(f"need {config.num_levels} memory shares, got {len(shares)}")
     for idx, share in enumerate(shares):
+        if isinstance(share, (bool, np.bool_)) or not isinstance(share, numbers.Real):
+            raise ValueError(f"level {idx + 1}: memory share {share!r} must be a number")
         if not share >= 0.0:
             raise ValueError(f"level {idx + 1}: memory share {share!r} must be non-negative")
 
@@ -785,48 +789,15 @@ class SimulationResult:
 DEMAND_BLOCK = 1 << 13
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-# and the 128-bit PCG64 multiplier.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(first: int, mult: int, count: int) -> np.ndarray:
-    """``count`` successive SeedSequence hash constants from ``first``, as
-    a uint32 column."""
-    consts = [first]
-    for _ in range(count - 1):
-        consts.append(consts[-1] * mult % 2**32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _xorshift(words: np.ndarray) -> np.ndarray:
-    """The last step of SeedSequence's hash and mix, in place on uint32 words."""
-    words ^= words >> np.uint32(16)
-    return words
-
-
 class _TrialStreams:
     """The stochastic-profile streams of one run, in blocks of as many
     trials as fit ``DEMAND_BLOCK`` demands, and at least one: trial t
     reads a PCG64 seeded from ``SeedSequence(seed, spawn_key=(2, t))``.
 
     Before anything else, a bool or non-integer user count, trial count
-    or seed, a negative user count or seed, or trials outside 1 to 2^32
-    (a key must fit one word) raise :class:`ConfigError`.
-
-    Building that SeedSequence and PCG64 costs about 20 us a trial, so
-    the states are derived instead, a block of trials at a time, in
-    uint32 arithmetic.  The pool of ``spawn_key=(2,)`` has taken in E =
-    max(4, 32-bit words of the seed) + 1 entropy words, through 16 +
-    4 (E - 4) hashes; t is one word more, which SeedSequence hashes under
-    the next 4 constants and mixes into the 4 pool words.  Eight words
-    hashed from the pool give PCG64's initial state and increment, which
-    it steps as ``pcg_setseq_128_srandom_r`` does.  One PCG64 is
-    re-seeded per trial through its ``state`` setter and draws into
-    arrays allocated once per run (no cache array for the LFU baseline)."""
+    or seed, a negative user count or seed, or no trials raise
+    :class:`ConfigError`.  Each trial's key is built from its number, not
+    spawned, so every pass over :meth:`blocks` draws the same trials."""
 
     def __init__(self, seed: int, users: int, trials: int) -> None:
         for name, value in (("the user count", users), ("trials", trials), ("the seed", seed)):
@@ -834,42 +805,13 @@ class _TrialStreams:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if trials < 1:
             raise ConfigError(f"trials must be at least 1, got {trials}")
-        if trials > 2**32:
-            raise ConfigError(f"trials must be at most 2^32, got {trials}")
         if users < 0:
             raise ConfigError(f"the user count must be non-negative, got {users}")
         if seed < 0:
             raise ConfigError(f"the seed must be non-negative, got {seed}")
-        base = np.random.SeedSequence(seed, spawn_key=(2,))
-        entropy = max(4, -(-int(seed).bit_length() // 32)) + 1
-        first = _INIT_A * pow(_MULT_A, 16 + 4 * (entropy - 4), 2**32) % 2**32
-        self.key_hash = _hash_constants(first, _MULT_A, 5)
-        # generate_state hashes output word i from pool word i mod 4
-        # under constant i, then multiplies by constant i + 1.
-        self.state_hash = _hash_constants(_INIT_B, _MULT_B, 9)
-        # The mix of a hash h into pool word w is L * w - R * h, hashed.
-        self.scaled_pool = base.pool[:, None] * np.uint32(_MIX_MULT_L)
-        self.bitgen = np.random.PCG64(base)
-        self.rng = np.random.Generator(self.bitgen)
-        self.users, self.trials = users, trials
+        self.seed, self.users, self.trials = seed, users, trials
         self.per_block = min(trials, max(1, DEMAND_BLOCK // max(users, 1)))
         self.trial = np.repeat(np.arange(self.per_block), users)
-
-    def states(self, block: range) -> list[tuple[int, int]]:
-        """The (state, increment) of each trial's PCG64."""
-        keys = np.arange(block.start, block.stop, dtype=np.uint32)
-        const = self.key_hash
-        hashed = _xorshift((keys ^ const[:4]) * const[1:])
-        pool = _xorshift(self.scaled_pool - hashed * np.uint32(_MIX_MULT_R))
-        const = self.state_hash
-        words = _xorshift((np.tile(pool, (2, 1)) ^ const[:8]) * const[1:])
-        words = words.astype(np.uint64)
-        halves = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
-        states = []
-        for high, low, seq_high, seq_low in zip(*halves):
-            inc = ((seq_high << 64 | seq_low) << 1 | 1) % 2**128
-            states.append((((inc + (high << 64 | low)) * _PCG64_MULT + inc) % 2**128, inc))
-        return states
 
     def blocks(
         self, num_caches: int | None
@@ -877,23 +819,21 @@ class _TrialStreams:
         """Per block, in trial order: its trial count, each demand's trial
         counted from the block's first, the users' cache indices (None
         when ``num_caches`` is None: the LFU baseline draws none) and their
-        uniforms.  The arrays are reused, so they hold until the next block."""
+        uniforms.  The arrays are allocated once per run and reused, so
+        they hold until the next block."""
         users = self.users
         caches = None if num_caches is None else np.empty(self.trial.size, dtype=np.int64)
         uniforms = np.empty(self.trial.size)
         for start in range(0, self.trials, self.per_block):
             block = range(start, min(self.trials, start + self.per_block))
-            for row, (state, inc) in enumerate(self.states(block)):
-                self.bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+            for row, t in enumerate(block):
+                rng = np.random.Generator(
+                    np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(2, t)))
+                )
                 lo = row * users
                 if caches is not None:
-                    caches[lo : lo + users] = self.rng.integers(0, num_caches, users)
-                self.rng.random(out=uniforms[lo : lo + users])
+                    caches[lo : lo + users] = rng.integers(0, num_caches, users)
+                rng.random(out=uniforms[lo : lo + users])
             size = len(block) * users
             drawn = None if caches is None else caches[:size]
             yield len(block), self.trial[:size], drawn, uniforms[:size]

@@ -525,6 +525,26 @@ def test_split_search_and_discretize_refuse_a_bad_degree(degrees):
         discretize(dist, LevelPartition((50,), 100), 4, 10, degrees, 5.0)
 
 
+@pytest.mark.parametrize(
+    "num_caches, total_users, message",
+    [
+        (4.5, 40, "K must be an integer, got 4.5"),
+        (True, 40, "K must be an integer, got True"),
+        (4, 40.5, "total_users must be an integer, got 40.5"),
+        (4, True, "total_users must be an integer, got True"),
+        (4, 0, "total_users must be positive"),
+    ],
+)
+def test_split_search_and_discretize_refuse_a_bad_count(num_caches, total_users, message):
+    # Unchecked, a fractional K or user total, or a bool, is priced as
+    # the number it rounds to or stands for.
+    dist = zipf_distribution(0.8, 400)
+    with pytest.raises(ConfigError, match=message):
+        brute_force_partition(dist, 2, num_caches, 10.0, (1, 1), total_users, coarsening=100)
+    with pytest.raises(ConfigError, match=message):
+        discretize(dist, LevelPartition((40,), 400), num_caches, total_users, (1, 1), 10.0)
+
+
 def test_zipf_helpers_bad_input_is_a_config_error():
     with pytest.raises(ConfigError, match="at least 10 files"):
         fit_zipf(zipf_distribution(0.8, 3))

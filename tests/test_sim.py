@@ -123,6 +123,8 @@ def test_place_rejects_overfull_fraction():
         ((float("nan"),), "level 1: memory share nan must be non-negative"),
         ((), "need 1 memory shares, got 0"),
         ((1.0, 2.0), "need 1 memory shares, got 2"),
+        ((True,), "level 1: memory share True must be a number"),
+        (("2",), "level 1: memory share '2' must be a number"),
     ],
 )
 def test_shares_that_are_not_one_non_negative_number_per_level_are_refused(shares, message):
@@ -895,7 +897,7 @@ def test_lfu_simulate_matches_exact_expectation():
     assert abs(res.mean - mean) <= 5 * math.sqrt(var / trials)
 
 
-def test_stochastic_runs_build_one_seed_sequence(monkeypatch):
+def test_stochastic_runs_seed_each_trial_from_its_own_key(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cfg = make_config(*EDGE_CONFIG_ARGS)
@@ -903,33 +905,18 @@ def test_stochastic_runs_build_one_seed_sequence(monkeypatch):
     seed_sequence = np.random.SeedSequence
     keys = []
 
-    def counting_seed_sequence(*args, **kwargs):
-        keys.append(kwargs.get("spawn_key"))
+    def recording_seed_sequence(*args, **kwargs):
+        keys.append((args, kwargs.get("spawn_key")))
         return seed_sequence(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+    monkeypatch.setattr(np.random, "SeedSequence", recording_seed_sequence)
     monkeypatch.setattr(sim, "DEMAND_BLOCK", 90)
     res = simulate_stochastic(cfg, dist, 30, 40, seed=3)
     lfu = lfu_simulate(dist, cfg.memory, 30, 40, seed=3)
-    assert keys == [(2,), (2,)]
+    assert keys == [((3,), (2, t)) for t in range(40)] * 2
     monkeypatch.undo()
     assert res.rates == _per_trial_rates(cfg, dist, 30, 40, 3)
     assert lfu.rates == _per_trial_lfu(dist, cfg.memory, 30, 40, 3)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3])
-def test_trial_stream_states_match_seed_sequence(seed):
-    # 10^4 spawn keys (2, t), the last ten just below 2^32.
-    streams = sim._TrialStreams(seed, 0, 1)
-    blocks = [range(0, 4096), range(4096, 9990), range(2**32 - 10, 2**32)]
-    derived = [state for block in blocks for state in streams.states(block)]
-    expected = []
-    for block in blocks:
-        for t in block:
-            state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(2, t))).state
-            expected.append((state["state"]["state"], state["state"]["inc"]))
-    assert len(derived) == 10_000
-    assert derived == expected
 
 
 @pytest.mark.parametrize("users", [0, 1, sim.DEMAND_BLOCK - 1, sim.DEMAND_BLOCK + 1])
@@ -958,13 +945,6 @@ def test_trial_streams_cut_a_run_into_blocks(users):
                 if num_caches is not None:
                     assert caches == rng.integers(0, num_caches, users).tolist()
                 assert uniforms == rng.random(users).tolist()
-
-
-def test_trial_keys_past_one_word_are_refused():
-    # Checked on the arguments alone, so a missing check runs nothing.
-    sim._TrialStreams(1, 1, 2**32)
-    with pytest.raises(ConfigError, match="trials must be at most 2\\^32"):
-        sim._TrialStreams(1, 1, 2**32 + 1)
 
 
 def test_sparse_key_space_scratch_memory_is_bounded():
@@ -1473,6 +1453,55 @@ def test_delivery_logs_pinned():
     assert hashlib.sha256(repr(logs).encode()).hexdigest() == (
         "e05ca775f097731c3f731c1e9ee65b37acf18cde2fec6f856ea258d41cd12cc2"
     )
+
+
+def _exact_group_bits(m, length, mu):
+    """Expected broadcast bits of one (group, color) subsystem of m
+    members with distinct files and ``length``-bit subfiles, each bit
+    cached independently with probability mu at each member's cache.
+
+    The bits cached nowhere are sent in clear, L(1 - mu)^m per file.  The
+    segment of member p in the XOR for a member set S of size s >= 2 is
+    the bits of p's file held by exactly S minus p, Binomial(L, q_s) with
+    q_s = mu^(s-1) (1 - mu)^(m-s+1); the files differ, so the s segments
+    are independent and the XOR's expected length, that of the longest,
+    is the sum over k of 1 - F_s(k)^s, F_s the Binomial CDF."""
+    total = m * length * (1.0 - mu) ** m
+    for s in range(2, m + 1):
+        q = mu ** (s - 1) * (1.0 - mu) ** (m - s + 1)
+        log_pmf = [
+            math.lgamma(length + 1)
+            - math.lgamma(j + 1)
+            - math.lgamma(length - j + 1)
+            + j * math.log(q)
+            + (length - j) * math.log1p(-q)
+            for j in range(length + 1)
+        ]
+        cdf = np.minimum(np.cumsum(np.exp(log_pmf)), 1.0)
+        total += math.comb(m, s) * float(np.sum(1.0 - cdf**s))
+    return total
+
+
+@pytest.mark.parametrize(
+    "file_bits, memory, expected",
+    [(1024, 2, 2.10641), (256, 3, 1.53361), (1024, 5, 0.64057)],
+)
+def test_bit_exact_mean_matches_finite_length_expectation(file_bits, memory, expected):
+    # One group of 4 members with distinct files at d = 1, so the rate's
+    # expectation at this file size is exact, not the F -> infinity
+    # closed form (2.051 at F = 1024, M = 2).  1,300 placement seeds.
+    cfg = make_config(4, memory, [(8, 1, 1)])
+    mean = _exact_group_bits(4, file_bits, memory / 8) / file_bits
+    assert round(mean, 5) == expected
+    allocation, demands = Allocation((float(memory),)), worst_case_demands(cfg)
+    rates = np.array(
+        [
+            deliver_bit_exact(place(cfg, allocation, file_bits, seed), demands).rate
+            for seed in range(1300)
+        ]
+    )
+    z = (rates.mean() - mean) / (rates.std(ddof=1) / math.sqrt(rates.size))
+    assert abs(z) <= 5
 
 
 @pytest.mark.parametrize("k", [24, 64])
