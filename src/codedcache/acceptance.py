@@ -33,18 +33,15 @@ from .bounds import (
 from .model import SystemConfig, ValidationWarning, make_config
 from .pama import Allocation, grid_search_alpha, pama_rate, total_rate_closed_form, total_rate_exact
 from .popularity import (
+    EmpiricalDistribution,
+    LevelPartition,
     brute_force_partition,
     discretize,
     zipf_distribution,
     zipf_split_heuristic,
 )
 from .rate import lfu_rate, single_level_rate
-from .sim import (
-    deliver_bit_exact,
-    place,
-    simulate_stochastic,
-    worst_case_demands,
-)
+from .sim import DecodeError, deliver_bit_exact, place, simulate_stochastic, worst_case_demands
 
 SEED = 20260810
 
@@ -139,8 +136,11 @@ def criterion_3_bit_exact() -> tuple[bool, str]:
                 (int(rng.integers(0, k)), 0, int(rng.integers(0, n)))
                 for _ in range(count)
             ]
-        log = deliver_bit_exact(pl, demands)
-        decoded += int(log.decode_ok)
+        try:
+            deliver_bit_exact(pl, demands)
+        except DecodeError:
+            continue
+        decoded += 1
 
     worst_err = 0.0
     for kk, nn, uu, dd, mm in (
@@ -151,9 +151,12 @@ def criterion_3_bit_exact() -> tuple[bool, str]:
     ):
         cfg = make_config(kk, mm, [(nn, uu, dd)])
         pl = place(cfg, Allocation(shares=(mm,)), 2**17, seed=SEED)
-        log = deliver_bit_exact(pl, worst_case_demands(cfg))
+        try:
+            rate = deliver_bit_exact(pl, worst_case_demands(cfg)).rate
+        except DecodeError:
+            rate = math.inf
         formula = single_level_rate(mm, kk, nn, uu, dd)
-        worst_err = max(worst_err, abs(log.rate - formula) / formula)
+        worst_err = max(worst_err, abs(rate - formula) / formula)
     elapsed = time.perf_counter() - t0
     ok = decoded == 200 and worst_err <= 0.05 and elapsed < 60.0
     return ok, (
@@ -181,48 +184,23 @@ def _separated_instance(rng: np.random.Generator) -> SystemConfig:
     return cfg.with_memory(float(rng.uniform(0.0, 1.05 * cfg.full_memory)))
 
 
-def _local_lipschitz(cfg: SystemConfig, shares: Sequence[float], step_share: float) -> float:
-    caps = [lv.full_memory for lv in cfg.levels]
-    h = max(1e-9, step_share * 1e-3)
-    grads = [0.0]
-    for i in range(cfg.num_levels):
-        lo = list(shares)
-        hi = list(shares)
-        lo[i] = max(0.0, shares[i] - h)
-        hi[i] = min(caps[i], shares[i] + h)
-        if hi[i] <= lo[i]:
-            continue
-        r_lo = total_rate_exact(cfg, Allocation(shares=tuple(lo))).total
-        r_hi = total_rate_exact(cfg, Allocation(shares=tuple(hi))).total
-        grads.append(abs(r_hi - r_lo) / (hi[i] - lo[i]))
-    return max(grads)
-
-
 def criterion_4_oracle() -> tuple[bool, str]:
-    """Allocation within grid slack of the exhaustive-search oracle."""
+    """Allocation at or below the exhaustive-search oracle, within the
+    1e-12 band ``pama_rate`` uses for ties."""
     rng = np.random.default_rng(SEED + 4)
     t0 = time.perf_counter()
-    step = 0.01
     worst_excess = -math.inf
-    failures = 0
+    passed = 0
     for _ in range(100):
         cfg = _separated_instance(rng)
-        res = pama_rate(cfg)
-        alloc_o, rate_o = grid_search_alpha(cfg, step)
-        step_share = step * cfg.memory
-        lip = max(
-            _local_lipschitz(cfg, res.allocation.shares, step_share),
-            _local_lipschitz(cfg, alloc_o.shares, step_share),
-        )
-        slack = 1e-6 + lip * step_share
-        excess = res.exact.total - rate_o - slack
-        worst_excess = max(worst_excess, excess)
-        if excess > 0:
-            failures += 1
+        rate = pama_rate(cfg).exact.total
+        _, rate_o = grid_search_alpha(cfg, 0.01)
+        worst_excess = max(worst_excess, rate - rate_o)
+        passed += rate <= rate_o + 1e-12 * (1.0 + rate_o)
     elapsed = time.perf_counter() - t0
-    ok = failures == 0 and elapsed < 120.0
+    ok = passed == 100 and elapsed < 120.0
     return ok, (
-        f"{100 - failures}/100 within slack, worst excess {worst_excess:.2e}, "
+        f"{passed}/100 at or below the oracle, worst PAMA - oracle {worst_excess:.2e}, "
         f"{elapsed:.1f}s"
     )
 
@@ -325,24 +303,37 @@ def criterion_7_gap_envelope() -> tuple[bool, str]:
     )
 
 
+@functools.cache
+def _catalogue() -> EmpiricalDistribution:
+    """The synthetic catalogue of criteria 8-11."""
+    return zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
+
+
+def _best_split_rate(levels: int, memory: float, extra_cuts: Sequence[int] = ()) -> float:
+    """Brute-force optimum rate of an L-level split of the catalogue,
+    every access degree 1."""
+    _, rate = brute_force_partition(
+        _catalogue(), levels, PARTITION_CACHES, memory, (1,) * levels, PARTITION_USERS,
+        coarsening=ZIPF_FILES // 200, extra_cuts=extra_cuts,
+    )
+    return rate
+
+
+def _heuristic_instance(
+    memory: float, caches: int = PARTITION_CACHES, users: int = PARTITION_USERS
+) -> tuple[LevelPartition, SystemConfig]:
+    """The two-level Zipf split heuristic's cut of the catalogue, and
+    the instance it discretizes to, every access degree 1."""
+    split = zipf_split_heuristic(ZIPF_EXPONENT, ZIPF_FILES, caches, memory)
+    return split, discretize(_catalogue(), split, caches, users, (1, 1), memory)
+
+
 def criterion_8_diminishing_returns() -> tuple[bool, str]:
     """More levels help, with shrinking gains, on the synthetic catalogue."""
-    dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     details = []
     ok = True
     for frac in (0.03, 0.2, 0.7):
-        memory = frac * ZIPF_FILES
-        rates = {}
-        for lcount in (1, 2, 3):
-            _, rates[lcount] = brute_force_partition(
-                dist,
-                lcount,
-                PARTITION_CACHES,
-                memory,
-                (1,) * lcount,
-                PARTITION_USERS,
-                coarsening=ZIPF_FILES // 200,
-            )
+        rates = {lcount: _best_split_rate(lcount, frac * ZIPF_FILES) for lcount in (1, 2, 3)}
         gain12 = rates[1] - rates[2]
         gain23 = rates[2] - rates[3]
         here = gain12 > 0 and gain23 >= -1e-9 and gain23 < gain12
@@ -356,27 +347,12 @@ def criterion_8_diminishing_returns() -> tuple[bool, str]:
 
 def criterion_9_heuristic_quality() -> tuple[bool, str]:
     """Two-level split heuristic within 2.5x of the brute-force optimum."""
-    dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     worst = 0.0
     for frac in (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
         memory = frac * ZIPF_FILES
-        split = zipf_split_heuristic(
-            ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, memory
-        )
-        cfg = discretize(
-            dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), memory
-        )
+        split, cfg = _heuristic_instance(memory)
         rate_h = pama_rate(cfg).exact.total
-        _, rate_bf = brute_force_partition(
-            dist,
-            2,
-            PARTITION_CACHES,
-            memory,
-            (1, 1),
-            PARTITION_USERS,
-            coarsening=ZIPF_FILES // 200,
-            extra_cuts=split.boundaries,
-        )
+        rate_bf = _best_split_rate(2, memory, extra_cuts=split.boundaries)
         if rate_bf > 0:
             worst = max(worst, rate_h / rate_bf)
     ok = worst <= 2.5
@@ -386,26 +362,13 @@ def criterion_9_heuristic_quality() -> tuple[bool, str]:
     )
 
 
-def _lfu_sweep_grid() -> np.ndarray:
-    return np.unique(
-        np.concatenate(
-            [np.geomspace(10.0, ZIPF_FILES * 0.98, 18), np.linspace(200, 1000, 5)]
-        )
-    )
-
-
 def criterion_10_lfu_dominance() -> tuple[bool, str]:
     """Allocated coded rate never exceeds the LFU worst case."""
-    dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     violations = 0
     max_gain = 0.0
-    for memory in _lfu_sweep_grid():
-        split = zipf_split_heuristic(
-            ZIPF_EXPONENT, ZIPF_FILES, PARTITION_CACHES, float(memory)
-        )
-        cfg = discretize(
-            dist, split, PARTITION_CACHES, PARTITION_USERS, (1, 1), float(memory)
-        )
+    grid = np.concatenate([np.geomspace(10.0, ZIPF_FILES * 0.98, 18), np.linspace(200, 1000, 5)])
+    for memory in np.unique(grid).tolist():
+        _, cfg = _heuristic_instance(memory)
         rate_pama = pama_rate(cfg).exact.total
         rate_lfu = lfu_rate(cfg)
         if rate_pama > rate_lfu + 1e-9:
@@ -420,15 +383,10 @@ def criterion_10_lfu_dominance() -> tuple[bool, str]:
 
 def criterion_11_stochastic_robustness() -> tuple[bool, str]:
     """Theory within a factor 3 of stochastic-profile simulations."""
-    dist = zipf_distribution(ZIPF_EXPONENT, ZIPF_FILES)
     ratios = []
     for frac in (0.005, 0.01, 0.03, 0.1, 0.2, 0.4, 0.6, 0.8):
-        memory = frac * ZIPF_FILES
-        split = zipf_split_heuristic(
-            ZIPF_EXPONENT, ZIPF_FILES, STOCHASTIC_CACHES, memory
-        )
-        cfg = discretize(dist, split, STOCHASTIC_CACHES, 100, (1, 1), memory)
-        res = simulate_stochastic(cfg, dist, 100, 100, seed=SEED)
+        _, cfg = _heuristic_instance(frac * ZIPF_FILES, STOCHASTIC_CACHES, 100)
+        res = simulate_stochastic(cfg, _catalogue(), 100, 100, seed=SEED)
         ratios.append(res.theoretical / res.mean if res.mean > 0 else 1.0)
     ok = all(1.0 / 3.0 <= r <= 3.0 for r in ratios)
     return ok, (

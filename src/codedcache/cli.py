@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import acceptance
 from .bounds import gap_profile, lower_bounds
 from .model import (
     ConfigError,
@@ -30,6 +29,7 @@ from .model import (
     load_config,
 )
 from .pama import (
+    CANDIDATE_LIMIT,
     Allocation,
     build_threshold_table,
     closed_form_rates,
@@ -389,6 +389,8 @@ def _cmd_lfu(args: argparse.Namespace) -> int:
 
 def _criteria(text: str) -> list[int]:
     """``--only``'s comma-separated numbers, each one of the criteria."""
+    from . import acceptance
+
     known = [number for number, _, _ in acceptance.CRITERIA]
     try:
         only = [int(x) for x in text.split(",")]
@@ -402,6 +404,8 @@ def _criteria(text: str) -> list[int]:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(only=args.only, verbose=True)
     return 0 if all(r.passed for r in results) else RUNTIME_EXIT
 
@@ -453,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", help="comma-separated per-level degrees")
     p.add_argument("--heuristic", action="store_true", help="use the two-level split")
     p.add_argument("--coarsen", type=int, default=None)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=CANDIDATE_LIMIT)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_discretize)
 

@@ -451,6 +451,11 @@ def pama_memories(config: SystemConfig, memory: np.ndarray) -> PamaBatch:
 # amortized.
 SEARCH_BLOCK = 4096
 
+# The most candidates an exhaustive search prices: the oracle's simplex
+# points, access-opt's degree vectors and, by default, the split search's
+# splits.  Larger searches are refused before any is priced.
+CANDIDATE_LIMIT = 10_000_000
+
 
 def _first_best(
     candidates: Iterator[tuple[int, ...]], width: int, price: Callable[[np.ndarray], np.ndarray]
@@ -490,13 +495,20 @@ def grid_search_alpha(
     bars, through the walker shared with the split search; each point
     gathers its levels' rates from the table and adds them in level
     order, bit for bit :func:`total_rate_exact`.  The first rate below
-    the best so far by more than 1e-15 becomes the best."""
+    the best so far by more than 1e-15 becomes the best.  A grid of
+    more than ``CANDIDATE_LIMIT`` points is refused."""
     if not 0 < grid_step <= 0.1:
         raise ConfigError("grid_step must lie in (0, 0.1]")
     lcount = config.num_levels
     if lcount > 6:
         raise ConfigError("grid search is limited to at most 6 levels")
     steps = round(1.0 / grid_step)
+    points = math.comb(steps + lcount - 1, lcount - 1)
+    if points > CANDIDATE_LIMIT:
+        raise ConfigError(
+            f"grid step {grid_step:g} gives {points} points on {lcount} levels, "
+            f"over the limit of {CANDIDATE_LIMIT}; use a coarser step"
+        )
     m = config.memory
     caps = [lv.full_memory for lv in config.levels]
 
@@ -545,27 +557,41 @@ def optimize_access_structure(
     """Pick per-level access degrees minimizing the allocated rate.
 
     Enumerates every degree vector in {1..max_degree}^L with d_i <= K and
-    user-weighted average degree at most ``avg_degree``, and prices them
-    as rows of :func:`pama_totals`, ``SEARCH_BLOCK`` per call, each rate
+    user-weighted average degree at most ``avg_degree``, ``SEARCH_BLOCK``
+    at a time, and prices them as rows of :func:`pama_totals`, each rate
     bit for bit ``pama_rate`` of the instance with those degrees.  Ties
-    are broken by smaller total degree, then lexicographically.
+    are broken by smaller total degree, then lexicographically.  More
+    than ``CANDIDATE_LIMIT`` vectors are refused before any is priced.
     """
     if max_degree < 1:
         raise ConfigError("max_degree must be at least 1")
     n_files, users, _ = _level_arrays(config)
     top = min(max_degree, config.num_caches)
-    grid = np.array(list(itertools.product(range(1, top + 1), repeat=config.num_levels)))
-    candidates = grid[grid @ users / users.sum() <= avg_degree + 1e-12]
-    if not len(candidates):
+    lcount = config.num_levels
+    count = top**lcount
+    if count > CANDIDATE_LIMIT:
+        raise ConfigError(
+            f"{top}^{lcount} = {count} degree vectors exceed the limit of "
+            f"{CANDIDATE_LIMIT}; lower max_degree"
+        )
+    # Vector v is v's L base-top digits, most significant first, plus one:
+    # itertools.product order.
+    powers = top ** np.arange(lcount - 1, -1, -1)
+    block_bests = []
+    for first in range(0, count, SEARCH_BLOCK):
+        grid = np.arange(first, min(first + SEARCH_BLOCK, count))[:, None] // powers % top + 1
+        degrees = grid[grid @ users / users.sum() <= avg_degree + 1e-12]
+        if not len(degrees):
+            continue
+        n, u = (np.broadcast_to(column, degrees.shape) for column in (n_files, users))
+        totals = pama_totals(n, u, degrees, config.num_caches, config.memory).total.tolist()
+        block_bests.append(
+            min((round(r, 9), sum(d), tuple(d), r) for d, r in zip(degrees.tolist(), totals))
+        )
+    if not block_bests:
         raise ConfigError(
             f"no degree vector satisfies avg degree <= {avg_degree:g} with "
             f"max degree {max_degree}"
         )
-    scored = []
-    for first in range(0, len(candidates), SEARCH_BLOCK):
-        degrees = candidates[first : first + SEARCH_BLOCK]
-        n, u = (np.broadcast_to(column, degrees.shape) for column in (n_files, users))
-        totals = pama_totals(n, u, degrees, config.num_caches, config.memory).total.tolist()
-        scored.extend((round(r, 9), sum(d), tuple(d), r) for d, r in zip(degrees.tolist(), totals))
-    _, _, best, best_rate = min(scored)
+    _, _, best, best_rate = min(block_bests)
     return best, best_rate

@@ -29,7 +29,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .model import ConfigError, LevelSpec, SystemConfig, ValidationWarning, _memory
-from .pama import _first_best, pama_totals
+from .pama import CANDIDATE_LIMIT, _first_best, pama_totals
 
 
 class CountsError(ValueError):
@@ -397,7 +397,7 @@ def brute_force_partition(
     degrees: Sequence[int],
     total_users: int,
     coarsening: int | None = None,
-    budget: int = 10_000_000,
+    budget: int = CANDIDATE_LIMIT,
     extra_cuts: Iterable[int] = (),
 ) -> tuple[LevelPartition, float]:
     """Exhaustively search contiguous level splits for the lowest rate.

@@ -658,6 +658,67 @@ def test_pama_grid_step_out_of_range_is_validation_error(ex1_path, capsys):
     assert capsys.readouterr().err == "error: grid_step must lie in (0, 0.1]\n"
 
 
+# Runs the CLI in a child process whose address space is capped at 1 GiB,
+# so that a search which does build its full candidate set fails there
+# with MemoryError instead of taking the machine's memory.
+_UNDER_1_GIB = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from codedcache.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        # A (10^8 + 1) x 3 rate table (2.4 GB), then 5e15 simplex points.
+        (
+            "pama --config {configs}/gap3level.json --grid-step 1e-8",
+            "grid step 1e-08 gives 5000000150000001 points on 3 levels, "
+            "over the limit of 10000000; use a coarser step",
+        ),
+        # 32^6, about 1.07e9 degree vectors.
+        (
+            "access-opt --config {wide} --dmax 32 --davg 32",
+            "32^6 = 1073741824 degree vectors exceed the limit of 10000000; lower max_degree",
+        ),
+    ],
+    ids=["pama-grid-step", "access-opt"],
+)
+def test_oversized_searches_are_refused_before_they_start(argv, refusal, tmp_path):
+    wide = tmp_path / "wide.json"
+    levels = [(1600, 3, 1), (3600, 2, 1), (12000, 1, 1), (32000, 1, 1), (64000, 1, 1)]
+    wide.write_text(config_to_json(make_config(32, 50.0, [*levels, (160000, 1, 1)])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_1_GIB, *argv.format(configs=CONFIGS, wide=wide).split()],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.endswith(f"error: {refusal}\n")
+
+
+def test_only_selftest_imports_the_acceptance_suite(ex1_path):
+    script = (
+        "import sys\n"
+        "from codedcache.cli import run\n"
+        f"assert run(['rate', '--config', {ex1_path!r}]) == 0\n"
+        "assert 'codedcache.acceptance' not in sys.modules\n"
+        "assert run(['selftest', '--only', '2']) == 0\n"
+        "assert 'codedcache.acceptance' in sys.modules\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lfu_worst_case_sweep(ex1_path, capsys):
     assert run(["lfu", "--config", ex1_path, "--m", "0:200:5"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -567,6 +567,37 @@ def test_access_opt_ordering_flips_with_memory():
     assert rate_large > 0
 
 
+def test_access_opt_scratch_is_one_block_not_the_degree_grid():
+    # 8^6 = 262,144 degree vectors: the whole grid held at once, as tuples,
+    # as an array and as scored candidates, peaks at 44 MiB traced.
+    levels = [(400, 3, 1), (900, 2, 1), (3000, 1, 1), (8000, 1, 1), (16000, 1, 1), (40000, 1, 1)]
+    cfg = make_config(8, 50.0, levels)
+    tracemalloc.start()
+    try:
+        degrees, rate = optimize_access_structure(cfg, 8, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert degrees == (7, 1, 1, 1, 1, 1)
+    assert rate == pama_rate(_with_degrees(cfg, degrees)).exact.total
+    assert peak <= 16 * 2**20
+
+
+def test_searches_refuse_more_candidates_than_the_limit(monkeypatch):
+    # EX1's step-0.01 oracle grid has 101 points; access-opt with dmax 2
+    # enumerates 2^2 = 4 degree vectors.
+    monkeypatch.setattr(codedcache.pama, "CANDIDATE_LIMIT", 101)
+    grid_search_alpha(EX1, 0.01)
+    monkeypatch.setattr(codedcache.pama, "CANDIDATE_LIMIT", 100)
+    with pytest.raises(ConfigError, match="gives 101 points on 2 levels, over the limit of 100"):
+        grid_search_alpha(EX1, 0.01)
+    monkeypatch.setattr(codedcache.pama, "CANDIDATE_LIMIT", 4)
+    optimize_access_structure(EX1, 2, 2.0)
+    monkeypatch.setattr(codedcache.pama, "CANDIDATE_LIMIT", 3)
+    with pytest.raises(ConfigError, match=r"2\^2 = 4 degree vectors exceed the limit of 3"):
+        optimize_access_structure(EX1, 2, 2.0)
+
+
 def test_tie_band_keeps_its_absolute_term():
     # The rate is about 1e-15 here, where a band of 1e-12 * total alone
     # would lie below the totals' rounding: only the absolute 1e-12 term
